@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
                      ZeroBase, ZeroStaff)
-from .indicators import (IndicatorScore, ShareScheme, researcher_indicator,
-                         unit_indicator)
-from .model import Corpus, Period, presence, staff
+from .indicators import ShareScheme, UnitLedger, ledger_for, unit_indicator
+from .model import Corpus, Period, presence
 
 
 @dataclass(frozen=True)
@@ -28,19 +27,22 @@ class UdaScore:
 
 def sds_unit_scores(corpus: Corpus, sds: str, indicator: str, period: Period,
                     scheme: ShareScheme, baselines, basis: str = "median",
-                    staff_mode: str = "prorata") -> dict:
+                    staff_mode: str = "prorata", *,
+                    ledger: UnitLedger | None = None) -> dict:
     """Score every staffed unit of one SDS; None marks an absent (undefined) score."""
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    return _sds_scores(ledger, sds, indicator, period)
+
+
+def _sds_scores(ledger: UnitLedger, sds: str, indicator: str, period: Period) -> dict:
     out = {}
-    for (u, s) in corpus.units():
-        if s != sds:
-            continue
-        if staff(corpus, u, s, period, staff_mode) <= 0:
-            continue
+    for u in ledger.staffed_universities(sds, period):
         try:
-            out[(u, s)] = unit_indicator(corpus, u, s, indicator, period,
-                                         scheme, baselines, basis, staff_mode)
+            out[(u, sds)] = unit_indicator(
+                ledger.corpus, u, sds, indicator, period, ledger.scheme,
+                ledger.baselines, ledger.basis, ledger.staff_mode, ledger=ledger)
         except NoPublications:
-            out[(u, s)] = None
+            out[(u, sds)] = None
     return out
 
 
@@ -64,42 +66,65 @@ def rescale_sds(scores: dict) -> dict:
     return {u: s.value / mean for u, s in defined.items()}
 
 
-def uda_score(corpus: Corpus, university_id: str, uda: str, indicator: str,
-              period: Period, scheme: ShareScheme, baselines,
-              basis: str = "median", staff_mode: str = "prorata",
-              rescaled_by_sds: dict | None = None) -> UdaScore:
-    """Staff-weighted combination of the university's rescaled SDS scores.
+def _rescaled_by_sds(ledger: UnitLedger, uda: str, indicator: str,
+                     period: Period) -> dict:
+    """sds -> rescale_sds output for every SDS of the UDA ({} if all absent)."""
+    out = {}
+    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
+        try:
+            out[sds] = rescale_sds(_sds_scores(ledger, sds, indicator, period))
+        except AllAbsent:
+            out[sds] = {}
+    return out
 
-    `rescaled_by_sds` (sds -> rescale_sds output) can be precomputed once per
-    UDA and reused across universities.
-    """
+
+def _rollup(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
+            period: Period, rescaled: dict) -> UdaScore:
     contributions = []
-    for sds in corpus.taxonomy.sds_in_uda(uda):
-        w = staff(corpus, university_id, sds, period, staff_mode)
+    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
+        w = ledger.staff(university_id, sds, period)
         if w <= 0:
             continue
-        if rescaled_by_sds is not None and sds in rescaled_by_sds:
-            rescaled = rescaled_by_sds[sds]
-        else:
-            unit_scores = sds_unit_scores(corpus, sds, indicator, period,
-                                          scheme, baselines, basis, staff_mode)
-            try:
-                rescaled = rescale_sds(unit_scores)
-            except AllAbsent:
-                rescaled = {}
-        value = rescaled.get((university_id, sds))
-        contributions.append((sds, w, value))
+        contributions.append((w, rescaled[sds].get((university_id, sds))))
     if not contributions:
         raise NoStaffInUda(f"{university_id} has no staff in UDA {uda}")
-    covered = math.fsum(w for _, w, _ in contributions)
+    covered = math.fsum(w for w, _ in contributions)
     # absent SDS scores are dropped and the weights renormalized
-    scored = [(w, v) for _, w, v in contributions if v is not None]
+    scored = [(w, v) for w, v in contributions if v is not None]
     if not scored:
         raise NoStaffInUda(
             f"{university_id} has no scored SDS in UDA {uda} for {indicator}")
     w_total = math.fsum(w for w, _ in scored)
     value = math.fsum(w * v for w, v in scored) / w_total
     return UdaScore(university_id, uda, indicator, period.label, value, covered)
+
+
+def uda_score(corpus: Corpus, university_id: str, uda: str, indicator: str,
+              period: Period, scheme: ShareScheme, baselines,
+              basis: str = "median", staff_mode: str = "prorata") -> UdaScore:
+    """Staff-weighted combination of the university's rescaled SDS scores.
+
+    Every university of a UDA at once: uda_scores, which rescales once.
+    """
+    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
+    return _rollup(ledger, university_id, uda, indicator, period,
+                   _rescaled_by_sds(ledger, uda, indicator, period))
+
+
+def uda_scores(corpus: Corpus, uda: str, indicator: str, period: Period,
+               scheme: ShareScheme, baselines, basis: str = "median",
+               staff_mode: str = "prorata", *,
+               ledger: UnitLedger | None = None) -> dict:
+    """university_id -> uda_score for every university of the UDA that has one."""
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    rescaled = _rescaled_by_sds(ledger, uda, indicator, period)
+    out = {}
+    for u in corpus.universities_in_uda(uda):
+        try:
+            out[u] = _rollup(ledger, u, uda, indicator, period, rescaled)
+        except NoStaffInUda:
+            continue
+    return out
 
 
 def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
@@ -110,6 +135,7 @@ def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
 
     `scope` restricts to one UDA; None covers every SDS in the taxonomy.
     """
+    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
     if scope is None:
         sds_codes = corpus.taxonomy.sds_list
     else:
@@ -123,10 +149,8 @@ def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
         values = []
         for r in active:
             try:
-                score = researcher_indicator(corpus, r.researcher_id, indicator,
-                                             period, scheme, baselines, basis,
-                                             staff_mode)
-                values.append(score.value)
+                values.append(ledger.researcher_score(r.researcher_id, indicator,
+                                                      period).value)
             except (ZeroStaff, NoPublications):
                 continue
         if not values:

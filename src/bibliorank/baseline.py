@@ -39,9 +39,8 @@ class BaselineTable:
         """Overlay `other` on self; external entries take precedence."""
         merged = dict(self.entries)
         for key, entry in other.entries.items():
-            if entry.source == "external" or key not in merged:
-                merged[key] = entry
-            elif merged[key].source != "external":
+            if (key not in merged or entry.source == "external"
+                    or merged[key].source != "external"):
                 merged[key] = entry
         return BaselineTable(merged)
 

@@ -16,17 +16,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .aggregate import sds_unit_scores, uda_score
+from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
-from .errors import BiblioRankError, NoEligibleUniversities, NoStaffInUda
-from .indicators import INDICATORS, ShareScheme, researcher_indicator
+from .errors import (BiblioRankError, InvalidConfig, NoEligibleUniversities,
+                     NoPublications, ZeroStaff)
+from .indicators import INDICATORS, ShareScheme, UnitLedger, researcher_indicator
 from .loader import FILE_STEMS, load_corpus
 from .model import presence, validate
 from .rankshift import (assign_quintiles, indicator_comparison, sds_drilldown,
                         shift_stats, transition_matrix, uda_rank_list,
                         university_shift_table)
-from .synthgen import GenConfig, generate
-from .errors import NoPublications, ZeroStaff
 
 
 def _corpus_hash(input_dir: Path) -> str:
@@ -90,14 +89,24 @@ class Emitter:
         return path
 
 
+def _parse_scheme(text: str) -> ShareScheme:
+    try:
+        first, last, middle = (float(x) for x in text.split(","))
+        return ShareScheme(first_weight=first, last_weight=last, middle_weight=middle)
+    except ValueError as exc:
+        raise InvalidConfig(f"--scheme {text!r}: expected three positive weights "
+                            f"first,last,middle ({exc})") from None
+
+
 def _load_inputs(args):
+    """Corpus, baselines, share scheme and the one ledger a command reads."""
+    scheme = _parse_scheme(args.scheme)
     corpus = load_corpus(Path(args.input))
     baselines = build_baselines(corpus)
     if args.baselines:
         baselines = baselines.merge(load_external_baselines(Path(args.baselines)))
-    first, last, middle = (float(x) for x in args.scheme.split(","))
-    scheme = ShareScheme(first_weight=first, last_weight=last, middle_weight=middle)
-    return corpus, baselines, scheme
+    ledger = UnitLedger(corpus, scheme, baselines, args.basis, args.staff_mode)
+    return corpus, baselines, scheme, ledger
 
 
 def _map_udas(udas, fn, threads):
@@ -121,7 +130,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    corpus, baselines, scheme = _load_inputs(args)
+    corpus, baselines, scheme, ledger = _load_inputs(args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
@@ -130,7 +139,8 @@ def cmd_indicators(args) -> int:
         for period in corpus.periods:
             for ind in INDICATORS:
                 scores = sds_unit_scores(corpus, s, ind, period, scheme,
-                                         baselines, args.basis, args.staff_mode)
+                                         baselines, args.basis, args.staff_mode,
+                                         ledger=ledger)
                 for (u, _), sc in sorted(scores.items()):
                     rows.append([u, s, ind, period.label,
                                  None if sc is None else sc.value,
@@ -148,7 +158,8 @@ def cmd_indicators(args) -> int:
                 try:
                     sc = researcher_indicator(corpus, r.researcher_id, ind,
                                               period, scheme, baselines,
-                                              args.basis, args.staff_mode)
+                                              args.basis, args.staff_mode,
+                                              ledger=ledger)
                     rows.append([r.researcher_id, ind, period.label,
                                  sc.value, sc.n_pubs, sc.staff])
                 except (ZeroStaff, NoPublications):
@@ -159,17 +170,18 @@ def cmd_indicators(args) -> int:
                rows)
 
     def uda_rows(uda):
+        rolled = {(period, ind): uda_scores(corpus, uda, ind, period, scheme,
+                                            baselines, args.basis,
+                                            args.staff_mode, ledger=ledger)
+                  for period in corpus.periods for ind in INDICATORS}
         out = []
         for u in corpus.universities_in_uda(uda):
             for period in corpus.periods:
                 for ind in INDICATORS:
-                    try:
-                        sc = uda_score(corpus, u, uda, ind, period, scheme,
-                                       baselines, args.basis, args.staff_mode)
+                    sc = rolled[(period, ind)].get(u)
+                    if sc is not None:
                         out.append([u, uda, ind, period.label, sc.value,
                                     sc.covered_staff])
-                    except NoStaffInUda:
-                        continue
         return out
 
     by_uda = _map_udas(corpus.taxonomy.uda_list, uda_rows, args.threads)
@@ -180,7 +192,7 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    corpus, baselines, scheme = _load_inputs(args)
+    corpus, baselines, scheme, ledger = _load_inputs(args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
@@ -191,7 +203,8 @@ def cmd_rank(args) -> int:
                 try:
                     ranked = uda_rank_list(corpus, uda, ind, period, scheme,
                                            baselines, args.basis,
-                                           args.min_staff, args.staff_mode)
+                                           args.min_staff, args.staff_mode,
+                                           ledger=ledger)
                 except NoEligibleUniversities:
                     continue
                 assigned = assign_quintiles(ranked)
@@ -213,7 +226,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    corpus, baselines, scheme = _load_inputs(args)
+    corpus, baselines, scheme, ledger = _load_inputs(args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
     early, late = corpus.periods
@@ -226,7 +239,8 @@ def cmd_compare(args) -> int:
                 try:
                     lists.append(uda_rank_list(corpus, uda, ind, period, scheme,
                                                baselines, args.basis,
-                                               args.min_staff, args.staff_mode))
+                                               args.min_staff, args.staff_mode,
+                                               ledger=ledger))
                 except NoEligibleUniversities:
                     lists.append(None)
             if lists[0] is None or lists[1] is None:
@@ -257,7 +271,8 @@ def cmd_compare(args) -> int:
                transition_rows)
 
     table = university_shift_table(corpus, args.indicator, scheme, baselines,
-                                   args.basis, args.min_staff, args.staff_mode)
+                                   args.basis, args.min_staff, args.staff_mode,
+                                   ledger=ledger)
     rows = []
     for u in table.universities:
         rows.append([u] + [table.cells[u][c] for c in table.columns]
@@ -275,17 +290,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_drilldown(args) -> int:
-    corpus, baselines, scheme = _load_inputs(args)
-    emit = Emitter(Path(args.out), args.format,
-                   _corpus_hash(Path(args.input)), _config_hash(args))
+    corpus, baselines, scheme, ledger = _load_inputs(args)
+    # both raise UnknownUniversity / UnknownUDA, so compute before any output
     shifts = sds_drilldown(corpus, args.university, args.uda, args.indicator,
                            scheme, baselines, args.basis, args.min_staff,
-                           args.staff_mode)
-    emit.write("sds_drilldown", ["sds", "quintile_shift"],
-               [[sds, shifts[sds]] for sds in sorted(shifts)])
+                           args.staff_mode, ledger=ledger)
     comparison = indicator_comparison(corpus, args.university, args.uda, scheme,
                                       baselines, args.basis, args.min_staff,
-                                      args.staff_mode)
+                                      args.staff_mode, ledger=ledger)
+    emit = Emitter(Path(args.out), args.format,
+                   _corpus_hash(Path(args.input)), _config_hash(args))
+    emit.write("sds_drilldown", ["sds", "quintile_shift"],
+               [[sds, shifts[sds]] for sds in sorted(shifts)])
     rows = [[sds, row["P"], row["FP"], row["AQ"], ";".join(row["flags"])]
             for sds, row in sorted(comparison.items())]
     emit.write("indicator_comparison", ["sds", "P", "FP", "AQ", "flags"], rows)
@@ -293,6 +309,7 @@ def cmd_drilldown(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthgen import GenConfig, generate  # numpy loads only for this command
     config = GenConfig(
         seed=args.seed, n_universities=args.n_universities, n_sds=args.n_sds,
         sds_per_uda=args.sds_per_uda, staff_min=args.staff_min,

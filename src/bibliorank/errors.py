@@ -37,6 +37,10 @@ class UnknownUniversity(BiblioRankError):
     pass
 
 
+class UnknownUDA(BiblioRankError):
+    pass
+
+
 class NegativeValue(BiblioRankError):
     pass
 

@@ -5,15 +5,19 @@ Four measures per (university, SDS) unit and period:
   FP   author-share contributions per researcher per year
   AQ   mean standardized citation score over the unit's publications
   FSS  share-weighted standardized citation sum per researcher per year
+
+All four are read from one UnitLedger: a single pass over the authorships
+that records, per unit and per researcher, the terms each indicator sums.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .baseline import BaselineTable, standardize_citations
-from .errors import NoPublications, PositionOutOfRange, ZeroStaff
-from .model import Authorship, Corpus, Period, Publication, presence, staff
+from .baseline import BaselineTable, build_baselines, standardize_citations
+from .errors import (NoPublications, PositionOutOfRange, UnknownSDS,
+                     UnknownUniversity, ZeroStaff)
+from .model import Authorship, Corpus, Period, Publication, presence
 
 INDICATORS = ("P", "FP", "AQ", "FSS")
 
@@ -32,8 +36,9 @@ class ShareScheme:
     intramural_equal: bool = True
 
     def __post_init__(self):
-        if min(self.first_weight, self.last_weight, self.middle_weight) <= 0:
-            raise ValueError("share weights must be positive")
+        weights = (self.first_weight, self.last_weight, self.middle_weight)
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("share weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,121 +81,205 @@ def fractional_share(authorship: Authorship, publication: Publication,
     return position_weight(authorship.author_position, n, scheme) / total
 
 
-def _period_pubs(corpus: Corpus, researchers, period: Period):
-    """Distinct publications in the period with at least one authorship among
-    the given researchers, plus those researchers' authorships on them."""
-    rids = {r.researcher_id for r in researchers}
-    pubs = {}
-    auths = []
-    for rid in sorted(rids):
-        for a in corpus.authorships_by_researcher.get(rid, []):
+@dataclass
+class _Tally:
+    """The terms one unit or researcher contributes to the indicators of one period."""
+    presence: list = field(default_factory=list)  # sums to staff
+    pubs: set = field(default_factory=set)        # distinct publication ids
+    shares: list = field(default_factory=list)    # author share per authorship
+    impacts: list = field(default_factory=list)   # share x standardized citations
+
+    @property
+    def staff(self) -> float:
+        return math.fsum(self.presence)
+
+
+def _describe(unit) -> str:
+    return unit if isinstance(unit, str) else f"({unit[0]}, {unit[1]})"
+
+
+class UnitLedger:
+    """What every (university, SDS) unit and every researcher did in each
+    period, built in one pass over the authorships.
+
+    Read-only once built, so one ledger serves every indicator, period,
+    rollup and rank list of a command, from any thread. Indicators are ratios
+    of math.fsum over the recorded terms: the result does not depend on the
+    order of the terms, and equal units tie exactly.
+    """
+
+    def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
+                 baselines: BaselineTable | None = None, basis: str = "median",
+                 staff_mode: str = "prorata", periods=None):
+        self.corpus = corpus
+        self.scheme = scheme
+        self.baselines = build_baselines(corpus) if baselines is None else baselines
+        self.basis = basis
+        self.staff_mode = staff_mode
+        self.periods = tuple(corpus.periods if periods is None else periods)
+        self._std = {}             # pub_id -> standardized citation score
+        self.fallback_events = []  # (pub_id, subject_category, year) per fallback
+        self._universities = set(corpus.universities)
+        self._sds_universities = {}
+        for u, s in corpus.units():
+            self._sds_universities.setdefault(s, []).append(u)
+        self._units = {p: {} for p in self.periods}
+        self._researchers = {p: {} for p in self.periods}
+
+        for r in corpus.researchers:
+            for p in self.periods:
+                own = presence(r, p, staff_mode)
+                self._researchers[p][r.researcher_id] = _Tally([own])
+                self._units[p].setdefault((r.university_id, r.sds),
+                                          _Tally()).presence.append(own)
+
+        for a in corpus.authorships:
+            r = corpus.researcher_by_id.get(a.researcher_id)
+            if r is None:
+                continue
             pub = corpus.publication_by_id[a.pub_id]
-            if period.contains(pub.year):
-                pubs[pub.pub_id] = pub
-                auths.append(a)
-    return [pubs[k] for k in sorted(pubs)], auths
+            periods = [p for p in self.periods if p.contains(pub.year)]
+            if not periods:
+                continue
+            bylines = [x.byline_university_id for x in corpus.authorships_by_pub[a.pub_id]]
+            share = fractional_share(a, pub, scheme,
+                                     corpus.taxonomy.is_life_science(r.sds),
+                                     known_bylines=bylines)
+            impact = share * self._standardized(pub)
+            for p in periods:
+                for tally in (self._researchers[p][r.researcher_id],
+                              self._units[p][(r.university_id, r.sds)]):
+                    tally.pubs.add(pub.pub_id)
+                    tally.shares.append(share)
+                    tally.impacts.append(impact)
+
+    def _standardized(self, pub: Publication) -> float:
+        score = self._std.get(pub.pub_id)
+        if score is None:
+            score = standardize_citations(pub, self.baselines, self.basis,
+                                          self.fallback_events)
+            self._std[pub.pub_id] = score
+        return score
+
+    def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
+        if sds not in self.corpus.taxonomy.sds_to_uda:
+            raise UnknownSDS(sds)
+        if university_id not in self._universities:
+            raise UnknownUniversity(university_id)
+        return self._units[period].get((university_id, sds)) or _Tally()
+
+    def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
+        if indicator not in INDICATORS:
+            raise ValueError(f"unknown indicator {indicator!r}")
+        n_staff = tally.staff
+        n_pubs = len(tally.pubs)
+        if indicator == "AQ":
+            if not n_pubs:
+                raise NoPublications(
+                    f"{_describe(unit)} has no publications in {period.label}")
+            value = math.fsum(self._std[p] for p in tally.pubs) / n_pubs
+        else:
+            if n_staff <= 0:
+                raise ZeroStaff(f"{_describe(unit)} has no staff in {period.label}")
+            if indicator == "P":
+                total = n_pubs
+            elif indicator == "FP":
+                total = math.fsum(tally.shares)
+            else:
+                total = math.fsum(tally.impacts)
+            value = total / (n_staff * period.length_years)
+        return IndicatorScore(unit, indicator, period.label, value, n_pubs, n_staff)
+
+    def staff(self, university_id: str, sds: str, period: Period) -> float:
+        """Headcount of a unit in a period, fractional under prorata."""
+        return self._unit(university_id, sds, period).staff
+
+    def uda_staff(self, university_id: str, uda: str, period: Period) -> float:
+        units = self._units[period]
+        return math.fsum(x for sds in self.corpus.taxonomy.sds_in_uda(uda)
+                         if (university_id, sds) in units
+                         for x in units[(university_id, sds)].presence)
+
+    def staffed_universities(self, sds: str, period: Period) -> list:
+        """Sorted universities whose unit in the SDS has positive staff."""
+        units = self._units[period]
+        return [u for u in self._sds_universities.get(sds, ())
+                if units[(u, sds)].staff > 0]
+
+    def unit_score(self, university_id: str, sds: str, indicator: str,
+                   period: Period) -> IndicatorScore:
+        return self._score((university_id, sds),
+                           self._unit(university_id, sds, period), indicator, period)
+
+    def researcher_score(self, researcher_id: str, indicator: str,
+                         period: Period) -> IndicatorScore:
+        """Same formulas with a single researcher as the unit (staff = own presence)."""
+        return self._score(researcher_id, self._researchers[period][researcher_id],
+                           indicator, period)
+
+    def unit_fallbacks(self, university_id: str, sds: str, period: Period) -> list:
+        """Fallback firings among the unit's publications of the period."""
+        pubs = self._unit(university_id, sds, period).pubs
+        return [e for e in self.fallback_events if e[0] in pubs]
 
 
-def _share_of(corpus: Corpus, a: Authorship, scheme: ShareScheme, sds: str) -> float:
-    pub = corpus.publication_by_id[a.pub_id]
-    bylines = [x.byline_university_id for x in corpus.authorships_by_pub[a.pub_id]]
-    return fractional_share(a, pub, scheme, corpus.taxonomy.is_life_science(sds),
-                            known_bylines=bylines)
+def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,
+               basis: str, staff_mode: str, periods=None) -> UnitLedger:
+    """`ledger` when given, which must come from the same inputs; else a new one."""
+    if ledger is None:
+        return UnitLedger(corpus, scheme, baselines, basis, staff_mode, periods)
+    if (ledger.corpus is not corpus or ledger.baselines is not baselines
+            or (ledger.scheme, ledger.basis, ledger.staff_mode)
+            != (scheme, basis, staff_mode)):
+        raise ValueError("the ledger was built from other inputs")
+    return ledger
 
 
 def unit_P(corpus: Corpus, university_id: str, sds: str, period: Period,
            staff_mode: str = "prorata") -> IndicatorScore:
-    n_staff = staff(corpus, university_id, sds, period, staff_mode)
-    if n_staff <= 0:
-        raise ZeroStaff(f"({university_id}, {sds}) has no staff in {period.label}")
-    pubs, _ = _period_pubs(corpus, corpus.unit_researchers(university_id, sds), period)
-    value = len(pubs) / (n_staff * period.length_years)
-    return IndicatorScore((university_id, sds), "P", period.label, value, len(pubs), n_staff)
+    ledger = UnitLedger(corpus, staff_mode=staff_mode, periods=(period,))
+    return ledger.unit_score(university_id, sds, "P", period)
 
 
 def unit_FP(corpus: Corpus, university_id: str, sds: str, period: Period,
             scheme: ShareScheme, staff_mode: str = "prorata") -> IndicatorScore:
-    n_staff = staff(corpus, university_id, sds, period, staff_mode)
-    if n_staff <= 0:
-        raise ZeroStaff(f"({university_id}, {sds}) has no staff in {period.label}")
-    pubs, auths = _period_pubs(corpus, corpus.unit_researchers(university_id, sds), period)
-    # fsum keeps the result independent of summation order, so equal units
-    # tie exactly in downstream rankings
-    total = math.fsum(_share_of(corpus, a, scheme, sds) for a in auths)
-    value = total / (n_staff * period.length_years)
-    return IndicatorScore((university_id, sds), "FP", period.label, value, len(pubs), n_staff)
+    ledger = UnitLedger(corpus, scheme, staff_mode=staff_mode, periods=(period,))
+    return ledger.unit_score(university_id, sds, "FP", period)
 
 
 def unit_AQ(corpus: Corpus, university_id: str, sds: str, period: Period,
             baselines: BaselineTable, basis: str = "median",
             staff_mode: str = "prorata", fallback_events=None) -> IndicatorScore:
-    n_staff = staff(corpus, university_id, sds, period, staff_mode)
-    pubs, _ = _period_pubs(corpus, corpus.unit_researchers(university_id, sds), period)
-    if not pubs:
-        raise NoPublications(
-            f"({university_id}, {sds}) has no publications in {period.label}")
-    scores = [standardize_citations(p, baselines, basis, fallback_events) for p in pubs]
-    value = math.fsum(scores) / len(scores)
-    return IndicatorScore((university_id, sds), "AQ", period.label, value, len(pubs), n_staff)
+    ledger = UnitLedger(corpus, baselines=baselines, basis=basis,
+                        staff_mode=staff_mode, periods=(period,))
+    score = ledger.unit_score(university_id, sds, "AQ", period)
+    if fallback_events is not None:
+        fallback_events.extend(ledger.unit_fallbacks(university_id, sds, period))
+    return score
 
 
 def unit_FSS(corpus: Corpus, university_id: str, sds: str, period: Period,
              scheme: ShareScheme, baselines: BaselineTable, basis: str = "median",
              staff_mode: str = "prorata", fallback_events=None) -> IndicatorScore:
-    n_staff = staff(corpus, university_id, sds, period, staff_mode)
-    if n_staff <= 0:
-        raise ZeroStaff(f"({university_id}, {sds}) has no staff in {period.label}")
-    pubs, auths = _period_pubs(corpus, corpus.unit_researchers(university_id, sds), period)
-    total = math.fsum(
-        _share_of(corpus, a, scheme, sds)
-        * standardize_citations(corpus.publication_by_id[a.pub_id], baselines,
-                                basis, fallback_events)
-        for a in auths)
-    value = total / (n_staff * period.length_years)
-    return IndicatorScore((university_id, sds), "FSS", period.label, value, len(pubs), n_staff)
+    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
+    score = ledger.unit_score(university_id, sds, "FSS", period)
+    if fallback_events is not None:
+        fallback_events.extend(ledger.unit_fallbacks(university_id, sds, period))
+    return score
 
 
 def unit_indicator(corpus: Corpus, university_id: str, sds: str, indicator: str,
                    period: Period, scheme: ShareScheme, baselines: BaselineTable,
-                   basis: str = "median", staff_mode: str = "prorata") -> IndicatorScore:
-    if indicator == "P":
-        return unit_P(corpus, university_id, sds, period, staff_mode)
-    if indicator == "FP":
-        return unit_FP(corpus, university_id, sds, period, scheme, staff_mode)
-    if indicator == "AQ":
-        return unit_AQ(corpus, university_id, sds, period, baselines, basis, staff_mode)
-    if indicator == "FSS":
-        return unit_FSS(corpus, university_id, sds, period, scheme, baselines,
-                        basis, staff_mode)
-    raise ValueError(f"unknown indicator {indicator!r}")
+                   basis: str = "median", staff_mode: str = "prorata", *,
+                   ledger: UnitLedger | None = None) -> IndicatorScore:
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    return ledger.unit_score(university_id, sds, indicator, period)
 
 
 def researcher_indicator(corpus: Corpus, researcher_id: str, indicator: str,
                          period: Period, scheme: ShareScheme, baselines: BaselineTable,
-                         basis: str = "median",
-                         staff_mode: str = "prorata") -> IndicatorScore:
+                         basis: str = "median", staff_mode: str = "prorata", *,
+                         ledger: UnitLedger | None = None) -> IndicatorScore:
     """Same formulas with a single researcher as the unit (staff = own presence)."""
-    r = corpus.researcher_by_id[researcher_id]
-    own = presence(r, period, staff_mode)
-    pubs, auths = _period_pubs(corpus, [r], period)
-    if indicator == "AQ":
-        if not pubs:
-            raise NoPublications(f"{researcher_id} has no publications in {period.label}")
-        scores = [standardize_citations(p, baselines, basis) for p in pubs]
-        value = math.fsum(scores) / len(scores)
-        return IndicatorScore(researcher_id, "AQ", period.label, value, len(pubs), own)
-    if own <= 0:
-        raise ZeroStaff(f"{researcher_id} inactive in {period.label}")
-    denom = own * period.length_years
-    if indicator == "P":
-        value = len(pubs) / denom
-    elif indicator == "FP":
-        value = math.fsum(_share_of(corpus, a, scheme, r.sds) for a in auths) / denom
-    elif indicator == "FSS":
-        value = math.fsum(
-            _share_of(corpus, a, scheme, r.sds)
-            * standardize_citations(corpus.publication_by_id[a.pub_id], baselines, basis)
-            for a in auths) / denom
-    else:
-        raise ValueError(f"unknown indicator {indicator!r}")
-    return IndicatorScore(researcher_id, indicator, period.label, value, len(pubs), own)
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    return ledger.researcher_score(researcher_id, indicator, period)

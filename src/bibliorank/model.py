@@ -182,15 +182,6 @@ def staff(corpus: Corpus, university_id: str, sds: str, period: Period,
     )
 
 
-def uda_staff(corpus: Corpus, university_id: str, uda: str, period: Period,
-              staff_mode: str = "prorata") -> float:
-    return math.fsum(
-        presence(r, period, staff_mode)
-        for sds in corpus.taxonomy.sds_in_uda(uda)
-        for r in corpus.unit_researchers(university_id, sds)
-    )
-
-
 def validate(corpus: Corpus) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     out = []

@@ -9,10 +9,11 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from .aggregate import rescale_sds, sds_unit_scores, uda_score
-from .errors import (AllAbsent, EmptyIntersection, NoEligibleUniversities,
-                     NoStaffInUda, NotInBoth)
-from .model import Corpus, Period, uda_staff
+from .aggregate import sds_unit_scores, uda_scores
+from .errors import (EmptyIntersection, NoEligibleUniversities, NotInBoth,
+                     UnknownUDA, UnknownUniversity)
+from .indicators import UnitLedger, ledger_for
+from .model import Corpus, Period
 
 DEFAULT_MIN_STAFF = 6.0
 N_QUINTILES = 5
@@ -32,12 +33,6 @@ class RankList:
     period: str
     entries: tuple
     min_staff_threshold: float
-
-    def rank_of(self, university_id):
-        for e in self.entries:
-            if e.university_id == university_id:
-                return e.rank
-        return None
 
     @property
     def universities(self):
@@ -201,38 +196,25 @@ def transition_matrix(assign_early: QuintileAssignment,
 def uda_rank_list(corpus: Corpus, uda: str, indicator: str, period: Period,
                   scheme, baselines, basis: str = "median",
                   min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata") -> RankList:
+                  staff_mode: str = "prorata", *,
+                  ledger: UnitLedger | None = None) -> RankList:
     """Rank universities within a UDA by their rolled-up indicator score."""
-    rescaled_by_sds = {}
-    for sds in corpus.taxonomy.sds_in_uda(uda):
-        unit_scores = sds_unit_scores(corpus, sds, indicator, period,
-                                      scheme, baselines, basis, staff_mode)
-        if not unit_scores:
-            continue
-        try:
-            rescaled_by_sds[sds] = rescale_sds(unit_scores)
-        except AllAbsent:
-            continue
-    scores = {}
-    for u in corpus.universities_in_uda(uda):
-        total = uda_staff(corpus, u, uda, period, staff_mode)
-        try:
-            score = uda_score(corpus, u, uda, indicator, period, scheme,
-                              baselines, basis, staff_mode,
-                              rescaled_by_sds=rescaled_by_sds)
-        except NoStaffInUda:
-            continue
-        scores[u] = (score.value, total)
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    rolled = uda_scores(corpus, uda, indicator, period, scheme, baselines, basis,
+                        staff_mode, ledger=ledger)
+    scores = {u: (score.value, ledger.uda_staff(u, uda, period))
+              for u, score in rolled.items()}
     return rank_list(scores, uda, indicator, period.label, min_staff)
 
 
 def sds_rank_list(corpus: Corpus, sds: str, indicator: str, period: Period,
                   scheme, baselines, basis: str = "median",
                   min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata") -> RankList:
+                  staff_mode: str = "prorata", *,
+                  ledger: UnitLedger | None = None) -> RankList:
     """Rank universities within a single SDS by the raw unit score."""
-    unit_scores = sds_unit_scores(corpus, sds, indicator, period,
-                                  scheme, baselines, basis, staff_mode)
+    unit_scores = sds_unit_scores(corpus, sds, indicator, period, scheme,
+                                  baselines, basis, staff_mode, ledger=ledger)
     scores = {u: (s.value if s is not None else None,
                   s.staff if s is not None else 0.0)
               for (u, _), s in unit_scores.items()}
@@ -286,8 +268,10 @@ class ShiftTable:
 def university_shift_table(corpus: Corpus, indicator: str, scheme, baselines,
                            basis: str = "median",
                            min_staff: float = DEFAULT_MIN_STAFF,
-                           staff_mode: str = "prorata") -> ShiftTable:
+                           staff_mode: str = "prorata", *,
+                           ledger: UnitLedger | None = None) -> ShiftTable:
     """Quintile shift of every university in every UDA between the two periods."""
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
     udas = corpus.taxonomy.uda_list
     cells = {u: {} for u in corpus.universities}
     for uda in udas:
@@ -295,7 +279,8 @@ def university_shift_table(corpus: Corpus, indicator: str, scheme, baselines,
         for period in corpus.periods:
             try:
                 ranked = uda_rank_list(corpus, uda, indicator, period, scheme,
-                                       baselines, basis, min_staff, staff_mode)
+                                       baselines, basis, min_staff, staff_mode,
+                                       ledger=ledger)
                 assignments.append(assign_quintiles(ranked))
             except NoEligibleUniversities:
                 assignments.append(None)
@@ -309,21 +294,32 @@ def university_shift_table(corpus: Corpus, indicator: str, scheme, baselines,
     return ShiftTable(columns=list(udas), cells=cells, indicator=indicator)
 
 
+def _check_scope(corpus: Corpus, university_id: str, uda: str):
+    if university_id not in corpus.universities:
+        raise UnknownUniversity(f"university {university_id} is not in the corpus")
+    if uda not in corpus.taxonomy.uda_list:
+        raise UnknownUDA(f"UDA {uda} is not in the taxonomy")
+
+
 def sds_drilldown(corpus: Corpus, university_id: str, uda: str, indicator: str,
                   scheme, baselines, basis: str = "median",
                   min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata") -> dict:
+                  staff_mode: str = "prorata", *,
+                  ledger: UnitLedger | None = None) -> dict:
     """Per-SDS quintile shifts of one university within a UDA.
 
     Only SDSs where the university is eligible in both periods appear.
     """
+    _check_scope(corpus, university_id, uda)
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
     out = {}
     for sds in corpus.taxonomy.sds_in_uda(uda):
         assignments = []
         for period in corpus.periods:
             try:
                 ranked = sds_rank_list(corpus, sds, indicator, period, scheme,
-                                       baselines, basis, min_staff, staff_mode)
+                                       baselines, basis, min_staff, staff_mode,
+                                       ledger=ledger)
                 assignments.append(assign_quintiles(ranked))
             except NoEligibleUniversities:
                 assignments.append(None)
@@ -351,15 +347,18 @@ def classify_shifts(p_shift: int, fp_shift: int, aq_shift: int) -> tuple:
 def indicator_comparison(corpus: Corpus, university_id: str, uda: str,
                          scheme, baselines, basis: str = "median",
                          min_staff: float = DEFAULT_MIN_STAFF,
-                         staff_mode: str = "prorata") -> dict:
+                         staff_mode: str = "prorata", *,
+                         ledger: UnitLedger | None = None) -> dict:
     """SDS x {P, FP, AQ} quintile shifts with pattern flags.
 
     Returns sds -> {"P": int, "FP": int, "AQ": int, "flags": tuple}; SDSs
     missing any of the three shift values are omitted.
     """
+    _check_scope(corpus, university_id, uda)
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
     per_indicator = {
         ind: sds_drilldown(corpus, university_id, uda, ind, scheme, baselines,
-                           basis, min_staff, staff_mode)
+                           basis, min_staff, staff_mode, ledger=ledger)
         for ind in ("P", "FP", "AQ")
     }
     out = {}

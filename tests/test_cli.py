@@ -1,10 +1,18 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from bibliorank import indicators
 from bibliorank.cli import main
 from bibliorank.synthgen import GenConfig, generate
+
+SRC = str(Path(indicators.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +101,84 @@ class TestDeterminism:
         run_all(demo, tmp_path / "t8", extra=["--threads", "8"])
         for f in sorted((tmp_path / "t1").iterdir()):
             assert filecmp.cmp(f, tmp_path / "t8" / f.name, shallow=False), f.name
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("scheme", ["2,2", "a,b,c", "0,2,1", "nan,1,1"])
+    def test_malformed_scheme(self, demo, tmp_path, capsys, scheme):
+        out = tmp_path / "out"
+        assert main(["rank", "--input", str(demo), "--out", str(out),
+                     "--scheme", scheme]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidConfig"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--university", "UNI999", "UnknownUniversity"),
+        ("--uda", "UDA99", "UnknownUDA"),
+    ])
+    def test_drilldown_unknown_scope(self, demo, tmp_path, capsys, flag, value,
+                                     error):
+        scope = {"--university": "UNI001", "--uda": "UDA01", flag: value}
+        out = tmp_path / "out"
+        argv = ["drilldown", "--input", str(demo), "--out", str(out),
+                "--min-staff", "1"]
+        for k, v in scope.items():
+            argv += [k, v]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.strip())["error"] == error
+        assert not out.exists()
+
+
+class TestOnePassScoring:
+    def test_one_ledger_per_command_and_no_rescoring(self, demo, tmp_path,
+                                                     monkeypatch):
+        """Each command builds one ledger, and no unit score is computed more
+        than twice (the unit table and its UDA rollup), however many
+        universities share its SDS."""
+        builds = []
+        original_init = indicators.UnitLedger.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(indicators.UnitLedger, "__init__", counting_init)
+        scored = []
+        original = indicators.unit_indicator
+
+        def spy(corpus, university_id, sds, indicator, period, *args, **kwargs):
+            scored.append((university_id, sds, indicator, period.label))
+            return original(corpus, university_id, sds, indicator, period,
+                            *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("bibliorank")
+                    and getattr(module, "unit_indicator", None) is original):
+                monkeypatch.setattr(module, "unit_indicator", spy)
+        for command in ("indicators", "rank", "compare"):
+            builds.clear()
+            scored.clear()
+            assert main([command, "--input", str(demo), "--out",
+                         str(tmp_path / command), "--min-staff", "1"]) == 0
+            assert len(builds) == 1, command
+            assert scored, command
+            assert max(Counter(scored).values()) <= 2, command
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, bibliorank.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "False"
+
+
+def test_package_still_serves_the_generator():
+    import bibliorank
+    assert bibliorank.generate is generate
+    assert bibliorank.GenConfig is GenConfig

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import NoPublications, PositionOutOfRange, ZeroStaff
-from bibliorank.indicators import (ShareScheme, fractional_share,
+from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_AQ, unit_FP,
-                                   unit_FSS, unit_P)
+                                   unit_FSS, unit_P, unit_indicator)
 from bibliorank.model import Period
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
@@ -229,3 +229,39 @@ class TestInvariants:
                 except ZeroStaff:
                     continue
                 assert fp <= p + 1e-12
+
+
+class TestLedger:
+    def test_passed_ledger_must_match_the_inputs(self):
+        corpus = synth_corpus(GenConfig(seed=3, n_universities=2, n_sds=2))
+        baselines = build_baselines(corpus)
+        ledger = UnitLedger(corpus, ShareScheme(), baselines)
+        u, s = corpus.units()[0]
+        period = corpus.early
+        assert (unit_indicator(corpus, u, s, "FSS", period, ShareScheme(),
+                               baselines, ledger=ledger)
+                == unit_indicator(corpus, u, s, "FSS", period, ShareScheme(),
+                                  baselines))
+        with pytest.raises(ValueError):
+            unit_indicator(corpus, u, s, "FSS", period, ShareScheme(3, 1, 1),
+                           baselines, ledger=ledger)
+        with pytest.raises(ValueError):
+            unit_indicator(corpus, u, s, "FSS", period, ShareScheme(),
+                           baselines, basis="mean", ledger=ledger)
+
+    def test_fallback_events_name_the_unit_publications(self):
+        # CAT_X/2001 has median 0, so p1's citations fall back
+        pubs = [P("p1", 2001, "CAT_X", 4, 1), P("p2", 2001, "CAT_X", 0, 1),
+                P("p3", 2001, "CAT_X", 0, 1), P("p4", 2002, "CAT_X", 2, 1)]
+        corpus = make_corpus([R("r1"), R("r2", univ="U2")], pubs,
+                             [A("p1", "r1"), A("p2", "r1"), A("p4", "r1"),
+                              A("p3", "r2", byline="U2")],
+                             make_taxonomy({"S1": "A"}))
+        events = []
+        unit_AQ(corpus, "U1", "S1", EARLY, build_baselines(corpus),
+                fallback_events=events)
+        assert events == [("p1", "CAT_X", 2001)]
+        events = []
+        unit_FSS(corpus, "U2", "S1", EARLY, ShareScheme(),
+                 build_baselines(corpus), fallback_events=events)
+        assert events == []

@@ -2,7 +2,7 @@ import pytest
 
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
-                               NotInBoth)
+                               NotInBoth, UnknownUDA, UnknownUniversity)
 from bibliorank.indicators import ShareScheme
 from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
                                   assign_quintiles, classify_shifts,
@@ -262,3 +262,13 @@ class TestCorpusDriven:
                                     self.baselines, min_staff=1.0)
         for sds, row in rows.items():
             assert row["flags"] == classify_shifts(row["P"], row["FP"], row["AQ"])
+
+    @pytest.mark.parametrize("fn", [sds_drilldown, indicator_comparison])
+    def test_drilldown_rejects_unknown_scope(self, fn):
+        uda = self.corpus.taxonomy.uda_list[0]
+        univ = self.corpus.universities_in_uda(uda)[0]
+        extra = ("FSS",) if fn is sds_drilldown else ()
+        with pytest.raises(UnknownUniversity):
+            fn(self.corpus, "NOPE", uda, *extra, self.scheme, self.baselines)
+        with pytest.raises(UnknownUDA):
+            fn(self.corpus, univ, "NOPE", *extra, self.scheme, self.baselines)
