@@ -12,14 +12,13 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
-from .errors import (BiblioRankError, InvalidConfig, NoEligibleUniversities,
-                     NoPublications, ZeroStaff)
+from .errors import (BiblioRankError, InvalidConfig, InvalidCorpus,
+                     NoEligibleUniversities, NoPublications, ZeroStaff)
 from .indicators import INDICATORS, ShareScheme, UnitLedger, researcher_indicator
 from .loader import FILE_STEMS, load_corpus
 from .model import presence, validate
@@ -56,12 +55,13 @@ class Emitter:
                            "version": __version__}
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def _cell(self, v):
+    @staticmethod
+    def _markdown_cell(v) -> str:
         if v is None:
-            return {"csv": "", "json": None, "markdown": "n.a."}[self.fmt]
-        if isinstance(v, float) and self.fmt == "markdown":
+            return "n.a."
+        if isinstance(v, float):
             return f"{v:.3f}"
-        return v
+        return str(v)
 
     def write(self, name: str, columns: list, rows: list) -> Path:
         path = self.out_dir / f"{name}.{ 'md' if self.fmt == 'markdown' else self.fmt}"
@@ -77,15 +77,14 @@ class Emitter:
             lines = [header, "", "| " + " | ".join(columns) + " |",
                      "| " + " | ".join("---" for _ in columns) + " |"]
             for r in rows:
-                lines.append("| " + " | ".join(str(self._cell(v)) for v in r) + " |")
+                lines.append("| " + " | ".join(map(self._markdown_cell, r)) + " |")
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(header + "\n")
                 w = csv.writer(fh)
                 w.writerow(columns)
-                for r in rows:
-                    w.writerow([self._cell(v) for v in r])
+                w.writerows(rows)  # csv writes None as an empty cell
         return path
 
 
@@ -102,6 +101,11 @@ def _load_inputs(args):
     """Corpus, baselines, share scheme and the one ledger a command reads."""
     scheme = _parse_scheme(args.scheme)
     corpus = load_corpus(Path(args.input))
+    report = validate(corpus)
+    if not report:
+        first = report.violations[0]
+        raise InvalidCorpus(f"violations={len(report)}, the first: "
+                            f"[{first.kind}] {first.message}")
     baselines = build_baselines(corpus)
     if args.baselines:
         baselines = baselines.merge(load_external_baselines(Path(args.baselines)))
@@ -111,6 +115,8 @@ def _load_inputs(args):
 
 def _map_udas(udas, fn, threads):
     if threads > 1:
+        # imported here: concurrent.futures costs every command start-up time
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(fn, udas))
     else:

@@ -93,5 +93,9 @@ class InvalidConfig(BiblioRankError):
     pass
 
 
+class InvalidCorpus(BiblioRankError):
+    """A loaded corpus breaks an invariant that model.validate checks."""
+
+
 class TooLarge(BiblioRankError):
     pass

@@ -126,40 +126,50 @@ class UnitLedger:
         self._units = {p: {} for p in self.periods}
         self._researchers = {p: {} for p in self.periods}
 
+        # per researcher: its life-science flag and, per period index, the
+        # (researcher tally, unit tally) pair its authorships add to
+        tallies = {}
         for r in corpus.researchers:
+            pairs = []
             for p in self.periods:
                 own = presence(r, p, staff_mode)
-                self._researchers[p][r.researcher_id] = _Tally([own])
-                self._units[p].setdefault((r.university_id, r.sds),
-                                          _Tally()).presence.append(own)
+                mine = self._researchers[p][r.researcher_id] = _Tally([own])
+                unit = self._units[p].get((r.university_id, r.sds))
+                if unit is None:
+                    unit = self._units[p][(r.university_id, r.sds)] = _Tally()
+                unit.presence.append(own)
+                pairs.append((mine, unit))
+            tallies[r.researcher_id] = (corpus.taxonomy.is_life_science(r.sds), pairs)
 
-        for a in corpus.authorships:
-            r = corpus.researcher_by_id.get(a.researcher_id)
-            if r is None:
+        # authorships_by_pub runs in corpus.authorships order, so the term
+        # lists and fallback_events keep that order
+        year_periods = {}  # year -> indexes of the periods containing it
+        for pid, group in corpus.authorships_by_pub.items():
+            known = [(a, tallies[a.researcher_id]) for a in group
+                     if a.researcher_id in tallies]
+            if not known:
                 continue
-            pub = corpus.publication_by_id[a.pub_id]
-            periods = [p for p in self.periods if p.contains(pub.year)]
+            pub = corpus.publication_by_id[pid]
+            periods = year_periods.get(pub.year)
+            if periods is None:
+                periods = year_periods[pub.year] = [
+                    i for i, p in enumerate(self.periods) if p.contains(pub.year)]
             if not periods:
                 continue
-            bylines = [x.byline_university_id for x in corpus.authorships_by_pub[a.pub_id]]
-            share = fractional_share(a, pub, scheme,
-                                     corpus.taxonomy.is_life_science(r.sds),
-                                     known_bylines=bylines)
-            impact = share * self._standardized(pub)
-            for p in periods:
-                for tally in (self._researchers[p][r.researcher_id],
-                              self._units[p][(r.university_id, r.sds)]):
-                    tally.pubs.add(pub.pub_id)
-                    tally.shares.append(share)
-                    tally.impacts.append(impact)
-
-    def _standardized(self, pub: Publication) -> float:
-        score = self._std.get(pub.pub_id)
-        if score is None:
-            score = standardize_citations(pub, self.baselines, self.basis,
-                                          self.fallback_events)
-            self._std[pub.pub_id] = score
-        return score
+            bylines = [x.byline_university_id for x in group]
+            std = None
+            for a, (life, pairs) in known:
+                # the share first: a bad position outranks a missing baseline
+                share = fractional_share(a, pub, scheme, life, known_bylines=bylines)
+                if std is None:
+                    std = self._std[pid] = standardize_citations(
+                        pub, self.baselines, self.basis, self.fallback_events)
+                impact = share * std
+                for i in periods:
+                    for tally in pairs[i]:
+                        tally.pubs.add(pid)
+                        tally.shares.append(share)
+                        tally.impacts.append(impact)
 
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
         if sds not in self.corpus.taxonomy.sds_to_uda:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateKey, MissingFile, SchemaError
@@ -20,23 +21,40 @@ def _find_file(input_dir: Path, stem: str) -> Path:
 
 
 def _read_rows(path: Path, required: tuple) -> list:
-    """Rows as dicts; both formats must carry exactly the documented field names."""
+    """Rows as tuples of the `required` fields, in that order.
+
+    Both formats must carry exactly the documented field names. A CSV file is
+    read positionally with the semantics of csv.DictReader: blank lines are
+    skipped and not counted, a repeated header name takes its last column,
+    extra cells are ignored, and a row that lacks a required cell (short, or
+    the column absent from the header) is a SchemaError at that row.
+    """
     if path.suffix == ".json":
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
         if not isinstance(rows, list):
             raise SchemaError("expected a JSON array of objects", path=path)
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError("missing header row", path=path)
-            rows = list(reader)
-    for i, row in enumerate(rows, start=2 if path.suffix == ".csv" else 1):
-        missing = [c for c in required if c not in row or row[c] is None]
-        if missing:
-            raise SchemaError(f"missing columns {missing}", path=path, row=i)
-    return rows
+        for i, row in enumerate(rows, start=1):
+            missing = [c for c in required if c not in row or row[c] is None]
+            if missing:
+                raise SchemaError(f"missing columns {missing}", path=path, row=i)
+        return list(map(itemgetter(*required), rows))
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("missing header row", path=path)
+        rows = list(filter(None, reader))
+    column = {name: i for i, name in enumerate(header)}
+    cols = [column.get(c) for c in required]
+    width = None if None in cols else max(cols) + 1
+    if rows and (width is None or min(map(len, rows)) < width):
+        for i, row in enumerate(rows, start=2):
+            missing = [c for c, j in zip(required, cols) if j is None or j >= len(row)]
+            if missing:
+                raise SchemaError(f"missing columns {missing}", path=path, row=i)
+    return list(map(itemgetter(*cols), rows))
 
 
 def _to_int(value, name, path, row, minimum=None):
@@ -68,73 +86,71 @@ def load_corpus(input_dir) -> Corpus:
 
     tax_path = _find_file(input_dir, "taxonomy")
     sds_to_uda, life = {}, set()
-    for i, row in enumerate(_read_rows(tax_path, ("sds", "uda", "is_life_science")), start=2):
-        sds = str(row["sds"])
+    for i, (sds, uda, is_life) in enumerate(
+            _read_rows(tax_path, ("sds", "uda", "is_life_science")), start=2):
+        sds = str(sds)
         if sds in sds_to_uda:
             raise DuplicateKey(f"taxonomy: SDS {sds} listed twice")
-        sds_to_uda[sds] = str(row["uda"])
-        if _to_int(row["is_life_science"], "is_life_science", tax_path, i) not in (0, 1):
+        sds_to_uda[sds] = str(uda)
+        if _to_int(is_life, "is_life_science", tax_path, i) not in (0, 1):
             raise SchemaError("is_life_science must be 0 or 1", path=tax_path, row=i)
-        if int(row["is_life_science"]):
+        if int(is_life):
             life.add(sds)
     taxonomy = Taxonomy(sds_to_uda=sds_to_uda, life_science_sds=frozenset(life))
 
     per_path = _find_file(input_dir, "periods")
     periods = []
-    for i, row in enumerate(_read_rows(per_path, ("label", "start_year", "end_year")), start=2):
+    for i, (label, start, end) in enumerate(
+            _read_rows(per_path, ("label", "start_year", "end_year")), start=2):
         periods.append(Period(
-            label=str(row["label"]),
-            start_year=_to_int(row["start_year"], "start_year", per_path, i),
-            end_year=_to_int(row["end_year"], "end_year", per_path, i),
+            label=str(label),
+            start_year=_to_int(start, "start_year", per_path, i),
+            end_year=_to_int(end, "end_year", per_path, i),
         ))
     if len(periods) != 2:
         raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=per_path)
 
     res_path = _find_file(input_dir, "researchers")
     researchers = []
-    seen = set()
-    for i, row in enumerate(_read_rows(
+    rids = set()
+    for i, (rid, sds, university, years) in enumerate(_read_rows(
             res_path, ("researcher_id", "sds", "university_id", "active_years")), start=2):
-        rid = str(row["researcher_id"])
-        if rid in seen:
+        rid = str(rid)
+        if rid in rids:
             raise DuplicateKey(f"researchers: duplicate researcher_id {rid}")
-        seen.add(rid)
-        sds = str(row["sds"])
+        rids.add(rid)
+        sds = str(sds)
         if sds not in sds_to_uda:
             raise DanglingReference(f"researcher {rid} references unknown SDS {sds}")
+        # positional arguments: keywords cost a third more per record
         researchers.append(Researcher(
-            researcher_id=rid, sds=sds,
-            university_id=str(row["university_id"]),
-            active_years=_parse_years(row["active_years"], res_path, i),
-        ))
+            rid, sds, str(university), _parse_years(years, res_path, i)))
 
     pub_path = _find_file(input_dir, "publications")
     publications = []
     pub_ids = set()
-    for i, row in enumerate(_read_rows(
+    for i, (pid, year, category, citations, n_authors) in enumerate(_read_rows(
             pub_path, ("pub_id", "year", "subject_category", "citations", "n_authors_total")),
             start=2):
-        pid = str(row["pub_id"])
+        pid = str(pid)
         if pid in pub_ids:
             raise DuplicateKey(f"publications: duplicate pub_id {pid}")
         pub_ids.add(pid)
         publications.append(Publication(
-            pub_id=pid,
-            year=_to_int(row["year"], "year", pub_path, i),
-            subject_category=str(row["subject_category"]),
-            citations=_to_int(row["citations"], "citations", pub_path, i, minimum=0),
-            n_authors_total=_to_int(row["n_authors_total"], "n_authors_total",
-                                    pub_path, i, minimum=1),
+            pid,
+            _to_int(year, "year", pub_path, i),
+            str(category),
+            _to_int(citations, "citations", pub_path, i, minimum=0),
+            _to_int(n_authors, "n_authors_total", pub_path, i, minimum=1),
         ))
 
     auth_path = _find_file(input_dir, "authorships")
     authorships = []
     auth_keys = set()
-    rids = {r.researcher_id for r in researchers}
-    for i, row in enumerate(_read_rows(
+    for i, (pid, rid, position, byline) in enumerate(_read_rows(
             auth_path, ("pub_id", "researcher_id", "author_position", "byline_university_id")),
             start=2):
-        pid, rid = str(row["pub_id"]), str(row["researcher_id"])
+        pid, rid = str(pid), str(rid)
         if pid not in pub_ids:
             raise DanglingReference(f"authorship references unknown pub_id {pid}")
         if rid not in rids:
@@ -144,11 +160,8 @@ def load_corpus(input_dir) -> Corpus:
             raise DuplicateKey(f"authorships: duplicate (pub_id, researcher_id) {key}")
         auth_keys.add(key)
         authorships.append(Authorship(
-            pub_id=pid, researcher_id=rid,
-            author_position=_to_int(row["author_position"], "author_position",
-                                    auth_path, i, minimum=1),
-            byline_university_id=str(row["byline_university_id"]),
-        ))
+            pid, rid, _to_int(position, "author_position", auth_path, i, minimum=1),
+            str(byline)))
 
     return Corpus(taxonomy, researchers, publications, authorships, periods)
 

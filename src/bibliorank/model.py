@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import UnknownSDS, UnknownUniversity
 
@@ -58,7 +59,7 @@ class Taxonomy:
         return sds in self.life_science_sds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Researcher:
     researcher_id: str
     sds: str
@@ -66,7 +67,7 @@ class Researcher:
     active_years: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     pub_id: str
     year: int
@@ -75,7 +76,7 @@ class Publication:
     n_authors_total: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Authorship:
     pub_id: str
     researcher_id: str
@@ -115,12 +116,12 @@ class Corpus:
         if len(periods) != 2:
             raise ValueError("corpus requires exactly two periods (early, late)")
         self.taxonomy = taxonomy
-        self.researchers = tuple(sorted(researchers, key=lambda r: r.researcher_id))
-        self.publications = tuple(sorted(publications, key=lambda p: p.pub_id))
+        self.researchers = tuple(sorted(researchers, key=attrgetter("researcher_id")))
+        self.publications = tuple(sorted(publications, key=attrgetter("pub_id")))
         self.authorships = tuple(
-            sorted(authorships, key=lambda a: (a.pub_id, a.researcher_id))
+            sorted(authorships, key=attrgetter("pub_id", "researcher_id"))
         )
-        self.periods = tuple(sorted(periods, key=lambda p: (p.start_year, p.end_year)))
+        self.periods = tuple(sorted(periods, key=attrgetter("start_year", "end_year")))
 
         self.researcher_by_id = {r.researcher_id: r for r in self.researchers}
         self.publication_by_id = {p.pub_id: p for p in self.publications}

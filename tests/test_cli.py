@@ -10,7 +10,10 @@ import pytest
 
 from bibliorank import indicators
 from bibliorank.cli import main
+from bibliorank.loader import write_corpus
 from bibliorank.synthgen import GenConfig, generate
+
+from conftest import A, P, R, make_corpus
 
 SRC = str(Path(indicators.__file__).resolve().parents[1])
 
@@ -134,6 +137,40 @@ class TestBadInput:
         assert not out.exists()
 
 
+INVALID_CORPORA = {
+    "repeated_position": ([P("p1", n_authors=2)], [A("p1", "r1", 1), A("p1", "r2", 1)],
+                          "[duplicate_position] position 1 repeated on p1"),
+    "too_few_authors": ([P("p1", n_authors=1)], [A("p1", "r1", 1), A("p1", "r2", 2)],
+                        "[author_count_too_small] publication p1 lists 1 authors "
+                        "but has 2 authorship records"),
+}
+
+
+class TestInvalidCorpus:
+    @pytest.mark.parametrize("case", sorted(INVALID_CORPORA))
+    @pytest.mark.parametrize("command", ["indicators", "rank", "compare", "drilldown"])
+    def test_scoring_commands_refuse_what_ingest_rejects(self, tmp_path, capsys,
+                                                         command, case):
+        pubs, authorships, first = INVALID_CORPORA[case]
+        corpus_dir = tmp_path / "corpus"
+        write_corpus(make_corpus([R("r1"), R("r2")], pubs, authorships), corpus_dir)
+        assert main(["ingest", "--input", str(corpus_dir)]) == 1
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus_dir), "--out", str(out)]
+        if command == "drilldown":
+            argv += ["--university", "U1", "--uda", "A"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "InvalidCorpus"
+        assert record["message"].endswith(first)
+        assert not out.exists()
+
+
 class TestOnePassScoring:
     def test_one_ledger_per_command_and_no_rescoring(self, demo, tmp_path,
                                                      monkeypatch):
@@ -172,6 +209,14 @@ class TestOnePassScoring:
 
 def test_cli_import_does_not_load_numpy():
     code = "import sys, bibliorank.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    code = "import sys, bibliorank.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": SRC})

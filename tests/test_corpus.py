@@ -1,11 +1,16 @@
 import csv
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.errors import (DanglingReference, DuplicateKey, MissingFile,
                                SchemaError, UnknownSDS, UnknownUniversity)
-from bibliorank.loader import load_corpus, write_corpus
+from bibliorank.loader import _read_rows, load_corpus, write_corpus
 from bibliorank.model import presence, staff, validate
 from bibliorank.synthgen import GenConfig, generate
 
@@ -99,6 +104,110 @@ class TestLoad:
         assert shuffled.researchers == corpus.researchers
         assert shuffled.publications == corpus.publications
         assert shuffled.authorships == corpus.authorships
+
+
+PUB_COLUMNS = ("pub_id", "year", "subject_category", "citations", "n_authors_total")
+
+
+def dictreader_rows(path, required):
+    """The rows csv.DictReader gives, checked as the loader checks them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError("missing header row", path=path)
+        rows = list(reader)
+    for i, row in enumerate(rows, start=2):
+        missing = [c for c in required if c not in row or row[c] is None]
+        if missing:
+            raise SchemaError(f"missing columns {missing}", path=path, row=i)
+    return [tuple(row[c] for c in required) for row in rows]
+
+
+class TestReadRows:
+    """The positional CSV reader keeps csv.DictReader's semantics."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,b,c\n\n1,2,3\n\n\n4,5\n", "missing columns ['c'] (row 3)"),
+        ("a,b,c\n1,2,3\n4\n", "missing columns ['b', 'c'] (row 3)"),
+        ("a,c\n\n1,3\n", "missing columns ['b'] (row 2)"),
+        ("a,b,c,a\n1,2,3\n", "missing columns ['a'] (row 2)"),
+        ("\ufeffa,b,c\n1,2,3\n", "missing columns ['a'] (row 2)"),
+        ("", "missing header row"),
+    ], ids=["blank_lines_not_counted", "short_row", "column_absent_from_header",
+            "repeated_name_takes_the_last_cell", "bom_prefixed_header", "empty_file"])
+    def test_schema_error_names_the_row(self, tmp_path, text, error):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            _read_rows(path, ("a", "b", "c"))
+        assert str(exc.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize("text, rows", [
+        ("a,c\n\n", []),
+        ("a,b,c,a\n1,2,3,4\n", [("4", "2", "3")]),
+        ("a,b,c\n1,2,3,4,5\n", [("1", "2", "3")]),
+    ], ids=["column_absent_from_header_empty_body", "repeated_name_takes_the_last_cell",
+            "extra_cells_ignored"])
+    def test_rows_in_required_order(self, tmp_path, text, rows):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _read_rows(path, ("a", "b", "c")) == rows
+
+    def test_loader_reports_the_row_after_blank_lines(self, tmp_path):
+        write_fileset(tmp_path, {"publications.csv": ",".join(PUB_COLUMNS) + "\n\n"
+                                 "p1,2001,CAT_X,5,2\n\np2,noyear,CAT_X,1,1\n"})
+        with pytest.raises(SchemaError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == (f"{tmp_path / 'publications.csv'}: "
+                                  "year='noyear' is not an integer (row 3)")
+
+    def test_json_rows_are_the_same_tuples(self, tmp_path):
+        write_fileset(tmp_path)
+        csv_corpus = load_corpus(tmp_path)
+        (tmp_path / "publications.csv").unlink()
+        (tmp_path / "publications.json").write_text(
+            '[{"pub_id": "p1", "year": 2001, "subject_category": "CAT_X", '
+            '"citations": 5, "n_authors_total": 2, "extra": 1}]')
+        assert load_corpus(tmp_path).publications == csv_corpus.publications
+        assert _read_rows(tmp_path / "publications.json", PUB_COLUMNS) == [
+            ("p1", 2001, "CAT_X", 5, 2)]
+        (tmp_path / "publications.json").write_text('[{"pub_id": "p1", "year": null}]')
+        with pytest.raises(SchemaError, match=r"\['year', 'subject_category', "
+                                              r"'citations', 'n_authors_total'\] \(row 1\)"):
+            load_corpus(tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.lists(st.sampled_from("abcd"), max_size=5),
+           body=st.lists(st.one_of(
+               st.none(),
+               st.lists(st.sampled_from(["", "1", "x", "a", "q,r", 'say "hi"', " "]),
+                        max_size=6)),
+               max_size=6),
+           required=st.lists(st.sampled_from("abc"), min_size=2, max_size=3,
+                             unique=True),
+           empty=st.booleans())
+    def test_matches_dictreader(self, header, body, required, empty):
+        """Generated CSV text (blank lines, short and long rows, repeated header
+        names) reads as csv.DictReader reads it, or fails at the same row."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        if not empty:
+            writer.writerow(header)
+            for row in body:
+                if row is None:
+                    buf.write("\r\n")
+                else:
+                    writer.writerow(row)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+            outcomes = []
+            for read in (dictreader_rows, _read_rows):
+                try:
+                    outcomes.append(("rows", read(path, tuple(required))))
+                except SchemaError as exc:
+                    outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStaff:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibliorank.baseline import build_baselines
+from bibliorank.baseline import BaselineTable, build_baselines
 from bibliorank.errors import NoPublications, PositionOutOfRange, ZeroStaff
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_AQ, unit_FP,
@@ -265,3 +265,27 @@ class TestLedger:
         unit_FSS(corpus, "U2", "S1", EARLY, ShareScheme(),
                  build_baselines(corpus), fallback_events=events)
         assert events == []
+
+    def test_unknown_researcher_and_publication_are_skipped(self):
+        # Corpus() checks no references; the loader and validate() do
+        corpus = make_corpus([R("r1")], [P("p1")],
+                             [A("p1", "r1"), A("ghost", "nobody")])
+        ledger = UnitLedger(corpus)
+        assert ledger.unit_score("U1", "S1", "P", EARLY).n_pubs == 1
+
+    def test_fallback_events_once_per_publication_in_pub_id_order(self):
+        # CAT_X/2001 has median 0, so p2 and p5 fall back; each has two authors
+        pubs = [P("p5", 2001, "CAT_X", 3, 2), P("p4", 2001, "CAT_X", 0, 1),
+                P("p3", 2001, "CAT_X", 0, 1), P("p2", 2001, "CAT_X", 4, 2),
+                P("p1", 2001, "CAT_X", 0, 1)]
+        authorships = [A("p5", "r2", 2, "U2"), A("p5", "r1", 1), A("p4", "r1"),
+                       A("p3", "r2", 1, "U2"), A("p2", "r2", 2, "U2"),
+                       A("p2", "r1", 1), A("p1", "r1")]
+        corpus = make_corpus([R("r1"), R("r2", univ="U2")], pubs, authorships)
+        ledger = UnitLedger(corpus)
+        assert ledger.fallback_events == [("p2", "CAT_X", 2001), ("p5", "CAT_X", 2001)]
+
+    def test_bad_position_outranks_missing_baseline(self):
+        corpus = make_corpus([R("r1")], [P("p1", n_authors=3)], [A("p1", "r1", pos=5)])
+        with pytest.raises(PositionOutOfRange):
+            UnitLedger(corpus, baselines=BaselineTable())
