@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
                      ZeroBase, ZeroStaff)
-from .indicators import ShareScheme, UnitLedger, ledger_for, unit_indicator
-from .model import Corpus, Period, presence
+from .indicators import UnitLedger, unit_indicator
+from .model import Period, presence
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,9 @@ class UdaScore:
     covered_staff: float
 
 
-def sds_unit_scores(corpus: Corpus, sds: str, indicator: str, period: Period,
-                    scheme: ShareScheme, baselines, basis: str = "median",
-                    staff_mode: str = "prorata", *,
-                    ledger: UnitLedger | None = None) -> dict:
+def sds_unit_scores(ledger: UnitLedger, sds: str, indicator: str,
+                    period: Period) -> dict:
     """Score every staffed unit of one SDS; None marks an absent (undefined) score."""
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
-    return _sds_scores(ledger, sds, indicator, period)
-
-
-def _sds_scores(ledger: UnitLedger, sds: str, indicator: str, period: Period) -> dict:
     out = {}
     for u in ledger.staffed_universities(sds, period):
         try:
@@ -72,7 +65,7 @@ def _rescaled_by_sds(ledger: UnitLedger, uda: str, indicator: str,
     out = {}
     for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
         try:
-            out[sds] = rescale_sds(_sds_scores(ledger, sds, indicator, period))
+            out[sds] = rescale_sds(sds_unit_scores(ledger, sds, indicator, period))
         except AllAbsent:
             out[sds] = {}
     return out
@@ -99,27 +92,21 @@ def _rollup(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
     return UdaScore(university_id, uda, indicator, period.label, value, covered)
 
 
-def uda_score(corpus: Corpus, university_id: str, uda: str, indicator: str,
-              period: Period, scheme: ShareScheme, baselines,
-              basis: str = "median", staff_mode: str = "prorata") -> UdaScore:
+def uda_score(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
+              period: Period) -> UdaScore:
     """Staff-weighted combination of the university's rescaled SDS scores.
 
     Every university of a UDA at once: uda_scores, which rescales once.
     """
-    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
     return _rollup(ledger, university_id, uda, indicator, period,
                    _rescaled_by_sds(ledger, uda, indicator, period))
 
 
-def uda_scores(corpus: Corpus, uda: str, indicator: str, period: Period,
-               scheme: ShareScheme, baselines, basis: str = "median",
-               staff_mode: str = "prorata", *,
-               ledger: UnitLedger | None = None) -> dict:
+def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period) -> dict:
     """university_id -> uda_score for every university of the UDA that has one."""
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
     rescaled = _rescaled_by_sds(ledger, uda, indicator, period)
     out = {}
-    for u in corpus.universities_in_uda(uda):
+    for u in ledger.corpus.universities_in_uda(uda):
         try:
             out[u] = _rollup(ledger, u, uda, indicator, period, rescaled)
         except NoStaffInUda:
@@ -127,15 +114,13 @@ def uda_scores(corpus: Corpus, uda: str, indicator: str, period: Period,
     return out
 
 
-def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
-                              scheme: ShareScheme, baselines,
-                              basis: str = "median", staff_mode: str = "prorata",
+def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period,
                               scope: str | None = None) -> float:
     """Staff-share weighted average of per-SDS mean researcher-level scores.
 
     `scope` restricts to one UDA; None covers every SDS in the taxonomy.
     """
-    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
+    corpus = ledger.corpus
     if scope is None:
         sds_codes = corpus.taxonomy.sds_list
     else:
@@ -143,7 +128,7 @@ def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
     per_sds = []
     for sds in sds_codes:
         active = [r for r in corpus.researchers
-                  if r.sds == sds and presence(r, period, staff_mode) > 0]
+                  if r.sds == sds and presence(r, period, ledger.staff_mode) > 0]
         if not active:
             continue
         values = []
@@ -155,7 +140,7 @@ def national_weighted_average(corpus: Corpus, indicator: str, period: Period,
                 continue
         if not values:
             continue
-        sds_staff = math.fsum(presence(r, period, staff_mode) for r in active)
+        sds_staff = math.fsum(presence(r, period, ledger.staff_mode) for r in active)
         per_sds.append((sds_staff, math.fsum(values) / len(values)))
     if not per_sds:
         raise EmptyScope(f"no staffed SDS in scope {scope!r} for {period.label}")

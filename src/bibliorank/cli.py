@@ -2,8 +2,8 @@
 
 Subcommands: ingest, indicators, rank, compare, drilldown, synth. Every
 emitted table carries a provenance header (corpus hash, config hash, tool
-version) and outputs are pure functions of inputs + flags, so re-runs and
-different thread counts produce byte-identical files.
+version) and outputs are pure functions of inputs + flags, so re-runs
+produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
 from .errors import (BiblioRankError, InvalidConfig, InvalidCorpus,
                      NoEligibleUniversities, NoPublications, ZeroStaff)
-from .indicators import INDICATORS, ShareScheme, UnitLedger, researcher_indicator
+from .indicators import INDICATORS, ShareScheme, UnitLedger
 from .loader import FILE_STEMS, load_corpus
 from .model import presence, validate
 from .rankshift import (assign_quintiles, indicator_comparison, sds_drilldown,
@@ -39,8 +39,7 @@ def _corpus_hash(input_dir: Path) -> str:
     return h.hexdigest()[:16]
 
 def _config_hash(args: argparse.Namespace) -> str:
-    # threads is execution detail, not configuration: bytes must not depend on it
-    skip = {"func", "out", "input", "threads"}
+    skip = {"func", "out", "input"}
     payload = {k: v for k, v in sorted(vars(args).items())
                if k not in skip and not callable(v)}
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -97,8 +96,8 @@ def _parse_scheme(text: str) -> ShareScheme:
                             f"first,last,middle ({exc})") from None
 
 
-def _load_inputs(args):
-    """Corpus, baselines, share scheme and the one ledger a command reads."""
+def _load_inputs(args) -> UnitLedger:
+    """The one ledger a command reads, over the validated corpus."""
     scheme = _parse_scheme(args.scheme)
     corpus = load_corpus(Path(args.input))
     report = validate(corpus)
@@ -109,19 +108,7 @@ def _load_inputs(args):
     baselines = build_baselines(corpus)
     if args.baselines:
         baselines = baselines.merge(load_external_baselines(Path(args.baselines)))
-    ledger = UnitLedger(corpus, scheme, baselines, args.basis, args.staff_mode)
-    return corpus, baselines, scheme, ledger
-
-
-def _map_udas(udas, fn, threads):
-    if threads > 1:
-        # imported here: concurrent.futures costs every command start-up time
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, udas))
-    else:
-        results = [fn(u) for u in udas]
-    return dict(zip(udas, results))
+    return UnitLedger(corpus, scheme, baselines, args.basis, args.staff_mode)
 
 
 def cmd_ingest(args) -> int:
@@ -136,7 +123,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    corpus, baselines, scheme, ledger = _load_inputs(args)
+    ledger = _load_inputs(args)
+    corpus = ledger.corpus
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
@@ -144,9 +132,7 @@ def cmd_indicators(args) -> int:
     for s in corpus.taxonomy.sds_list:
         for period in corpus.periods:
             for ind in INDICATORS:
-                scores = sds_unit_scores(corpus, s, ind, period, scheme,
-                                         baselines, args.basis, args.staff_mode,
-                                         ledger=ledger)
+                scores = sds_unit_scores(ledger, s, ind, period)
                 for (u, _), sc in sorted(scores.items()):
                     rows.append([u, s, ind, period.label,
                                  None if sc is None else sc.value,
@@ -162,10 +148,7 @@ def cmd_indicators(args) -> int:
                 continue
             for ind in INDICATORS:
                 try:
-                    sc = researcher_indicator(corpus, r.researcher_id, ind,
-                                              period, scheme, baselines,
-                                              args.basis, args.staff_mode,
-                                              ledger=ledger)
+                    sc = ledger.researcher_score(r.researcher_id, ind, period)
                     rows.append([r.researcher_id, ind, period.label,
                                  sc.value, sc.n_pubs, sc.staff])
                 except (ZeroStaff, NoPublications):
@@ -175,55 +158,41 @@ def cmd_indicators(args) -> int:
                ["researcher_id", "indicator", "period", "value", "n_pubs", "staff"],
                rows)
 
-    def uda_rows(uda):
-        rolled = {(period, ind): uda_scores(corpus, uda, ind, period, scheme,
-                                            baselines, args.basis,
-                                            args.staff_mode, ledger=ledger)
+    rows = []
+    for uda in corpus.taxonomy.uda_list:
+        rolled = {(period, ind): uda_scores(ledger, uda, ind, period)
                   for period in corpus.periods for ind in INDICATORS}
-        out = []
         for u in corpus.universities_in_uda(uda):
             for period in corpus.periods:
                 for ind in INDICATORS:
                     sc = rolled[(period, ind)].get(u)
                     if sc is not None:
-                        out.append([u, uda, ind, period.label, sc.value,
-                                    sc.covered_staff])
-        return out
-
-    by_uda = _map_udas(corpus.taxonomy.uda_list, uda_rows, args.threads)
-    rows = [r for uda in corpus.taxonomy.uda_list for r in by_uda[uda]]
+                        rows.append([u, uda, ind, period.label, sc.value,
+                                     sc.covered_staff])
     emit.write("uda_scores", ["university_id", "uda", "indicator", "period",
                               "value", "covered_staff"], rows)
     return 0
 
 
 def cmd_rank(args) -> int:
-    corpus, baselines, scheme, ledger = _load_inputs(args)
+    ledger = _load_inputs(args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
-    def per_uda(uda):
-        ranks, quintiles = [], []
+    rank_rows, quintile_rows = [], []
+    for uda in ledger.corpus.taxonomy.uda_list:
         for ind in INDICATORS:
-            for period in corpus.periods:
+            for period in ledger.corpus.periods:
                 try:
-                    ranked = uda_rank_list(corpus, uda, ind, period, scheme,
-                                           baselines, args.basis,
-                                           args.min_staff, args.staff_mode,
-                                           ledger=ledger)
+                    ranked = uda_rank_list(ledger, uda, ind, period, args.min_staff)
                 except NoEligibleUniversities:
                     continue
                 assigned = assign_quintiles(ranked)
                 for e in ranked.entries:
-                    ranks.append([uda, ind, period.label, e.university_id,
-                                  e.value, e.rank])
-                    quintiles.append([uda, ind, period.label, e.university_id,
-                                      assigned.entries[e.university_id]])
-        return ranks, quintiles
-
-    by_uda = _map_udas(corpus.taxonomy.uda_list, per_uda, args.threads)
-    rank_rows = [r for uda in corpus.taxonomy.uda_list for r in by_uda[uda][0]]
-    quintile_rows = [r for uda in corpus.taxonomy.uda_list for r in by_uda[uda][1]]
+                    rank_rows.append([uda, ind, period.label, e.university_id,
+                                      e.value, e.rank])
+                    quintile_rows.append([uda, ind, period.label, e.university_id,
+                                          assigned.entries[e.university_id]])
     emit.write("rank_lists", ["uda", "indicator", "period", "university_id",
                               "value", "rank"], rank_rows)
     emit.write("quintiles", ["uda", "indicator", "period", "university_id",
@@ -232,21 +201,18 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    corpus, baselines, scheme, ledger = _load_inputs(args)
+    ledger = _load_inputs(args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
-    early, late = corpus.periods
 
-    def per_uda(uda):
-        stats_rows, transition_rows = [], []
+    stats_rows, transition_rows = [], []
+    for uda in ledger.corpus.taxonomy.uda_list:
         for ind in INDICATORS:
             lists = []
-            for period in (early, late):
+            for period in ledger.corpus.periods:
                 try:
-                    lists.append(uda_rank_list(corpus, uda, ind, period, scheme,
-                                               baselines, args.basis,
-                                               args.min_staff, args.staff_mode,
-                                               ledger=ledger))
+                    lists.append(uda_rank_list(ledger, uda, ind, period,
+                                               args.min_staff))
                 except NoEligibleUniversities:
                     lists.append(None)
             if lists[0] is None or lists[1] is None:
@@ -263,11 +229,6 @@ def cmd_compare(args) -> int:
                 for j in range(5):
                     transition_rows.append([uda, ind, i + 1, j + 1,
                                             matrix.counts[i][j]])
-        return stats_rows, transition_rows
-
-    by_uda = _map_udas(corpus.taxonomy.uda_list, per_uda, args.threads)
-    stats_rows = [r for uda in corpus.taxonomy.uda_list for r in by_uda[uda][0]]
-    transition_rows = [r for uda in corpus.taxonomy.uda_list for r in by_uda[uda][1]]
     emit.write("shift_stats", ["uda", "indicator", "n_total", "n_changed",
                                "pct_changed", "max_abs_shift", "mean_abs_shift",
                                "median_abs_shift", "entries", "exits"],
@@ -276,9 +237,7 @@ def cmd_compare(args) -> int:
                ["uda", "indicator", "early_quintile", "late_quintile", "count"],
                transition_rows)
 
-    table = university_shift_table(corpus, args.indicator, scheme, baselines,
-                                   args.basis, args.min_staff, args.staff_mode,
-                                   ledger=ledger)
+    table = university_shift_table(ledger, args.indicator, args.min_staff)
     rows = []
     for u in table.universities:
         rows.append([u] + [table.cells[u][c] for c in table.columns]
@@ -296,14 +255,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_drilldown(args) -> int:
-    corpus, baselines, scheme, ledger = _load_inputs(args)
+    ledger = _load_inputs(args)
     # both raise UnknownUniversity / UnknownUDA, so compute before any output
-    shifts = sds_drilldown(corpus, args.university, args.uda, args.indicator,
-                           scheme, baselines, args.basis, args.min_staff,
-                           args.staff_mode, ledger=ledger)
-    comparison = indicator_comparison(corpus, args.university, args.uda, scheme,
-                                      baselines, args.basis, args.min_staff,
-                                      args.staff_mode, ledger=ledger)
+    shifts = sds_drilldown(ledger, args.university, args.uda, args.indicator,
+                           args.min_staff)
+    comparison = indicator_comparison(ledger, args.university, args.uda,
+                                      args.min_staff)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
     emit.write("sds_drilldown", ["sds", "quintile_shift"],
@@ -341,7 +298,6 @@ def _add_common(p):
                    help="life-science share weights: first,last,middle")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     p.add_argument("--out", default="out")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

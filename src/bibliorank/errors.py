@@ -85,10 +85,6 @@ class EmptyIntersection(BiblioRankError):
     pass
 
 
-class NotInBoth(BiblioRankError):
-    pass
-
-
 class InvalidConfig(BiblioRankError):
     pass
 

@@ -103,9 +103,9 @@ class UnitLedger:
     period, built in one pass over the authorships.
 
     Read-only once built, so one ledger serves every indicator, period,
-    rollup and rank list of a command, from any thread. Indicators are ratios
-    of math.fsum over the recorded terms: the result does not depend on the
-    order of the terms, and equal units tie exactly.
+    rollup and rank list of a command. Indicators are ratios of math.fsum
+    over the recorded terms: the result does not depend on the order of the
+    terms, and equal units tie exactly.
     """
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),

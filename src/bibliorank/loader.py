@@ -27,25 +27,42 @@ def _read_rows(path: Path, required: tuple) -> list:
     read positionally with the semantics of csv.DictReader: blank lines are
     skipped and not counted, a repeated header name takes its last column,
     extra cells are ignored, and a row that lacks a required cell (short, or
-    the column absent from the header) is a SchemaError at that row.
+    the column absent from the header) is a SchemaError at that row. A file
+    that is not UTF-8, not JSON, or not readable as CSV is a SchemaError too.
     """
     if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"not valid JSON ({exc})", path=path) from None
         if not isinstance(rows, list):
             raise SchemaError("expected a JSON array of objects", path=path)
         for i, row in enumerate(rows, start=1):
+            if not isinstance(row, dict):
+                raise SchemaError(f"expected a JSON object, got {type(row).__name__}",
+                                  path=path, row=i)
             missing = [c for c in required if c not in row or row[c] is None]
             if missing:
                 raise SchemaError(f"missing columns {missing}", path=path, row=i)
         return list(map(itemgetter(*required), rows))
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("missing header row", path=path)
-        rows = list(filter(None, reader))
+    header, rows = None, []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            # extend keeps the rows read before an error, which numbers its row
+            rows.extend(filter(None, reader))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
+    except csv.Error as exc:
+        raise SchemaError(f"not valid CSV ({exc})", path=path,
+                          row=1 if header is None else len(rows) + 2) from None
+    if header is None:
+        raise SchemaError("missing header row", path=path)
     column = {name: i for i, name in enumerate(header)}
     cols = [column.get(c) for c in required]
     width = None if None in cols else max(cols) + 1
@@ -59,6 +76,10 @@ def _read_rows(path: Path, required: tuple) -> list:
 
 def _to_int(value, name, path, row, minimum=None):
     try:
+        # text or a JSON integer only: int() would truncate a JSON float and
+        # read a JSON bool as 0 or 1 (class tests: isinstance costs the CSV path)
+        if value.__class__ is not str and value.__class__ is not int:
+            raise TypeError
         v = int(value)
     except (TypeError, ValueError):
         raise SchemaError(f"{name}={value!r} is not an integer", path=path, row=row)
@@ -102,11 +123,12 @@ def load_corpus(input_dir) -> Corpus:
     periods = []
     for i, (label, start, end) in enumerate(
             _read_rows(per_path, ("label", "start_year", "end_year")), start=2):
-        periods.append(Period(
-            label=str(label),
-            start_year=_to_int(start, "start_year", per_path, i),
-            end_year=_to_int(end, "end_year", per_path, i),
-        ))
+        start = _to_int(start, "start_year", per_path, i)
+        end = _to_int(end, "end_year", per_path, i)
+        if start > end:
+            raise SchemaError(f"start_year={start} is after end_year={end}",
+                              path=per_path, row=i)
+        periods.append(Period(label=str(label), start_year=start, end_year=end))
     if len(periods) != 2:
         raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=per_path)
 

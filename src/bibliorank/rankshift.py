@@ -10,10 +10,10 @@ import statistics
 from dataclasses import dataclass
 
 from .aggregate import sds_unit_scores, uda_scores
-from .errors import (EmptyIntersection, NoEligibleUniversities, NotInBoth,
-                     UnknownUDA, UnknownUniversity)
-from .indicators import UnitLedger, ledger_for
-from .model import Corpus, Period
+from .errors import (EmptyIntersection, NoEligibleUniversities, UnknownUDA,
+                     UnknownUniversity)
+from .indicators import UnitLedger
+from .model import Period
 
 DEFAULT_MIN_STAFF = 6.0
 N_QUINTILES = 5
@@ -163,15 +163,6 @@ def quintile_shift(q_early: int, q_late: int) -> int:
     return q_early - q_late
 
 
-def quintile_shift_for(assign_early: QuintileAssignment,
-                       assign_late: QuintileAssignment, university_id: str) -> int:
-    if (university_id not in assign_early.entries
-            or university_id not in assign_late.entries):
-        raise NotInBoth(f"{university_id} not assigned in both periods")
-    return quintile_shift(assign_early.entries[university_id],
-                          assign_late.entries[university_id])
-
-
 def transition_matrix(assign_early: QuintileAssignment,
                       assign_late: QuintileAssignment) -> TransitionMatrix:
     both = sorted(set(assign_early.entries) & set(assign_late.entries))
@@ -190,31 +181,22 @@ def transition_matrix(assign_early: QuintileAssignment,
 
 
 # ---------------------------------------------------------------------------
-# corpus-driven orchestration
+# ledger-driven orchestration
 
 
-def uda_rank_list(corpus: Corpus, uda: str, indicator: str, period: Period,
-                  scheme, baselines, basis: str = "median",
-                  min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata", *,
-                  ledger: UnitLedger | None = None) -> RankList:
+def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
+                  min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a UDA by their rolled-up indicator score."""
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
-    rolled = uda_scores(corpus, uda, indicator, period, scheme, baselines, basis,
-                        staff_mode, ledger=ledger)
+    rolled = uda_scores(ledger, uda, indicator, period)
     scores = {u: (score.value, ledger.uda_staff(u, uda, period))
               for u, score in rolled.items()}
     return rank_list(scores, uda, indicator, period.label, min_staff)
 
 
-def sds_rank_list(corpus: Corpus, sds: str, indicator: str, period: Period,
-                  scheme, baselines, basis: str = "median",
-                  min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata", *,
-                  ledger: UnitLedger | None = None) -> RankList:
+def sds_rank_list(ledger: UnitLedger, sds: str, indicator: str, period: Period,
+                  min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a single SDS by the raw unit score."""
-    unit_scores = sds_unit_scores(corpus, sds, indicator, period, scheme,
-                                  baselines, basis, staff_mode, ledger=ledger)
+    unit_scores = sds_unit_scores(ledger, sds, indicator, period)
     scores = {u: (s.value if s is not None else None,
                   s.staff if s is not None else 0.0)
               for (u, _), s in unit_scores.items()}
@@ -265,22 +247,17 @@ class ShiftTable:
         }
 
 
-def university_shift_table(corpus: Corpus, indicator: str, scheme, baselines,
-                           basis: str = "median",
-                           min_staff: float = DEFAULT_MIN_STAFF,
-                           staff_mode: str = "prorata", *,
-                           ledger: UnitLedger | None = None) -> ShiftTable:
+def university_shift_table(ledger: UnitLedger, indicator: str,
+                           min_staff: float = DEFAULT_MIN_STAFF) -> ShiftTable:
     """Quintile shift of every university in every UDA between the two periods."""
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
+    corpus = ledger.corpus
     udas = corpus.taxonomy.uda_list
     cells = {u: {} for u in corpus.universities}
     for uda in udas:
         assignments = []
         for period in corpus.periods:
             try:
-                ranked = uda_rank_list(corpus, uda, indicator, period, scheme,
-                                       baselines, basis, min_staff, staff_mode,
-                                       ledger=ledger)
+                ranked = uda_rank_list(ledger, uda, indicator, period, min_staff)
                 assignments.append(assign_quintiles(ranked))
             except NoEligibleUniversities:
                 assignments.append(None)
@@ -294,32 +271,26 @@ def university_shift_table(corpus: Corpus, indicator: str, scheme, baselines,
     return ShiftTable(columns=list(udas), cells=cells, indicator=indicator)
 
 
-def _check_scope(corpus: Corpus, university_id: str, uda: str):
-    if university_id not in corpus.universities:
+def _check_scope(ledger: UnitLedger, university_id: str, uda: str):
+    if university_id not in ledger.corpus.universities:
         raise UnknownUniversity(f"university {university_id} is not in the corpus")
-    if uda not in corpus.taxonomy.uda_list:
+    if uda not in ledger.corpus.taxonomy.uda_list:
         raise UnknownUDA(f"UDA {uda} is not in the taxonomy")
 
 
-def sds_drilldown(corpus: Corpus, university_id: str, uda: str, indicator: str,
-                  scheme, baselines, basis: str = "median",
-                  min_staff: float = DEFAULT_MIN_STAFF,
-                  staff_mode: str = "prorata", *,
-                  ledger: UnitLedger | None = None) -> dict:
+def sds_drilldown(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
+                  min_staff: float = DEFAULT_MIN_STAFF) -> dict:
     """Per-SDS quintile shifts of one university within a UDA.
 
     Only SDSs where the university is eligible in both periods appear.
     """
-    _check_scope(corpus, university_id, uda)
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
+    _check_scope(ledger, university_id, uda)
     out = {}
-    for sds in corpus.taxonomy.sds_in_uda(uda):
+    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
         assignments = []
-        for period in corpus.periods:
+        for period in ledger.corpus.periods:
             try:
-                ranked = sds_rank_list(corpus, sds, indicator, period, scheme,
-                                       baselines, basis, min_staff, staff_mode,
-                                       ledger=ledger)
+                ranked = sds_rank_list(ledger, sds, indicator, period, min_staff)
                 assignments.append(assign_quintiles(ranked))
             except NoEligibleUniversities:
                 assignments.append(None)
@@ -344,25 +315,17 @@ def classify_shifts(p_shift: int, fp_shift: int, aq_shift: int) -> tuple:
     return tuple(flags)
 
 
-def indicator_comparison(corpus: Corpus, university_id: str, uda: str,
-                         scheme, baselines, basis: str = "median",
-                         min_staff: float = DEFAULT_MIN_STAFF,
-                         staff_mode: str = "prorata", *,
-                         ledger: UnitLedger | None = None) -> dict:
+def indicator_comparison(ledger: UnitLedger, university_id: str, uda: str,
+                         min_staff: float = DEFAULT_MIN_STAFF) -> dict:
     """SDS x {P, FP, AQ} quintile shifts with pattern flags.
 
     Returns sds -> {"P": int, "FP": int, "AQ": int, "flags": tuple}; SDSs
     missing any of the three shift values are omitted.
     """
-    _check_scope(corpus, university_id, uda)
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
-    per_indicator = {
-        ind: sds_drilldown(corpus, university_id, uda, ind, scheme, baselines,
-                           basis, min_staff, staff_mode, ledger=ledger)
-        for ind in ("P", "FP", "AQ")
-    }
+    per_indicator = {ind: sds_drilldown(ledger, university_id, uda, ind, min_staff)
+                     for ind in ("P", "FP", "AQ")}
     out = {}
-    for sds in corpus.taxonomy.sds_in_uda(uda):
+    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
         if all(sds in per_indicator[ind] for ind in ("P", "FP", "AQ")):
             p, fp, aq = (per_indicator[ind][sds] for ind in ("P", "FP", "AQ"))
             out[sds] = {"P": p, "FP": fp, "AQ": aq,

@@ -13,8 +13,8 @@ from bibliorank.aggregate import percent_variation, sds_unit_scores
 from bibliorank.baseline import build_baselines
 from bibliorank.cli import main as cli_main
 from bibliorank.errors import NoEligibleUniversities, ZeroStaff
-from bibliorank.indicators import (INDICATORS, ShareScheme, fractional_share,
-                                   unit_FP, unit_P)
+from bibliorank.indicators import (INDICATORS, ShareScheme, UnitLedger,
+                                   fractional_share, unit_FP, unit_P)
 from bibliorank.model import Authorship, Corpus, Publication
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (ShiftTable, assign_quintiles, classify_shifts,
@@ -151,12 +151,13 @@ def test_criterion_5_share_sums_and_fp_bound():
 def _rank_state(corpus, baselines, scheme, min_staff=1.0):
     """All rank orderings and quintile assignments, as comparable structures."""
     state = {}
+    ledger = UnitLedger(corpus, scheme, baselines)
     for uda in corpus.taxonomy.uda_list:
         for ind in INDICATORS:
             for period in corpus.periods:
                 try:
-                    rl = uda_rank_list(corpus, uda, ind, period, scheme,
-                                       baselines, min_staff=min_staff)
+                    rl = uda_rank_list(ledger, uda, ind, period,
+                                       min_staff=min_staff)
                 except NoEligibleUniversities:
                     continue
                 state[("uda", uda, ind, period.label)] = (
@@ -182,12 +183,12 @@ def test_criterion_6_citation_scaling_invariance():
                 assert not any(p.citations > 0 for p in corpus.publications
                                if p.subject_category == cat)
         base_state = _rank_state(corpus, baselines, scheme)
+        ledger = UnitLedger(corpus, scheme, baselines)
         base_values = {}
         for sds in corpus.taxonomy.sds_list:
             for ind in ("AQ", "FSS"):
                 for period in corpus.periods:
-                    scores = sds_unit_scores(corpus, sds, ind, period, scheme,
-                                             baselines)
+                    scores = sds_unit_scores(ledger, sds, ind, period)
                     for unit, sc in scores.items():
                         base_values[(unit, ind, period.label)] = (
                             None if sc is None else sc.value)
@@ -195,11 +196,12 @@ def test_criterion_6_citation_scaling_invariance():
             scaled = scale_citations(corpus, k)
             scaled_baselines = build_baselines(scaled)
             assert _rank_state(scaled, scaled_baselines, scheme) == base_state
+            scaled_ledger = UnitLedger(scaled, scheme, scaled_baselines)
             for sds in scaled.taxonomy.sds_list:
                 for ind in ("AQ", "FSS"):
                     for period in scaled.periods:
-                        scores = sds_unit_scores(scaled, sds, ind, period,
-                                                 scheme, scaled_baselines)
+                        scores = sds_unit_scores(scaled_ledger, sds, ind,
+                                                 period)
                         for unit, sc in scores.items():
                             want = base_values[(unit, ind, period.label)]
                             if want is None:
@@ -219,15 +221,14 @@ def test_criterion_7_oracle_equivalence():
                         staff_min=1, staff_max=3,
                         pubs_per_researcher_year=0.8)
         corpus = make_corpus(cfg)
-        baselines = build_baselines(corpus)
+        ledger = UnitLedger(corpus, scheme, build_baselines(corpus))
         orc = Oracle(corpus, min_staff=1.0)
         unit_expected = orc.unit_scores()
 
         for sds in corpus.taxonomy.sds_list:
             for ind in INDICATORS:
                 for period in corpus.periods:
-                    scores = sds_unit_scores(corpus, sds, ind, period, scheme,
-                                             baselines)
+                    scores = sds_unit_scores(ledger, sds, ind, period)
                     for (u, s), sc in scores.items():
                         want = unit_expected[(u, s, ind, period.label)]
                         got = None if sc is None else sc.value
@@ -244,8 +245,8 @@ def test_criterion_7_oracle_equivalence():
                 for period in corpus.periods:
                     key = (uda, ind, period.label)
                     try:
-                        rl = uda_rank_list(corpus, uda, ind, period, scheme,
-                                           baselines, min_staff=1.0)
+                        rl = uda_rank_list(ledger, uda, ind, period,
+                                           min_staff=1.0)
                     except NoEligibleUniversities:
                         assert key not in uda_tables, (seed, key)
                         continue
@@ -261,7 +262,7 @@ def test_criterion_7_oracle_equivalence():
         shifts_expected = orc.quintile_shifts(uda_tables)
         for (uda, ind), want in shifts_expected.items():
             assigns = [assign_quintiles(uda_rank_list(
-                corpus, uda, ind, period, scheme, baselines, min_staff=1.0))
+                ledger, uda, ind, period, min_staff=1.0))
                 for period in corpus.periods]
             got = {u: assigns[0].entries[u] - assigns[1].entries[u]
                    for u in assigns[0].entries if u in assigns[1].entries}
@@ -270,8 +271,7 @@ def test_criterion_7_oracle_equivalence():
         sds_tables = orc.sds_rank_tables(unit_expected)
         for (sds, ind, label), (want_ranks, _) in sds_tables.items():
             period = corpus.period(label)
-            rl = sds_rank_list(corpus, sds, ind, period, scheme, baselines,
-                               min_staff=1.0)
+            rl = sds_rank_list(ledger, sds, ind, period, min_staff=1.0)
             assert {e.university_id: e.rank for e in rl.entries} == want_ranks
 
     elapsed = time.perf_counter() - start
@@ -284,21 +284,17 @@ def test_criterion_8_cli_determinism(tmp_path):
     generate(GenConfig(seed=42, n_universities=8, n_sds=4, staff_min=2,
                        staff_max=5, turnover_rate=0.1), demo)
 
-    def run(out, threads):
-        common = ["--input", str(demo), "--out", str(out),
-                  "--min-staff", "1", "--threads", str(threads)]
+    def run(out):
+        common = ["--input", str(demo), "--out", str(out), "--min-staff", "1"]
         assert cli_main(["indicators", *common]) == 0
         assert cli_main(["rank", *common]) == 0
         assert cli_main(["compare", *common]) == 0
 
-    run(tmp_path / "a", 1)
-    run(tmp_path / "b", 1)
-    run(tmp_path / "c", 8)
+    run(tmp_path / "a")
+    run(tmp_path / "b")
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert files
     for name in files:
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                            shallow=False), name
-        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "c" / name,
-                           shallow=False), name
-    report(8, f"CLI byte-identical across reruns and thread counts ({len(files)} files)")
+    report(8, f"CLI byte-identical across reruns ({len(files)} files)")

@@ -4,7 +4,7 @@ from bibliorank.aggregate import (national_weighted_average, percent_variation,
                                   rescale_sds, sds_unit_scores, uda_score)
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import AllAbsent, EmptyScope, NoStaffInUda, ZeroBase
-from bibliorank.indicators import IndicatorScore, ShareScheme
+from bibliorank.indicators import IndicatorScore, ShareScheme, UnitLedger
 
 from conftest import A, EARLY, LATE, P, R, make_corpus, make_taxonomy, read_fixture
 
@@ -95,18 +95,17 @@ class TestUdaScore:
     def test_single_sds_university(self):
         tax = make_taxonomy({"S1": "A"})
         corpus = make_corpus([R("r1")], [P("p1"), ], [A("p1", "r1")], tax)
-        sc = uda_score(corpus, "U1", "A", "P", EARLY, self.scheme,
-                       build_baselines(corpus))
-        rescaled = rescale_sds(sds_unit_scores(corpus, "S1", "P", EARLY,
-                                               self.scheme, build_baselines(corpus)))
+        ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
+        sc = uda_score(ledger, "U1", "A", "P", EARLY)
+        rescaled = rescale_sds(sds_unit_scores(ledger, "S1", "P", EARLY))
         assert sc.value == pytest.approx(rescaled[("U1", "S1")])
 
     def test_hand_weighted_mean(self):
         # S1 national weighted mean: (6*1.0 + 4*0.5)/10 = 0.8 -> U1 rescaled 1.25
         # S2 national weighted mean: (2*0.5 + 4*0.75)/6 = 2/3 -> U1 rescaled 0.75
         # U1 staff in UDA A: S1=6, S2=2 -> weights 0.75, 0.25
-        sc = uda_score(self.corpus, "U1", "A", "P", EARLY, self.scheme,
-                       self.baselines)
+        sc = uda_score(UnitLedger(self.corpus, self.scheme, self.baselines),
+                       "U1", "A", "P", EARLY)
         assert sc.value == pytest.approx(0.75 * 1.25 + 0.25 * 0.75)
         assert sc.covered_staff == pytest.approx(8.0)
 
@@ -116,18 +115,18 @@ class TestUdaScore:
         pubs = [P("p1"), P("p2")]
         auths = [A("p1", "r1"), A("p2", "r2")]
         corpus = make_corpus(researchers, pubs, auths, tax)
-        sc = uda_score(corpus, "U1", "A", "P", EARLY, self.scheme,
-                       build_baselines(corpus))
+        sc = uda_score(UnitLedger(corpus, self.scheme, build_baselines(corpus)),
+                       "U1", "A", "P", EARLY)
         assert sc.value == pytest.approx(1.0)
 
     def test_no_staff_in_uda(self):
         with pytest.raises(NoStaffInUda):
-            uda_score(self.corpus, "U1", "A", "P", LATE, self.scheme,
-                      self.baselines)
+            uda_score(UnitLedger(self.corpus, self.scheme, self.baselines),
+                      "U1", "A", "P", LATE)
 
     def test_convexity(self):
-        sc = uda_score(self.corpus, "U1", "A", "P", EARLY, self.scheme,
-                       self.baselines)
+        sc = uda_score(UnitLedger(self.corpus, self.scheme, self.baselines),
+                       "U1", "A", "P", EARLY)
         assert 0.75 <= sc.value <= 1.25
 
 
@@ -139,8 +138,8 @@ class TestNationalWeightedAverage:
         auths = [A(p.pub_id, "r1") for p in pubs[:3]] + \
                 [A(p.pub_id, "r2") for p in pubs[3:]]
         corpus = make_corpus(researchers, pubs, auths, tax)
-        avg = national_weighted_average(corpus, "P", EARLY, ShareScheme(),
-                                        build_baselines(corpus))
+        avg = national_weighted_average(
+            UnitLedger(corpus, ShareScheme(), build_baselines(corpus)), "P", EARLY)
         assert avg == pytest.approx(1.0)
 
     def test_staff_weighted_combination(self):
@@ -156,17 +155,17 @@ class TestNationalWeightedAverage:
                 pubs.append(P(f"y{j}{i}", 2001 + i))
                 auths.append(A(f"y{j}{i}", f"s{j}"))
         corpus = make_corpus(researchers, pubs, auths, tax)
-        avg = national_weighted_average(corpus, "P", EARLY, ShareScheme(),
-                                        build_baselines(corpus))
+        avg = national_weighted_average(
+            UnitLedger(corpus, ShareScheme(), build_baselines(corpus)), "P", EARLY)
         assert avg == pytest.approx((1 * 2.0 + 3 * 1.0) / 4)
 
     def test_empty_scope(self):
         corpus = make_corpus([R("r1")], [], [], make_taxonomy({"S1": "A"}))
         with pytest.raises(EmptyScope):
-            national_weighted_average(corpus, "P", LATE, ShareScheme(),
-                                      build_baselines(make_corpus(
-                                          [R("r1")], [P("p1")], [A("p1", "r1")],
-                                          make_taxonomy({"S1": "A"}))))
+            national_weighted_average(
+                UnitLedger(corpus, ShareScheme(), build_baselines(make_corpus(
+                    [R("r1")], [P("p1")], [A("p1", "r1")],
+                    make_taxonomy({"S1": "A"})))), "P", LATE)
 
 
 class TestPercentVariation:

@@ -26,9 +26,8 @@ def demo(tmp_path_factory):
     return d
 
 
-def run_all(demo, out, extra=()):
-    common = ["--input", str(demo), "--out", str(out), "--min-staff", "1",
-              *extra]
+def run_all(demo, out):
+    common = ["--input", str(demo), "--out", str(out), "--min-staff", "1"]
     assert main(["indicators", *common]) == 0
     assert main(["rank", *common]) == 0
     assert main(["compare", *common]) == 0
@@ -98,12 +97,6 @@ class TestDeterminism:
         run_all(demo, tmp_path / "two")
         for f in sorted((tmp_path / "one").iterdir()):
             assert filecmp.cmp(f, tmp_path / "two" / f.name, shallow=False), f.name
-
-    def test_thread_count_does_not_change_bytes(self, demo, tmp_path):
-        run_all(demo, tmp_path / "t1", extra=["--threads", "1"])
-        run_all(demo, tmp_path / "t8", extra=["--threads", "8"])
-        for f in sorted((tmp_path / "t1").iterdir()):
-            assert filecmp.cmp(f, tmp_path / "t8" / f.name, shallow=False), f.name
 
 
 class TestBadInput:

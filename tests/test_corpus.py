@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibliorank.errors import (DanglingReference, DuplicateKey, MissingFile,
-                               SchemaError, UnknownSDS, UnknownUniversity)
+from bibliorank.cli import main
+from bibliorank.errors import (BiblioRankError, DanglingReference, DuplicateKey,
+                               MissingFile, SchemaError, UnknownSDS,
+                               UnknownUniversity)
 from bibliorank.loader import _read_rows, load_corpus, write_corpus
 from bibliorank.model import presence, staff, validate
 from bibliorank.synthgen import GenConfig, generate
@@ -27,7 +31,9 @@ def write_fileset(tmp_path, overrides=None):
     }
     files.update(overrides or {})
     for name, content in files.items():
-        if content is not None:
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        elif content is not None:
             (tmp_path / name).write_text(content)
         elif (tmp_path / name).exists():
             (tmp_path / name).unlink()
@@ -74,6 +80,47 @@ class TestLoad:
                                  "p1,noyear,CAT_X,1,2\n"})
         with pytest.raises(SchemaError, match="row 2"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("overrides, name, error", [
+        ({"publications.json": '[{"pub_id": "p1",'}, "publications.json",
+         "not valid JSON (Expecting property name enclosed in double quotes: "
+         "line 1 column 18 (char 17))"),
+        ({"publications.json": "[3]"}, "publications.json",
+         "expected a JSON object, got int (row 1)"),
+        ({"publications.json": '["pub_id"]'}, "publications.json",
+         "expected a JSON object, got str (row 1)"),
+        ({"researchers.csv": b"researcher_id,sds,university_id,active_years\n"
+                             b"r\xff1,S1,U1,2001\n"}, "researchers.csv",
+         "not valid UTF-8 (invalid start byte)"),
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             "r1,S1,U1,2001\n\nr2,S1,U1,"
+                             + "9" * (csv.field_size_limit() + 1) + "\n"},
+         "researchers.csv",
+         f"not valid CSV (field larger than field limit ({csv.field_size_limit()})) "
+         "(row 3)"),
+        ({"periods.csv": "label,start_year,end_year\nE,2003,2001\nL,2004,2008\n"},
+         "periods.csv", "start_year=2003 is after end_year=2001 (row 2)"),
+        ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
+                               '"CAT_X", "citations": 2.7, "n_authors_total": 2}]'},
+         "publications.json", "citations=2.7 is not an integer (row 2)"),
+        ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
+                               '"CAT_X", "citations": 5, "n_authors_total": true}]'},
+         "publications.json", "n_authors_total=True is not an integer (row 2)"),
+    ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
+            "cell_over_field_size_limit", "period_start_after_end", "json_float",
+            "json_bool"])
+    def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, overrides,
+                                              name, error):
+        if "publications.json" in overrides:
+            overrides["publications.csv"] = None
+        write_fileset(tmp_path, overrides)
+        with pytest.raises(SchemaError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == f"{tmp_path / name}: {error}"
+        assert main(["ingest", "--input", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {"error": "SchemaError", "message": str(exc.value)}
 
     def test_synth_counts_match_manifest(self, tmp_path):
         manifest = generate(GenConfig(seed=3), tmp_path)
@@ -208,6 +255,101 @@ class TestReadRows:
                 except SchemaError as exc:
                     outcomes.append(("error", str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+FUZZ_BASE = {
+    "taxonomy": (["sds", "uda", "is_life_science"], [["S1", "A", 0], ["S2", "A", 1]]),
+    "periods": (["label", "start_year", "end_year"],
+                [["E", 2001, 2003], ["L", 2004, 2008]]),
+    "researchers": (["researcher_id", "sds", "university_id", "active_years"],
+                    [["r1", "S1", "U1", "2001;2002"], ["r2", "S2", "U2", "2004"]]),
+    "publications": (list(PUB_COLUMNS),
+                     [["p1", 2001, "CAT_X", 5, 2], ["p2", 2004, "CAT_Y", 0, 1]]),
+    "authorships": (["pub_id", "researcher_id", "author_position",
+                     "byline_university_id"],
+                    [["p1", "r1", 1, "U1"], ["p1", "r2", 2, "U2"], ["p2", "r2", 1, "U2"]]),
+}
+FUZZ_CELLS = st.one_of(
+    st.booleans(), st.floats(), st.integers(-2, 3000), st.none(), st.just(""),
+    st.text(alphabet="0123456789;-.eE xS", max_size=5),
+    st.lists(st.one_of(st.integers(2000, 2010), st.floats(), st.booleans()),
+             max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+
+
+def fuzzed_file(data, header, rows, fmt, mutate) -> bytes:
+    """One stem's file as bytes, after mutations drawn from `data` if `mutate`."""
+    header, rows = list(header), [list(r) for r in rows]
+    draw = data.draw if mutate else (lambda strategy: "none")
+    if mutate:
+        for i, j, value in draw(st.lists(st.tuples(
+                st.integers(0, 9), st.integers(0, 9), FUZZ_CELLS), max_size=3)):
+            rows[i % len(rows)][j % len(header)] = value
+    if fmt == "json":
+        doc = [dict(zip(header, r)) for r in rows]
+        shape = draw(st.sampled_from(["none", "scalar_row", "object_top"]))
+        if shape == "scalar_row":
+            doc[0] = draw(st.one_of(st.integers(), st.text(max_size=3), st.none(),
+                                    st.lists(st.integers(), max_size=1)))
+        elif shape == "object_top":
+            doc = doc[0]
+        blob = json.dumps(doc).encode()
+    else:
+        edit = draw(st.sampled_from(["none", "duplicate", "drop", "blank_lines"]))
+        if edit == "duplicate":  # a repeated name takes the last column
+            header.append(header[0])
+            for r in rows:
+                r.append(draw(FUZZ_CELLS))
+        elif edit == "drop":
+            header.pop(draw(st.integers(0, len(header) - 1)))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for r in rows:
+            writer.writerow(r)
+            if edit == "blank_lines":
+                buf.write("\r\n")
+        blob = buf.getvalue().encode()
+    corruption = draw(st.sampled_from(
+        ["none", "truncate", "invalid_utf8", "bom", "huge_cell", "deep_json"]))
+    at = draw(st.integers(0, len(blob))) if corruption != "none" else 0
+    if corruption == "truncate":
+        blob = blob[:at]
+    elif corruption == "invalid_utf8":
+        blob = (blob[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+                + blob[at:])
+    elif corruption == "bom":
+        blob = b"\xef\xbb\xbf" + blob
+    elif corruption == "huge_cell":
+        blob = blob[:at] + b'"' + b"9" * (csv.field_size_limit() + 1) + b'"' + blob[at:]
+    elif corruption == "deep_json":
+        blob = b"[" * 100_000 + blob
+    return blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_fileset_fails_only_with_a_biblio_rank_error(data):
+    """Mutated CSV and JSON filesets (JSON bools and floats, non-object rows,
+    truncation, invalid bytes, blank cells, BOMs, duplicate headers, a CSV and
+    a JSON file for the same stem) load or raise a BiblioRankError, and
+    `ingest` exits 0 or 1 without a traceback."""
+    mutated = data.draw(st.sets(st.sampled_from(sorted(FUZZ_BASE)), max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for stem, (header, rows) in FUZZ_BASE.items():
+            fmts = data.draw(st.sampled_from([("csv",), ("json",), ("csv", "json")]))
+            for fmt in fmts:
+                (root / f"{stem}.{fmt}").write_bytes(
+                    fuzzed_file(data, header, rows, fmt, stem in mutated))
+        try:
+            load_corpus(root)
+        except BiblioRankError:
+            pass
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["ingest", "--input", str(root)]) in (0, 1)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestStaff:

@@ -2,12 +2,12 @@ import pytest
 
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
-                               NotInBoth, UnknownUDA, UnknownUniversity)
-from bibliorank.indicators import ShareScheme
+                               UnknownUDA, UnknownUniversity)
+from bibliorank.indicators import ShareScheme, UnitLedger
 from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
                                   assign_quintiles, classify_shifts,
                                   indicator_comparison, quintile_shift,
-                                  quintile_shift_for, rank_list, sds_drilldown,
+                                  rank_list, sds_drilldown,
                                   shift_stats, transition_matrix,
                                   uda_rank_list, university_shift_table)
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
@@ -118,10 +118,6 @@ class TestQuintileShift:
     def test_top_to_bottom(self):
         assert quintile_shift(1, 5) == -4
 
-    def test_not_in_both(self):
-        with pytest.raises(NotInBoth):
-            quintile_shift_for(assignment({"a": 1}), assignment({"b": 1}), "a")
-
 
 class TestTransitionMatrix:
     def test_identity(self):
@@ -205,10 +201,10 @@ class TestCorpusDriven:
                                              turnover_rate=0.1))
         self.baselines = build_baselines(self.corpus)
         self.scheme = ShareScheme()
+        self.ledger = UnitLedger(self.corpus, self.scheme, self.baselines)
 
     def test_shift_table_consistency(self):
-        table = university_shift_table(self.corpus, "FSS", self.scheme,
-                                       self.baselines, min_staff=1.0)
+        table = university_shift_table(self.ledger, "FSS", min_staff=1.0)
         for u in table.universities:
             numeric = [v for v in table.cells[u].values() if v is not None]
             assert all(abs(v) <= 4 for v in numeric)
@@ -217,13 +213,11 @@ class TestCorpusDriven:
         assert sum(shares.values()) == pytest.approx(100.0)
 
     def test_shift_table_matches_rank_machinery(self):
-        table = university_shift_table(self.corpus, "P", self.scheme,
-                                       self.baselines, min_staff=1.0)
+        table = university_shift_table(self.ledger, "P", min_staff=1.0)
         for uda in self.corpus.taxonomy.uda_list:
             assigns = []
             for period in self.corpus.periods:
-                rl = uda_rank_list(self.corpus, uda, "P", period, self.scheme,
-                                   self.baselines, min_staff=1.0)
+                rl = uda_rank_list(self.ledger, uda, "P", period, min_staff=1.0)
                 assigns.append(assign_quintiles(rl))
             for u in self.corpus.universities:
                 if u in assigns[0].entries and u in assigns[1].entries:
@@ -235,8 +229,8 @@ class TestCorpusDriven:
     def test_pct_changed_equals_off_diagonal_share(self):
         for uda in self.corpus.taxonomy.uda_list:
             assigns = [assign_quintiles(uda_rank_list(
-                self.corpus, uda, "FSS", period, self.scheme, self.baselines,
-                min_staff=1.0)) for period in self.corpus.periods]
+                self.ledger, uda, "FSS", period, min_staff=1.0))
+                for period in self.corpus.periods]
             m = transition_matrix(*assigns)
             both = set(assigns[0].entries) & set(assigns[1].entries)
             changed = sum(1 for u in both
@@ -247,19 +241,17 @@ class TestCorpusDriven:
         from bibliorank.rankshift import sds_rank_list
         uda = self.corpus.taxonomy.uda_list[0]
         univ = self.corpus.universities_in_uda(uda)[0]
-        shifts = sds_drilldown(self.corpus, univ, uda, "FSS", self.scheme,
-                               self.baselines, min_staff=1.0)
+        shifts = sds_drilldown(self.ledger, univ, uda, "FSS", min_staff=1.0)
         for sds, shift in shifts.items():
             assigns = [assign_quintiles(sds_rank_list(
-                self.corpus, sds, "FSS", period, self.scheme, self.baselines,
-                min_staff=1.0)) for period in self.corpus.periods]
+                self.ledger, sds, "FSS", period, min_staff=1.0))
+                for period in self.corpus.periods]
             assert shift == (assigns[0].entries[univ] - assigns[1].entries[univ])
 
     def test_indicator_comparison_flags(self):
         uda = self.corpus.taxonomy.uda_list[0]
         univ = self.corpus.universities_in_uda(uda)[0]
-        rows = indicator_comparison(self.corpus, univ, uda, self.scheme,
-                                    self.baselines, min_staff=1.0)
+        rows = indicator_comparison(self.ledger, univ, uda, min_staff=1.0)
         for sds, row in rows.items():
             assert row["flags"] == classify_shifts(row["P"], row["FP"], row["AQ"])
 
@@ -269,6 +261,6 @@ class TestCorpusDriven:
         univ = self.corpus.universities_in_uda(uda)[0]
         extra = ("FSS",) if fn is sds_drilldown else ()
         with pytest.raises(UnknownUniversity):
-            fn(self.corpus, "NOPE", uda, *extra, self.scheme, self.baselines)
+            fn(self.ledger, "NOPE", uda, *extra)
         with pytest.raises(UnknownUDA):
-            fn(self.corpus, univ, "NOPE", *extra, self.scheme, self.baselines)
+            fn(self.ledger, univ, "NOPE", *extra)
