@@ -7,7 +7,7 @@ convex combinations of those rescaled values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
                      ZeroBase, ZeroStaff)
@@ -15,14 +15,8 @@ from .indicators import UnitLedger, unit_indicator
 from .model import Period, presence
 
 
-@dataclass(frozen=True)
-class UdaScore:
-    university_id: str
-    uda: str
-    indicator: str
-    period: str
-    value: float
-    covered_staff: float
+UdaScore = namedtuple("UdaScore",
+                      "university_id uda indicator period value covered_staff")
 
 
 def sds_unit_scores(ledger: UnitLedger, sds: str, indicator: str,

@@ -6,20 +6,23 @@ for analyses benchmarked against an external average table.
 from __future__ import annotations
 
 import csv
-import statistics
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import MissingBaseline, MissingFile, NegativeValue, SchemaError
 from .model import Corpus, Publication
 
 
-@dataclass(frozen=True)
-class BaselineEntry:
-    median: float
-    mean: float
-    n_pubs: int
-    source: str  # "corpus_derived" or "external"
+# source: "corpus_derived" or "external"
+BaselineEntry = namedtuple("BaselineEntry", "median mean n_pubs source")
+
+
+def median(values):
+    """The middle value, or the mean of the middle two (as statistics.median)."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
 class BaselineTable:
@@ -62,8 +65,8 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
     entries = {}
     for key, cites in strata.items():
         entries[key] = BaselineEntry(
-            median=float(statistics.median(cites)),  # mid-interpolated for even n
-            mean=float(statistics.fmean(cites)),
+            median=float(median(cites)),  # mid-interpolated for even n
+            mean=math.fsum(cites) / len(cites),
             n_pubs=len(cites),
             source="corpus_derived",
         )
@@ -71,30 +74,49 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
 
 
 def load_external_baselines(path) -> BaselineTable:
-    """Load a benchmark table; its entries override corpus-derived ones on merge."""
+    """Load a benchmark table; its entries override corpus-derived ones on merge.
+
+    A file that is not UTF-8 or not readable as CSV, a row that lacks a cell or
+    holds a value that is not a number, and a baseline that is not finite are
+    each a SchemaError.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"baseline file {path} not found")
+    required = ("subject_category", "year", "median", "mean", "n_pubs")
+    header, rows = None, []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            rows.extend(reader)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
+    except csv.Error as exc:
+        raise SchemaError(f"not valid CSV ({exc})", path=path,
+                          row=1 if header is None else len(rows) + 2) from None
+    if header is None or any(c not in header for c in required):
+        raise SchemaError(f"expected columns {required}", path=path)
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ("subject_category", "year", "median", "mean", "n_pubs")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise SchemaError(f"expected columns {required}", path=path)
-        for i, row in enumerate(reader, start=2):
-            try:
-                year = int(row["year"])
-                median = float(row["median"])
-                mean = float(row["mean"])
-                n_pubs = int(row["n_pubs"])
-            except ValueError as exc:
-                raise SchemaError(str(exc), path=path, row=i)
-            if median < 0 or mean < 0:
-                raise NegativeValue(f"{path}: negative baseline at row {i}")
-            if n_pubs < 1:
-                raise SchemaError("n_pubs must be positive", path=path, row=i)
-            entries[(str(row["subject_category"]), year)] = BaselineEntry(
-                median=median, mean=mean, n_pubs=n_pubs, source="external")
+    for i, row in enumerate(rows, start=2):
+        missing = [c for c in required if row[c] is None]
+        if missing:
+            raise SchemaError(f"missing columns {missing}", path=path, row=i)
+        try:
+            year = int(row["year"])
+            median = float(row["median"])
+            mean = float(row["mean"])
+            n_pubs = int(row["n_pubs"])
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=path, row=i)
+        if not (math.isfinite(median) and math.isfinite(mean)):
+            raise SchemaError("median and mean must be finite", path=path, row=i)
+        if median < 0 or mean < 0:
+            raise NegativeValue(f"{path}: negative baseline at row {i}")
+        if n_pubs < 1:
+            raise SchemaError("n_pubs must be positive", path=path, row=i)
+        entries[(str(row["subject_category"]), year)] = BaselineEntry(
+            median=median, mean=mean, n_pubs=n_pubs, source="external")
     return BaselineTable(entries)
 
 

@@ -12,7 +12,7 @@ that records, per unit and per researcher, the terms each indicator sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .baseline import BaselineTable, build_baselines, standardize_citations
 from .errors import (NoPublications, PositionOutOfRange, UnknownSDS,
@@ -22,33 +22,27 @@ from .model import Authorship, Corpus, Period, Publication, presence
 INDICATORS = ("P", "FP", "AQ", "FSS")
 
 
-@dataclass(frozen=True)
-class ShareScheme:
+class ShareScheme(namedtuple("ShareScheme",
+                             "first_weight last_weight middle_weight intramural_equal",
+                             defaults=(2.0, 2.0, 1.0, True))):
     """Author-share weighting for life-science publication bylines.
 
     Position weights apply only to life-science fields; everywhere else a
     publication's credit splits equally across its authors. When every known
     byline carries the same university the split reverts to equal shares.
     """
-    first_weight: float = 2.0
-    last_weight: float = 2.0
-    middle_weight: float = 1.0
-    intramural_equal: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         weights = (self.first_weight, self.last_weight, self.middle_weight)
         if not all(0 < w < math.inf for w in weights):
             raise ValueError("share weights must be positive and finite")
+        return self
 
 
-@dataclass(frozen=True)
-class IndicatorScore:
-    unit: object  # (university_id, sds) or researcher_id
-    indicator: str
-    period: str
-    value: float
-    n_pubs: int
-    staff: float
+# unit: (university_id, sds) or researcher_id
+IndicatorScore = namedtuple("IndicatorScore", "unit indicator period value n_pubs staff")
 
 
 def position_weight(position: int, n_authors: int, scheme: ShareScheme) -> float:
@@ -81,13 +75,15 @@ def fractional_share(authorship: Authorship, publication: Publication,
     return position_weight(authorship.author_position, n, scheme) / total
 
 
-@dataclass
 class _Tally:
     """The terms one unit or researcher contributes to the indicators of one period."""
-    presence: list = field(default_factory=list)  # sums to staff
-    pubs: set = field(default_factory=set)        # distinct publication ids
-    shares: list = field(default_factory=list)    # author share per authorship
-    impacts: list = field(default_factory=list)   # share x standardized citations
+    __slots__ = ("presence", "pubs", "shares", "impacts")
+
+    def __init__(self, presence=()):
+        self.presence = list(presence)  # sums to staff
+        self.pubs = set()               # distinct publication ids
+        self.shares = []                # author share per authorship
+        self.impacts = []               # share x standardized citations
 
     @property
     def staff(self) -> float:

@@ -74,6 +74,12 @@ def _read_rows(path: Path, required: tuple) -> list:
     return list(map(itemgetter(*cols), rows))
 
 
+def _numbered_rows(path: Path, required: tuple):
+    """(row number, row) pairs of _read_rows, numbered as its errors are: a JSON
+    file's first object is row 1, a CSV file's first row under the header row 2."""
+    return enumerate(_read_rows(path, required), start=1 if path.suffix == ".json" else 2)
+
+
 def _to_int(value, name, path, row, minimum=None):
     try:
         # text or a JSON integer only: int() would truncate a JSON float and
@@ -107,8 +113,8 @@ def load_corpus(input_dir) -> Corpus:
 
     tax_path = _find_file(input_dir, "taxonomy")
     sds_to_uda, life = {}, set()
-    for i, (sds, uda, is_life) in enumerate(
-            _read_rows(tax_path, ("sds", "uda", "is_life_science")), start=2):
+    for i, (sds, uda, is_life) in _numbered_rows(
+            tax_path, ("sds", "uda", "is_life_science")):
         sds = str(sds)
         if sds in sds_to_uda:
             raise DuplicateKey(f"taxonomy: SDS {sds} listed twice")
@@ -121,8 +127,8 @@ def load_corpus(input_dir) -> Corpus:
 
     per_path = _find_file(input_dir, "periods")
     periods = []
-    for i, (label, start, end) in enumerate(
-            _read_rows(per_path, ("label", "start_year", "end_year")), start=2):
+    for i, (label, start, end) in _numbered_rows(
+            per_path, ("label", "start_year", "end_year")):
         start = _to_int(start, "start_year", per_path, i)
         end = _to_int(end, "end_year", per_path, i)
         if start > end:
@@ -135,8 +141,8 @@ def load_corpus(input_dir) -> Corpus:
     res_path = _find_file(input_dir, "researchers")
     researchers = []
     rids = set()
-    for i, (rid, sds, university, years) in enumerate(_read_rows(
-            res_path, ("researcher_id", "sds", "university_id", "active_years")), start=2):
+    for i, (rid, sds, university, years) in _numbered_rows(
+            res_path, ("researcher_id", "sds", "university_id", "active_years")):
         rid = str(rid)
         if rid in rids:
             raise DuplicateKey(f"researchers: duplicate researcher_id {rid}")
@@ -151,9 +157,8 @@ def load_corpus(input_dir) -> Corpus:
     pub_path = _find_file(input_dir, "publications")
     publications = []
     pub_ids = set()
-    for i, (pid, year, category, citations, n_authors) in enumerate(_read_rows(
-            pub_path, ("pub_id", "year", "subject_category", "citations", "n_authors_total")),
-            start=2):
+    for i, (pid, year, category, citations, n_authors) in _numbered_rows(
+            pub_path, ("pub_id", "year", "subject_category", "citations", "n_authors_total")):
         pid = str(pid)
         if pid in pub_ids:
             raise DuplicateKey(f"publications: duplicate pub_id {pid}")
@@ -169,9 +174,8 @@ def load_corpus(input_dir) -> Corpus:
     auth_path = _find_file(input_dir, "authorships")
     authorships = []
     auth_keys = set()
-    for i, (pid, rid, position, byline) in enumerate(_read_rows(
-            auth_path, ("pub_id", "researcher_id", "author_position", "byline_university_id")),
-            start=2):
+    for i, (pid, rid, position, byline) in _numbered_rows(
+            auth_path, ("pub_id", "researcher_id", "author_position", "byline_university_id")):
         pid, rid = str(pid), str(rid)
         if pid not in pub_ids:
             raise DanglingReference(f"authorship references unknown pub_id {pid}")

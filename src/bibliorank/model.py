@@ -1,26 +1,26 @@
 """Domain model: periods, taxonomy, researchers, publications, authorships.
 
-A Corpus is an immutable snapshot; every index is precomputed at
-construction time and all later computation only reads from it.
+Records are named tuples, which are immutable and cheap to build. A Corpus is
+an immutable snapshot; every index is precomputed at construction time and all
+later computation only reads from it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .errors import UnknownSDS, UnknownUniversity
 
 
-@dataclass(frozen=True)
-class Period:
-    label: str
-    start_year: int
-    end_year: int
+class Period(namedtuple("Period", "label start_year end_year")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.start_year > self.end_year:
             raise ValueError(f"period {self.label}: start_year > end_year")
+        return self
 
     @property
     def length_years(self) -> int:
@@ -34,15 +34,15 @@ class Period:
         return self.start_year <= year <= self.end_year
 
 
-@dataclass(frozen=True)
-class Taxonomy:
-    sds_to_uda: dict
-    life_science_sds: frozenset
+class Taxonomy(namedtuple("Taxonomy", "sds_to_uda life_science_sds")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         unknown = self.life_science_sds - set(self.sds_to_uda)
         if unknown:
             raise ValueError(f"life-science SDS codes outside taxonomy: {sorted(unknown)}")
+        return self
 
     @property
     def sds_list(self):
@@ -59,36 +59,12 @@ class Taxonomy:
         return sds in self.life_science_sds
 
 
-@dataclass(frozen=True, slots=True)
-class Researcher:
-    researcher_id: str
-    sds: str
-    university_id: str
-    active_years: frozenset
-
-
-@dataclass(frozen=True, slots=True)
-class Publication:
-    pub_id: str
-    year: int
-    subject_category: str
-    citations: int
-    n_authors_total: int
-
-
-@dataclass(frozen=True, slots=True)
-class Authorship:
-    pub_id: str
-    researcher_id: str
-    author_position: int
-    byline_university_id: str
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    entity: str
-    message: str
+Researcher = namedtuple("Researcher", "researcher_id sds university_id active_years")
+Publication = namedtuple(
+    "Publication", "pub_id year subject_category citations n_authors_total")
+Authorship = namedtuple(
+    "Authorship", "pub_id researcher_id author_position byline_university_id")
+Violation = namedtuple("Violation", "kind entity message")
 
 
 class ValidationReport:

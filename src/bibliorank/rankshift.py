@@ -6,10 +6,10 @@ rank-shift numbers.
 """
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .aggregate import sds_unit_scores, uda_scores
+from .baseline import median
 from .errors import (EmptyIntersection, NoEligibleUniversities, UnknownUDA,
                      UnknownUniversity)
 from .indicators import UnitLedger
@@ -19,53 +19,30 @@ DEFAULT_MIN_STAFF = 6.0
 N_QUINTILES = 5
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    university_id: str
-    value: float
-    rank: int
+RankEntry = namedtuple("RankEntry", "university_id value rank")
 
 
-@dataclass(frozen=True)
-class RankList:
-    uda: str
-    indicator: str
-    period: str
-    entries: tuple
-    min_staff_threshold: float
+class RankList(namedtuple("RankList", "uda indicator period entries min_staff_threshold")):
+    __slots__ = ()
 
     @property
     def universities(self):
         return [e.university_id for e in self.entries]
 
 
-@dataclass(frozen=True)
-class QuintileAssignment:
-    uda: str
-    indicator: str
-    period: str
-    entries: dict  # university_id -> quintile, 1 = top
-    sizes: tuple   # realized group sizes, top first
+# entries: university_id -> quintile, 1 = top; sizes: realized group sizes, top first
+QuintileAssignment = namedtuple("QuintileAssignment", "uda indicator period entries sizes")
+
+# entries: eligible late only; exits: eligible early only
+ShiftStats = namedtuple(
+    "ShiftStats", "n_total n_changed pct_changed max_abs_shift mean_abs_shift "
+    "median_abs_shift entries exits", defaults=((), ()))
 
 
-@dataclass(frozen=True)
-class ShiftStats:
-    n_total: int
-    n_changed: int
-    pct_changed: float
-    max_abs_shift: int
-    mean_abs_shift: float
-    median_abs_shift: float
-    entries: tuple = ()  # eligible late only
-    exits: tuple = ()    # eligible early only
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    counts: tuple  # 5x5 nested tuples, row = early quintile, col = late
-    row_totals: tuple
-    col_totals: tuple
-    grand_total: int
+# counts: 5x5 nested tuples, row = early quintile, col = late
+class TransitionMatrix(namedtuple("TransitionMatrix",
+                                  "counts row_totals col_totals grand_total")):
+    __slots__ = ()
 
     @property
     def trace(self) -> int:
@@ -152,7 +129,7 @@ def shift_stats(list_early: RankList, list_late: RankList) -> ShiftStats:
         pct_changed=n_changed / len(both),
         max_abs_shift=max(deltas),
         mean_abs_shift=sum(deltas) / len(deltas),
-        median_abs_shift=float(statistics.median(deltas)),
+        median_abs_shift=float(median(deltas)),
         entries=tuple(sorted(set(late) - set(early))),
         exits=tuple(sorted(set(early) - set(late))),
     )
@@ -205,16 +182,17 @@ def sds_rank_list(ledger: UnitLedger, sds: str, indicator: str, period: Period,
     return rank_list(scores, sds, indicator, period.label, min_staff)
 
 
-@dataclass
 class ShiftTable:
     """University x column matrix of quintile shifts with totals and shares.
 
     `cells[university][column]` is an integer shift or None (ineligible in at
     least one period, printed as "n.a.").
     """
-    columns: list
-    cells: dict
-    indicator: str = ""
+
+    def __init__(self, columns: list, cells: dict, indicator: str = ""):
+        self.columns = columns
+        self.cells = cells
+        self.indicator = indicator
 
     def row_total(self, university_id) -> int:
         return sum(v for v in self.cells[university_id].values() if v is not None)

@@ -1,10 +1,11 @@
+import math
 import statistics
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibliorank.baseline import (build_baselines, load_external_baselines,
+from bibliorank.baseline import (build_baselines, load_external_baselines, median,
                                  standardize_citations)
 from bibliorank.errors import MissingBaseline, NegativeValue, SchemaError
 
@@ -75,6 +76,21 @@ class TestExternal:
         with pytest.raises(SchemaError):
             load_external_baselines(f)
 
+    @pytest.mark.parametrize("body, error", [
+        (b"CAT_A,2002\n", "missing columns ['median', 'mean', 'n_pubs'] (row 2)"),
+        (b"CAT_\xff,2002,1.0,1.0,5\n", "not valid UTF-8 (invalid start byte)"),
+        (b"CAT_A,2002,x,1.0,5\n", "could not convert string to float: 'x' (row 2)"),
+        (b"CAT_A,2002,nan,1.0,5\n", "median and mean must be finite (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,5\nCAT_A,2003,1.0,inf,5\n",
+         "median and mean must be finite (row 3)"),
+    ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean"])
+    def test_malformed_file_is_a_schema_error(self, tmp_path, body, error):
+        f = tmp_path / "baselines.csv"
+        f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)
+        with pytest.raises(SchemaError) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: {error}"
+
 
 class TestStandardize:
     def test_division(self):
@@ -136,6 +152,12 @@ class TestProperties:
         values = [standardize_citations(P("q", 2001, "CAT_X", c, 1), table)
                   for c in range(0, 30)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @given(xs=st.lists(st.integers(0, 10**12), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_median_and_mean_match_statistics(self, xs):
+        assert repr(median(xs)) == repr(statistics.median(xs))
+        assert math.fsum(xs) / len(xs) == statistics.fmean(xs)
 
     def test_weighted_sum_identity(self, simple_corpus):
         # sum of standardized scores times the stratum median recovers raw

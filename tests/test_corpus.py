@@ -102,10 +102,10 @@ class TestLoad:
          "periods.csv", "start_year=2003 is after end_year=2001 (row 2)"),
         ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
                                '"CAT_X", "citations": 2.7, "n_authors_total": 2}]'},
-         "publications.json", "citations=2.7 is not an integer (row 2)"),
+         "publications.json", "citations=2.7 is not an integer (row 1)"),
         ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
                                '"CAT_X", "citations": 5, "n_authors_total": true}]'},
-         "publications.json", "n_authors_total=True is not an integer (row 2)"),
+         "publications.json", "n_authors_total=True is not an integer (row 1)"),
     ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
             "cell_over_field_size_limit", "period_start_after_end", "json_float",
             "json_bool"])
