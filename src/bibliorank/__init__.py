@@ -3,18 +3,18 @@
 __version__ = "0.1.0"
 
 from .aggregate import (UdaScore, national_weighted_average, percent_variation,
-                        rescale_sds, uda_score, uda_scores)
+                        rescale_sds, uda_score, uda_scores, uda_unit_scores)
 from .baseline import (BaselineEntry, BaselineTable, build_baselines,
                        load_external_baselines, standardize_citations)
 from .indicators import (IndicatorScore, ShareScheme, UnitLedger,
-                         fractional_share, researcher_indicator, unit_AQ,
-                         unit_FP, unit_FSS, unit_P, unit_indicator)
+                         fractional_share, researcher_indicator, unit_indicator)
 from .loader import load_corpus, write_corpus
 from .model import (Authorship, Corpus, Period, Publication, Researcher,
                     Taxonomy, staff, validate)
 from .rankshift import (QuintileAssignment, RankList, ShiftStats, ShiftTable,
                         TransitionMatrix, assign_quintiles, classify_shifts,
-                        indicator_comparison, quintile_shift, rank_list,
+                        compare_drilldowns, indicator_comparison,
+                        period_rankings, quintile_shift, rank_list,
                         sds_drilldown, shift_stats, transition_matrix,
                         uda_rank_list, university_shift_table)
 

@@ -3,6 +3,9 @@
 SDS-level unit scores are divided by the national staff-weighted mean of the
 SDS, so 1.0 always reads as "national average". UDA scores are staff-weighted
 convex combinations of those rescaled values.
+
+Scores are read from the command's UnitLedger. uda_scores rolls up the
+sds_unit_scores maps it is given, so a command scores each SDS once.
 """
 from __future__ import annotations
 
@@ -53,13 +56,19 @@ def rescale_sds(scores: dict) -> dict:
     return {u: s.value / mean for u, s in defined.items()}
 
 
-def _rescaled_by_sds(ledger: UnitLedger, uda: str, indicator: str,
-                     period: Period) -> dict:
-    """sds -> rescale_sds output for every SDS of the UDA ({} if all absent)."""
+def uda_unit_scores(ledger: UnitLedger, uda: str, indicator: str,
+                    period: Period) -> dict:
+    """sds -> sds_unit_scores for every SDS of the UDA."""
+    return {sds: sds_unit_scores(ledger, sds, indicator, period)
+            for sds in ledger.corpus.taxonomy.sds_in_uda(uda)}
+
+
+def _rescaled(unit_scores: dict) -> dict:
+    """sds -> rescale_sds output ({} where every unit is absent)."""
     out = {}
-    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
+    for sds, scores in unit_scores.items():
         try:
-            out[sds] = rescale_sds(sds_unit_scores(ledger, sds, indicator, period))
+            out[sds] = rescale_sds(scores)
         except AllAbsent:
             out[sds] = {}
     return out
@@ -88,17 +97,19 @@ def _rollup(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
 
 def uda_score(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
               period: Period) -> UdaScore:
-    """Staff-weighted combination of the university's rescaled SDS scores.
-
-    Every university of a UDA at once: uda_scores, which rescales once.
-    """
+    """Staff-weighted combination of the university's rescaled SDS scores."""
     return _rollup(ledger, university_id, uda, indicator, period,
-                   _rescaled_by_sds(ledger, uda, indicator, period))
+                   _rescaled(uda_unit_scores(ledger, uda, indicator, period)))
 
 
-def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period) -> dict:
-    """university_id -> uda_score for every university of the UDA that has one."""
-    rescaled = _rescaled_by_sds(ledger, uda, indicator, period)
+def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period,
+               unit_scores: dict) -> dict:
+    """university_id -> uda_score for every university of the UDA that has one.
+
+    `unit_scores` is the UDA's uda_unit_scores, which the caller may already
+    hold for its unit table; each SDS is rescaled once for all universities.
+    """
+    rescaled = _rescaled(unit_scores)
     out = {}
     for u in ledger.corpus.universities_in_uda(uda):
         try:

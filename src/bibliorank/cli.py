@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,13 +19,13 @@ from . import __version__
 from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
 from .errors import (BiblioRankError, InvalidConfig, InvalidCorpus,
-                     NoEligibleUniversities, NoPublications, ZeroStaff)
+                     NoPublications, ZeroStaff)
 from .indicators import INDICATORS, ShareScheme, UnitLedger
 from .loader import FILE_STEMS, load_corpus
 from .model import presence, validate
-from .rankshift import (assign_quintiles, indicator_comparison, sds_drilldown,
-                        shift_stats, transition_matrix, uda_rank_list,
-                        university_shift_table)
+from .rankshift import (COMPARED, compare_drilldowns, period_rankings,
+                        sds_drilldown, shift_stats, transition_matrix,
+                        uda_rank_list, university_shift_table)
 
 
 def _corpus_hash(input_dir: Path) -> str:
@@ -99,6 +100,9 @@ def _parse_scheme(text: str) -> ShareScheme:
 def _load_inputs(args) -> UnitLedger:
     """The one ledger a command reads, over the validated corpus."""
     scheme = _parse_scheme(args.scheme)
+    if not math.isfinite(args.min_staff):
+        raise InvalidConfig(f"--min-staff {args.min_staff}: expected a finite "
+                            "staff threshold")
     corpus = load_corpus(Path(args.input))
     report = validate(corpus)
     if not report:
@@ -128,11 +132,14 @@ def cmd_indicators(args) -> int:
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
+    # (sds, indicator, period) -> sds_unit_scores, for the table and the rollup
+    unit_scores = {}
     rows = []
     for s in corpus.taxonomy.sds_list:
         for period in corpus.periods:
             for ind in INDICATORS:
-                scores = sds_unit_scores(ledger, s, ind, period)
+                scores = unit_scores[(s, ind, period)] = sds_unit_scores(
+                    ledger, s, ind, period)
                 for (u, _), sc in sorted(scores.items()):
                     rows.append([u, s, ind, period.label,
                                  None if sc is None else sc.value,
@@ -160,7 +167,10 @@ def cmd_indicators(args) -> int:
 
     rows = []
     for uda in corpus.taxonomy.uda_list:
-        rolled = {(period, ind): uda_scores(ledger, uda, ind, period)
+        sds_codes = corpus.taxonomy.sds_in_uda(uda)
+        rolled = {(period, ind): uda_scores(
+                      ledger, uda, ind, period,
+                      {s: unit_scores[(s, ind, period)] for s in sds_codes})
                   for period in corpus.periods for ind in INDICATORS}
         for u in corpus.universities_in_uda(uda):
             for period in corpus.periods:
@@ -182,16 +192,15 @@ def cmd_rank(args) -> int:
     rank_rows, quintile_rows = [], []
     for uda in ledger.corpus.taxonomy.uda_list:
         for ind in INDICATORS:
-            for period in ledger.corpus.periods:
-                try:
-                    ranked = uda_rank_list(ledger, uda, ind, period, args.min_staff)
-                except NoEligibleUniversities:
+            for ranking in period_rankings(uda_rank_list, ledger, uda, ind,
+                                           args.min_staff):
+                if ranking is None:
                     continue
-                assigned = assign_quintiles(ranked)
+                ranked, assigned = ranking
                 for e in ranked.entries:
-                    rank_rows.append([uda, ind, period.label, e.university_id,
+                    rank_rows.append([uda, ind, ranked.period, e.university_id,
                                       e.value, e.rank])
-                    quintile_rows.append([uda, ind, period.label, e.university_id,
+                    quintile_rows.append([uda, ind, ranked.period, e.university_id,
                                           assigned.entries[e.university_id]])
     emit.write("rank_lists", ["uda", "indicator", "period", "university_id",
                               "value", "rank"], rank_rows)
@@ -205,30 +214,25 @@ def cmd_compare(args) -> int:
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
 
+    udas = ledger.corpus.taxonomy.uda_list
+    rankings = {(uda, ind): period_rankings(uda_rank_list, ledger, uda, ind,
+                                            args.min_staff)
+                for uda in udas for ind in INDICATORS}
     stats_rows, transition_rows = [], []
-    for uda in ledger.corpus.taxonomy.uda_list:
-        for ind in INDICATORS:
-            lists = []
-            for period in ledger.corpus.periods:
-                try:
-                    lists.append(uda_rank_list(ledger, uda, ind, period,
-                                               args.min_staff))
-                except NoEligibleUniversities:
-                    lists.append(None)
-            if lists[0] is None or lists[1] is None:
-                continue
-            stats = shift_stats(lists[0], lists[1])
-            stats_rows.append([uda, ind, stats.n_total, stats.n_changed,
-                               round(100.0 * stats.pct_changed, 1),
-                               stats.max_abs_shift, stats.mean_abs_shift,
-                               stats.median_abs_shift,
-                               ";".join(stats.entries), ";".join(stats.exits)])
-            matrix = transition_matrix(assign_quintiles(lists[0]),
-                                       assign_quintiles(lists[1]))
-            for i in range(5):
-                for j in range(5):
-                    transition_rows.append([uda, ind, i + 1, j + 1,
-                                            matrix.counts[i][j]])
+    for (uda, ind), (early, late) in rankings.items():
+        if early is None or late is None:
+            continue
+        stats = shift_stats(early.ranks, late.ranks)
+        stats_rows.append([uda, ind, stats.n_total, stats.n_changed,
+                           round(100.0 * stats.pct_changed, 1),
+                           stats.max_abs_shift, stats.mean_abs_shift,
+                           stats.median_abs_shift,
+                           ";".join(stats.entries), ";".join(stats.exits)])
+        matrix = transition_matrix(early.quintiles, late.quintiles)
+        for i in range(5):
+            for j in range(5):
+                transition_rows.append([uda, ind, i + 1, j + 1,
+                                        matrix.counts[i][j]])
     emit.write("shift_stats", ["uda", "indicator", "n_total", "n_changed",
                                "pct_changed", "max_abs_shift", "mean_abs_shift",
                                "median_abs_shift", "entries", "exits"],
@@ -237,7 +241,9 @@ def cmd_compare(args) -> int:
                ["uda", "indicator", "early_quintile", "late_quintile", "count"],
                transition_rows)
 
-    table = university_shift_table(ledger, args.indicator, args.min_staff)
+    table = university_shift_table(
+        ledger.corpus.universities,
+        {uda: rankings[(uda, args.indicator)] for uda in udas}, args.indicator)
     rows = []
     for u in table.universities:
         rows.append([u] + [table.cells[u][c] for c in table.columns]
@@ -256,11 +262,13 @@ def cmd_compare(args) -> int:
 
 def cmd_drilldown(args) -> int:
     ledger = _load_inputs(args)
-    # both raise UnknownUniversity / UnknownUDA, so compute before any output
-    shifts = sds_drilldown(ledger, args.university, args.uda, args.indicator,
-                           args.min_staff)
-    comparison = indicator_comparison(ledger, args.university, args.uda,
-                                      args.min_staff)
+    # one drilldown per indicator, shared by both reports; sds_drilldown
+    # raises UnknownUniversity / UnknownUDA, so compute before any output
+    drilldowns = {ind: sds_drilldown(ledger, args.university, args.uda, ind,
+                                     args.min_staff)
+                  for ind in dict.fromkeys((args.indicator, *COMPARED))}
+    shifts = drilldowns[args.indicator]
+    comparison = compare_drilldowns(drilldowns)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
     emit.write("sds_drilldown", ["sds", "quintile_shift"],

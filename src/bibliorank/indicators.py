@@ -7,7 +7,8 @@ Four measures per (university, SDS) unit and period:
   FSS  share-weighted standardized citation sum per researcher per year
 
 All four are read from one UnitLedger: a single pass over the authorships
-that records, per unit and per researcher, the terms each indicator sums.
+that records, per unit and per researcher, the terms each indicator sums. A
+command builds one ledger and reads every score from it.
 """
 from __future__ import annotations
 
@@ -223,11 +224,6 @@ class UnitLedger:
         return self._score(researcher_id, self._researchers[period][researcher_id],
                            indicator, period)
 
-    def unit_fallbacks(self, university_id: str, sds: str, period: Period) -> list:
-        """Fallback firings among the unit's publications of the period."""
-        pubs = self._unit(university_id, sds, period).pubs
-        return [e for e in self.fallback_events if e[0] in pubs]
-
 
 def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,
                basis: str, staff_mode: str, periods=None) -> UnitLedger:
@@ -239,39 +235,6 @@ def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineT
             != (scheme, basis, staff_mode)):
         raise ValueError("the ledger was built from other inputs")
     return ledger
-
-
-def unit_P(corpus: Corpus, university_id: str, sds: str, period: Period,
-           staff_mode: str = "prorata") -> IndicatorScore:
-    ledger = UnitLedger(corpus, staff_mode=staff_mode, periods=(period,))
-    return ledger.unit_score(university_id, sds, "P", period)
-
-
-def unit_FP(corpus: Corpus, university_id: str, sds: str, period: Period,
-            scheme: ShareScheme, staff_mode: str = "prorata") -> IndicatorScore:
-    ledger = UnitLedger(corpus, scheme, staff_mode=staff_mode, periods=(period,))
-    return ledger.unit_score(university_id, sds, "FP", period)
-
-
-def unit_AQ(corpus: Corpus, university_id: str, sds: str, period: Period,
-            baselines: BaselineTable, basis: str = "median",
-            staff_mode: str = "prorata", fallback_events=None) -> IndicatorScore:
-    ledger = UnitLedger(corpus, baselines=baselines, basis=basis,
-                        staff_mode=staff_mode, periods=(period,))
-    score = ledger.unit_score(university_id, sds, "AQ", period)
-    if fallback_events is not None:
-        fallback_events.extend(ledger.unit_fallbacks(university_id, sds, period))
-    return score
-
-
-def unit_FSS(corpus: Corpus, university_id: str, sds: str, period: Period,
-             scheme: ShareScheme, baselines: BaselineTable, basis: str = "median",
-             staff_mode: str = "prorata", fallback_events=None) -> IndicatorScore:
-    ledger = UnitLedger(corpus, scheme, baselines, basis, staff_mode, (period,))
-    score = ledger.unit_score(university_id, sds, "FSS", period)
-    if fallback_events is not None:
-        fallback_events.extend(ledger.unit_fallbacks(university_id, sds, period))
-    return score
 
 
 def unit_indicator(corpus: Corpus, university_id: str, sds: str, indicator: str,

@@ -102,10 +102,8 @@ class Corpus:
         self.researcher_by_id = {r.researcher_id: r for r in self.researchers}
         self.publication_by_id = {p.pub_id: p for p in self.publications}
         self.authorships_by_pub = {}
-        self.authorships_by_researcher = {}
         for a in self.authorships:
             self.authorships_by_pub.setdefault(a.pub_id, []).append(a)
-            self.authorships_by_researcher.setdefault(a.researcher_id, []).append(a)
         self.universities = sorted({r.university_id for r in self.researchers})
         self._unit_researchers = {}
         for r in self.researchers:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .aggregate import sds_unit_scores, uda_scores
+from .aggregate import sds_unit_scores, uda_scores, uda_unit_scores
 from .baseline import median
 from .errors import (EmptyIntersection, NoEligibleUniversities, UnknownUDA,
                      UnknownUniversity)
@@ -164,7 +164,8 @@ def transition_matrix(assign_early: QuintileAssignment,
 def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
                   min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a UDA by their rolled-up indicator score."""
-    rolled = uda_scores(ledger, uda, indicator, period)
+    rolled = uda_scores(ledger, uda, indicator, period,
+                        uda_unit_scores(ledger, uda, indicator, period))
     scores = {u: (score.value, ledger.uda_staff(u, uda, period))
               for u, score in rolled.items()}
     return rank_list(scores, uda, indicator, period.label, min_staff)
@@ -180,6 +181,36 @@ def sds_rank_list(ledger: UnitLedger, sds: str, indicator: str, period: Period,
     # absent scores still need their staff for the threshold check; they are
     # excluded from ranking either way
     return rank_list(scores, sds, indicator, period.label, min_staff)
+
+
+# ranks: RankList; quintiles: its QuintileAssignment
+Ranking = namedtuple("Ranking", "ranks quintiles")
+
+
+def period_rankings(rank, ledger: UnitLedger, scope: str, indicator: str,
+                    min_staff: float = DEFAULT_MIN_STAFF) -> tuple:
+    """(early, late) Ranking of `rank` (uda_rank_list or sds_rank_list) over
+    the scope, with None for a period in which no university is eligible."""
+    out = []
+    for period in ledger.corpus.periods:
+        try:
+            ranked = rank(ledger, scope, indicator, period, min_staff)
+        except NoEligibleUniversities:
+            out.append(None)
+            continue
+        out.append(Ranking(ranked, assign_quintiles(ranked)))
+    return tuple(out)
+
+
+def quintile_shifts(rankings: tuple) -> dict:
+    """university_id -> quintile shift of every university ranked in both
+    periods of a period_rankings pair."""
+    early, late = rankings
+    if early is None or late is None:
+        return {}
+    q_late = late.quintiles.entries
+    return {u: quintile_shift(q, q_late[u])
+            for u, q in early.quintiles.entries.items() if u in q_late}
 
 
 class ShiftTable:
@@ -225,28 +256,16 @@ class ShiftTable:
         }
 
 
-def university_shift_table(ledger: UnitLedger, indicator: str,
-                           min_staff: float = DEFAULT_MIN_STAFF) -> ShiftTable:
-    """Quintile shift of every university in every UDA between the two periods."""
-    corpus = ledger.corpus
-    udas = corpus.taxonomy.uda_list
-    cells = {u: {} for u in corpus.universities}
-    for uda in udas:
-        assignments = []
-        for period in corpus.periods:
-            try:
-                ranked = uda_rank_list(ledger, uda, indicator, period, min_staff)
-                assignments.append(assign_quintiles(ranked))
-            except NoEligibleUniversities:
-                assignments.append(None)
-        a_early, a_late = assignments
-        for u in corpus.universities:
-            if (a_early is None or a_late is None
-                    or u not in a_early.entries or u not in a_late.entries):
-                cells[u][uda] = None
-            else:
-                cells[u][uda] = quintile_shift(a_early.entries[u], a_late.entries[u])
-    return ShiftTable(columns=list(udas), cells=cells, indicator=indicator)
+def university_shift_table(universities, rankings: dict,
+                           indicator: str = "") -> ShiftTable:
+    """Quintile shift of every university in every UDA between the two periods.
+
+    `rankings` maps each UDA, in column order, to its period_rankings pair.
+    """
+    shifts = {uda: quintile_shifts(pair) for uda, pair in rankings.items()}
+    cells = {u: {uda: by_uni.get(u) for uda, by_uni in shifts.items()}
+             for u in universities}
+    return ShiftTable(columns=list(rankings), cells=cells, indicator=indicator)
 
 
 def _check_scope(ledger: UnitLedger, university_id: str, uda: str):
@@ -265,19 +284,10 @@ def sds_drilldown(ledger: UnitLedger, university_id: str, uda: str, indicator: s
     _check_scope(ledger, university_id, uda)
     out = {}
     for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
-        assignments = []
-        for period in ledger.corpus.periods:
-            try:
-                ranked = sds_rank_list(ledger, sds, indicator, period, min_staff)
-                assignments.append(assign_quintiles(ranked))
-            except NoEligibleUniversities:
-                assignments.append(None)
-        a_early, a_late = assignments
-        if (a_early is not None and a_late is not None
-                and university_id in a_early.entries
-                and university_id in a_late.entries):
-            out[sds] = quintile_shift(a_early.entries[university_id],
-                                      a_late.entries[university_id])
+        shifts = quintile_shifts(period_rankings(sds_rank_list, ledger, sds,
+                                                 indicator, min_staff))
+        if university_id in shifts:
+            out[sds] = shifts[university_id]
     return out
 
 
@@ -293,19 +303,25 @@ def classify_shifts(p_shift: int, fp_shift: int, aq_shift: int) -> tuple:
     return tuple(flags)
 
 
-def indicator_comparison(ledger: UnitLedger, university_id: str, uda: str,
-                         min_staff: float = DEFAULT_MIN_STAFF) -> dict:
+COMPARED = ("P", "FP", "AQ")
+
+
+def compare_drilldowns(drilldowns: dict) -> dict:
     """SDS x {P, FP, AQ} quintile shifts with pattern flags.
 
-    Returns sds -> {"P": int, "FP": int, "AQ": int, "flags": tuple}; SDSs
-    missing any of the three shift values are omitted.
+    `drilldowns` maps each of P, FP and AQ to its sds_drilldown. Returns
+    sds -> {"P": int, "FP": int, "AQ": int, "flags": tuple}; SDSs missing any
+    of the three shift values are omitted.
     """
-    per_indicator = {ind: sds_drilldown(ledger, university_id, uda, ind, min_staff)
-                     for ind in ("P", "FP", "AQ")}
-    out = {}
-    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
-        if all(sds in per_indicator[ind] for ind in ("P", "FP", "AQ")):
-            p, fp, aq = (per_indicator[ind][sds] for ind in ("P", "FP", "AQ"))
-            out[sds] = {"P": p, "FP": fp, "AQ": aq,
-                        "flags": classify_shifts(p, fp, aq)}
-    return out
+    p, fp, aq = (drilldowns[ind] for ind in COMPARED)
+    return {sds: {"P": p[sds], "FP": fp[sds], "AQ": aq[sds],
+                  "flags": classify_shifts(p[sds], fp[sds], aq[sds])}
+            for sds in p if sds in fp and sds in aq}
+
+
+def indicator_comparison(ledger: UnitLedger, university_id: str, uda: str,
+                         min_staff: float = DEFAULT_MIN_STAFF) -> dict:
+    """compare_drilldowns over one university's P, FP and AQ drilldowns."""
+    return compare_drilldowns({ind: sds_drilldown(ledger, university_id, uda, ind,
+                                                  min_staff)
+                               for ind in COMPARED})

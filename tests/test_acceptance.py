@@ -14,7 +14,7 @@ from bibliorank.baseline import build_baselines
 from bibliorank.cli import main as cli_main
 from bibliorank.errors import NoEligibleUniversities, ZeroStaff
 from bibliorank.indicators import (INDICATORS, ShareScheme, UnitLedger,
-                                   fractional_share, unit_FP, unit_P)
+                                   fractional_share)
 from bibliorank.model import Authorship, Corpus, Publication
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (ShiftTable, assign_quintiles, classify_shifts,
@@ -135,11 +135,12 @@ def test_criterion_5_share_sums_and_fp_bound():
     checked = 0
     for seed in range(3):
         corpus = make_corpus(GenConfig(seed=seed))
+        ledger = UnitLedger(corpus, ShareScheme())
         for (u, s) in corpus.units():
             for period in corpus.periods:
                 try:
-                    p = unit_P(corpus, u, s, period).value
-                    fp = unit_FP(corpus, u, s, period, ShareScheme()).value
+                    p = ledger.unit_score(u, s, "P", period).value
+                    fp = ledger.unit_score(u, s, "FP", period).value
                 except ZeroStaff:
                     continue
                 assert fp <= p + 1e-12

@@ -112,6 +112,18 @@ class TestBadInput:
         assert json.loads(lines[0])["error"] == "InvalidConfig"
         assert not out.exists()
 
+    @pytest.mark.parametrize("min_staff", ["nan", "inf"])
+    def test_non_finite_min_staff(self, demo, tmp_path, capsys, min_staff):
+        out = tmp_path / "out"
+        assert main(["rank", "--input", str(demo), "--out", str(out),
+                     "--min-staff", min_staff]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidConfig"
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", [b"CAT_A,2002\n", b"CAT_\xff,2002,1,1,5\n",
                                       b"CAT_A,2002,nan,1,5\n"],
                              ids=["short_row", "invalid_utf8", "nan_median"])
@@ -184,9 +196,9 @@ class TestInvalidCorpus:
 class TestOnePassScoring:
     def test_one_ledger_per_command_and_no_rescoring(self, demo, tmp_path,
                                                      monkeypatch):
-        """Each command builds one ledger, and no unit score is computed more
-        than twice (the unit table and its UDA rollup), however many
-        universities share its SDS."""
+        """Each command builds one ledger and computes each unit score at
+        most once: the UDA rollup reads the unit table's scores, the shift
+        table the rank lists', and the indicator comparison the drilldown's."""
         builds = []
         original_init = indicators.UnitLedger.__init__
 
@@ -207,14 +219,33 @@ class TestOnePassScoring:
             if (name.startswith("bibliorank")
                     and getattr(module, "unit_indicator", None) is original):
                 monkeypatch.setattr(module, "unit_indicator", spy)
-        for command in ("indicators", "rank", "compare"):
+        drilldown = ["drilldown", "--university", "UNI001", "--uda", "UDA01",
+                     "--indicator", "P"]
+        for command in (["indicators"], ["rank"], ["compare"], drilldown):
             builds.clear()
             scored.clear()
-            assert main([command, "--input", str(demo), "--out",
-                         str(tmp_path / command), "--min-staff", "1"]) == 0
+            assert main([*command, "--input", str(demo), "--out",
+                         str(tmp_path / command[0]), "--min-staff", "1"]) == 0
             assert len(builds) == 1, command
             assert scored, command
-            assert max(Counter(scored).values()) <= 2, command
+            assert max(Counter(scored).values()) == 1, command
+
+    @pytest.mark.parametrize("indicator", ["P", "FP", "AQ"])
+    def test_drilldown_agrees_with_its_comparison_column(self, demo, tmp_path,
+                                                         indicator):
+        out = tmp_path / "out"
+        assert main(["drilldown", "--input", str(demo), "--out", str(out),
+                     "--min-staff", "1", "--university", "UNI001",
+                     "--uda", "UDA01", "--indicator", indicator,
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "sds_drilldown.json").read_text())["rows"]
+        doc = json.loads((out / "indicator_comparison.json").read_text())
+        column = doc["columns"].index(indicator)
+        comparison = {row[0]: row[column] for row in doc["rows"]}
+        shared = [(sds, shift) for sds, shift in rows if sds in comparison]
+        assert shared
+        for sds, shift in shared:
+            assert comparison[sds] == shift, sds
 
 
 @pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "dataclasses",

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from bibliorank.baseline import BaselineTable, build_baselines
 from bibliorank.errors import NoPublications, PositionOutOfRange, ZeroStaff
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
-                                   researcher_indicator, unit_AQ, unit_FP,
-                                   unit_FSS, unit_P, unit_indicator)
+                                   researcher_indicator, unit_indicator)
 from bibliorank.model import Period
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
@@ -74,27 +73,28 @@ class TestUnitP:
         pubs = [P(f"p{y}", y) for y in (2001, 2002, 2003)]
         auths = [A(p.pub_id, "r1") for p in pubs]
         corpus = one_unit_corpus(pubs, auths)
-        assert unit_P(corpus, "U1", "S1", EARLY).value == 1.0
+        assert UnitLedger(corpus).unit_score("U1", "S1", "P", EARLY).value == 1.0
 
     def test_annualized_over_staff(self):
         pubs = [P(f"p{i}", 2001 + i % 3) for i in range(9)]
         auths = [A(p.pub_id, "r1") for p in pubs]
         corpus = one_unit_corpus(pubs, auths, n_researchers=2)
-        assert unit_P(corpus, "U1", "S1", EARLY).value == pytest.approx(1.5)
+        assert (UnitLedger(corpus).unit_score("U1", "S1", "P", EARLY).value
+                == pytest.approx(1.5))
 
     def test_shared_pub_counted_once(self):
         corpus = one_unit_corpus(
             [P("p1", 2001, n_authors=2)],
             [A("p1", "r1", 1), A("p1", "r2", 2)],
             n_researchers=2, periods=(ONE_YEAR, LATE), years=(2001,))
-        score = unit_P(corpus, "U1", "S1", ONE_YEAR)
+        score = UnitLedger(corpus).unit_score("U1", "S1", "P", ONE_YEAR)
         assert score.value == 0.5
         assert score.n_pubs == 1
 
     def test_zero_staff(self):
         corpus = one_unit_corpus([], [], years=(2001,))
         with pytest.raises(ZeroStaff):
-            unit_P(corpus, "U1", "S1", LATE)
+            UnitLedger(corpus).unit_score("U1", "S1", "P", LATE)
 
 
 class TestUnitFP:
@@ -102,13 +102,15 @@ class TestUnitFP:
         pubs = [P(f"p{y}", y, n_authors=1) for y in (2001, 2002, 2003)]
         auths = [A(p.pub_id, "r1") for p in pubs]
         corpus = one_unit_corpus(pubs, auths)
-        assert (unit_FP(corpus, "U1", "S1", EARLY, ShareScheme()).value
-                == unit_P(corpus, "U1", "S1", EARLY).value)
+        ledger = UnitLedger(corpus, ShareScheme())
+        assert (ledger.unit_score("U1", "S1", "FP", EARLY).value
+                == ledger.unit_score("U1", "S1", "P", EARLY).value)
 
     def test_quarter_share(self):
         corpus = one_unit_corpus([P("p1", 2001, n_authors=4)], [A("p1", "r1", 2)],
                                  periods=(ONE_YEAR, LATE), years=(2001,))
-        assert unit_FP(corpus, "U1", "S1", ONE_YEAR, ShareScheme()).value == 0.25
+        ledger = UnitLedger(corpus, ShareScheme())
+        assert ledger.unit_score("U1", "S1", "FP", ONE_YEAR).value == 0.25
 
     def test_mixed_fixture_against_oracle(self):
         pubs = [P("p1", 2001, "CAT_X", 2, 3), P("p2", 2001, "CAT_X", 0, 1),
@@ -118,7 +120,7 @@ class TestUnitFP:
                  A("p4", "r2", 4), A("p5", "r1", 3)]
         corpus = one_unit_corpus(pubs, auths, n_researchers=2, life=True)
         expected = Oracle(corpus).unit_scores()[("U1", "S1", "FP", "E")]
-        got = unit_FP(corpus, "U1", "S1", EARLY, ShareScheme()).value
+        got = UnitLedger(corpus, ShareScheme()).unit_score("U1", "S1", "FP", EARLY).value
         assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -128,7 +130,8 @@ class TestUnitAQ:
         auths = [A("p1", "r1"), A("p2", "r1")]
         corpus = one_unit_corpus(pubs, auths)
         baselines = build_baselines(corpus)
-        assert unit_AQ(corpus, "U1", "S1", EARLY, baselines).value == 1.0
+        ledger = UnitLedger(corpus, baselines=baselines)
+        assert ledger.unit_score("U1", "S1", "AQ", EARLY).value == 1.0
 
     def test_mean_of_standardized(self):
         # strata medians: CAT_X/2001 over {6,0,3,3} -> 3
@@ -138,13 +141,15 @@ class TestUnitAQ:
         corpus = one_unit_corpus(pubs, auths)
         baselines = build_baselines(corpus)
         # unit pubs standardized: {2.0, 0.0} -> mean 1.0
-        assert unit_AQ(corpus, "U1", "S1", EARLY, baselines).value == 1.0
+        ledger = UnitLedger(corpus, baselines=baselines)
+        assert ledger.unit_score("U1", "S1", "AQ", EARLY).value == 1.0
 
     def test_no_publications_absent(self):
         corpus = one_unit_corpus([], [])
         with pytest.raises(NoPublications):
-            unit_AQ(corpus, "U1", "S1", EARLY, build_baselines(
-                one_unit_corpus([P("p1")], [A("p1", "r1")])))
+            UnitLedger(corpus, baselines=build_baselines(
+                one_unit_corpus([P("p1")], [A("p1", "r1")]))
+            ).unit_score("U1", "S1", "AQ", EARLY)
 
 
 class TestUnitFSS:
@@ -155,7 +160,8 @@ class TestUnitFSS:
         auths = [A("p1", "r1", 2)]
         corpus = one_unit_corpus(pubs, auths, periods=(ONE_YEAR, LATE), years=(2001,))
         baselines = build_baselines(corpus)
-        score = unit_FSS(corpus, "U1", "S1", ONE_YEAR, ShareScheme(), baselines)
+        ledger = UnitLedger(corpus, ShareScheme(), baselines)
+        score = ledger.unit_score("U1", "S1", "FSS", ONE_YEAR)
         assert score.value == pytest.approx(0.5)
 
     def test_equals_P_when_shares_and_scores_are_one(self):
@@ -164,19 +170,21 @@ class TestUnitFSS:
         auths = [A(p.pub_id, "r1") for p in pubs]
         corpus = one_unit_corpus(pubs, auths)
         baselines = build_baselines(corpus)
-        assert (unit_FSS(corpus, "U1", "S1", EARLY, ShareScheme(), baselines).value
-                == unit_P(corpus, "U1", "S1", EARLY).value)
+        ledger = UnitLedger(corpus, ShareScheme(), baselines)
+        assert (ledger.unit_score("U1", "S1", "FSS", EARLY).value
+                == ledger.unit_score("U1", "S1", "P", EARLY).value)
 
     def test_random_fixture_against_oracle(self):
         corpus = synth_corpus(GenConfig(seed=11, n_universities=2, n_sds=2))
         baselines = build_baselines(corpus)
         oracle_scores = Oracle(corpus).unit_scores()
+        ledger = UnitLedger(corpus, ShareScheme(), baselines)
         for (u, s) in corpus.units():
             for period in corpus.periods:
                 expected = oracle_scores[(u, s, "FSS", period.label)]
                 if expected is None:
                     continue
-                got = unit_FSS(corpus, u, s, period, ShareScheme(), baselines).value
+                got = ledger.unit_score(u, s, "FSS", period).value
                 assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -221,11 +229,12 @@ class TestResearcherLevel:
 class TestInvariants:
     def test_fp_never_exceeds_p(self):
         corpus = synth_corpus(GenConfig(seed=2))
+        ledger = UnitLedger(corpus, ShareScheme())
         for (u, s) in corpus.units():
             for period in corpus.periods:
                 try:
-                    p = unit_P(corpus, u, s, period).value
-                    fp = unit_FP(corpus, u, s, period, ShareScheme()).value
+                    p = ledger.unit_score(u, s, "P", period).value
+                    fp = ledger.unit_score(u, s, "FP", period).value
                 except ZeroStaff:
                     continue
                 assert fp <= p + 1e-12
@@ -257,14 +266,9 @@ class TestLedger:
                              [A("p1", "r1"), A("p2", "r1"), A("p4", "r1"),
                               A("p3", "r2", byline="U2")],
                              make_taxonomy({"S1": "A"}))
-        events = []
-        unit_AQ(corpus, "U1", "S1", EARLY, build_baselines(corpus),
-                fallback_events=events)
-        assert events == [("p1", "CAT_X", 2001)]
-        events = []
-        unit_FSS(corpus, "U2", "S1", EARLY, ShareScheme(),
-                 build_baselines(corpus), fallback_events=events)
-        assert events == []
+        ledger = UnitLedger(corpus, baselines=build_baselines(corpus),
+                            periods=(EARLY,))
+        assert ledger.fallback_events == [("p1", "CAT_X", 2001)]
 
     def test_unknown_researcher_and_publication_are_skipped(self):
         # Corpus() checks no references; the loader and validate() do

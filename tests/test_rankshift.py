@@ -6,8 +6,8 @@ from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
 from bibliorank.indicators import ShareScheme, UnitLedger
 from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
                                   assign_quintiles, classify_shifts,
-                                  indicator_comparison, quintile_shift,
-                                  rank_list, sds_drilldown,
+                                  indicator_comparison, period_rankings,
+                                  quintile_shift, rank_list, sds_drilldown,
                                   shift_stats, transition_matrix,
                                   uda_rank_list, university_shift_table)
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
@@ -204,7 +204,10 @@ class TestCorpusDriven:
         self.ledger = UnitLedger(self.corpus, self.scheme, self.baselines)
 
     def test_shift_table_consistency(self):
-        table = university_shift_table(self.ledger, "FSS", min_staff=1.0)
+        table = university_shift_table(
+            self.corpus.universities,
+            {uda: period_rankings(uda_rank_list, self.ledger, uda, "FSS", 1.0)
+             for uda in self.corpus.taxonomy.uda_list}, "FSS")
         for u in table.universities:
             numeric = [v for v in table.cells[u].values() if v is not None]
             assert all(abs(v) <= 4 for v in numeric)
@@ -213,7 +216,10 @@ class TestCorpusDriven:
         assert sum(shares.values()) == pytest.approx(100.0)
 
     def test_shift_table_matches_rank_machinery(self):
-        table = university_shift_table(self.ledger, "P", min_staff=1.0)
+        table = university_shift_table(
+            self.corpus.universities,
+            {uda: period_rankings(uda_rank_list, self.ledger, uda, "P", 1.0)
+             for uda in self.corpus.taxonomy.uda_list}, "P")
         for uda in self.corpus.taxonomy.uda_list:
             assigns = []
             for period in self.corpus.periods:
