@@ -130,22 +130,25 @@ def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period
         sds_codes = corpus.taxonomy.sds_list
     else:
         sds_codes = corpus.taxonomy.sds_in_uda(scope)
+    # sds -> (researcher_id, presence) of its researchers active in the period
+    active = {}
+    for r in corpus.researchers:
+        weight = presence(r, period, ledger.staff_mode)
+        if weight > 0:
+            active.setdefault(r.sds, []).append((r.researcher_id, weight))
     per_sds = []
     for sds in sds_codes:
-        active = [r for r in corpus.researchers
-                  if r.sds == sds and presence(r, period, ledger.staff_mode) > 0]
-        if not active:
-            continue
+        members = active.get(sds, ())
         values = []
-        for r in active:
+        for researcher_id, _ in members:
             try:
-                values.append(ledger.researcher_score(r.researcher_id, indicator,
+                values.append(ledger.researcher_score(researcher_id, indicator,
                                                       period).value)
             except (ZeroStaff, NoPublications):
                 continue
         if not values:
             continue
-        sds_staff = math.fsum(presence(r, period, ledger.staff_mode) for r in active)
+        sds_staff = math.fsum(w for _, w in members)
         per_sds.append((sds_staff, math.fsum(values) / len(values)))
     if not per_sds:
         raise EmptyScope(f"no staffed SDS in scope {scope!r} for {period.label}")

@@ -5,12 +5,12 @@ for analyses benchmarked against an external average table.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import namedtuple
 from pathlib import Path
 
 from .errors import MissingBaseline, MissingFile, NegativeValue, SchemaError
+from .loader import read_csv
 from .model import Corpus, Publication
 
 
@@ -84,29 +84,22 @@ def load_external_baselines(path) -> BaselineTable:
     if not path.exists():
         raise MissingFile(f"baseline file {path} not found")
     required = ("subject_category", "year", "median", "mean", "n_pubs")
-    header, rows = None, []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            rows.extend(reader)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
-    except csv.Error as exc:
-        raise SchemaError(f"not valid CSV ({exc})", path=path,
-                          row=1 if header is None else len(rows) + 2) from None
+    header, rows = read_csv(path)
     if header is None or any(c not in header for c in required):
         raise SchemaError(f"expected columns {required}", path=path)
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: the last
+    cols = [column[c] for c in required]
     entries = {}
     for i, row in enumerate(rows, start=2):
-        missing = [c for c in required if row[c] is None]
+        missing = [c for c, j in zip(required, cols) if j >= len(row)]
         if missing:
             raise SchemaError(f"missing columns {missing}", path=path, row=i)
+        category, year, median, mean, n_pubs = (row[j] for j in cols)
         try:
-            year = int(row["year"])
-            median = float(row["median"])
-            mean = float(row["mean"])
-            n_pubs = int(row["n_pubs"])
+            year = int(year)
+            median = float(median)
+            mean = float(mean)
+            n_pubs = int(n_pubs)
         except ValueError as exc:
             raise SchemaError(str(exc), path=path, row=i)
         if not (math.isfinite(median) and math.isfinite(mean)):
@@ -115,7 +108,7 @@ def load_external_baselines(path) -> BaselineTable:
             raise NegativeValue(f"{path}: negative baseline at row {i}")
         if n_pubs < 1:
             raise SchemaError("n_pubs must be positive", path=path, row=i)
-        entries[(str(row["subject_category"]), year)] = BaselineEntry(
+        entries[(category, year)] = BaselineEntry(
             median=median, mean=mean, n_pubs=n_pubs, source="external")
     return BaselineTable(entries)
 

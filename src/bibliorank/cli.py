@@ -18,10 +18,10 @@ from pathlib import Path
 from . import __version__
 from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
-from .errors import (BiblioRankError, InvalidConfig, InvalidCorpus,
-                     NoPublications, ZeroStaff)
+from .errors import (BiblioRankError, EmptyIntersection, InvalidConfig,
+                     InvalidCorpus, NoPublications, ZeroStaff)
 from .indicators import INDICATORS, ShareScheme, UnitLedger
-from .loader import FILE_STEMS, load_corpus
+from .loader import FILE_STEMS, find_file, load_corpus
 from .model import presence, validate
 from .rankshift import (COMPARED, compare_drilldowns, period_rankings,
                         sds_drilldown, shift_stats, transition_matrix,
@@ -31,12 +31,9 @@ from .rankshift import (COMPARED, compare_drilldowns, period_rankings,
 def _corpus_hash(input_dir: Path) -> str:
     h = hashlib.sha256()
     for stem in FILE_STEMS:
-        for ext in (".csv", ".json"):
-            p = input_dir / f"{stem}{ext}"
-            if p.exists():
-                h.update(p.name.encode())
-                h.update(p.read_bytes())
-                break
+        p = find_file(input_dir, stem)
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
     return h.hexdigest()[:16]
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -211,9 +208,6 @@ def cmd_rank(args) -> int:
 
 def cmd_compare(args) -> int:
     ledger = _load_inputs(args)
-    emit = Emitter(Path(args.out), args.format,
-                   _corpus_hash(Path(args.input)), _config_hash(args))
-
     udas = ledger.corpus.taxonomy.uda_list
     rankings = {(uda, ind): period_rankings(uda_rank_list, ledger, uda, ind,
                                             args.min_staff)
@@ -222,17 +216,34 @@ def cmd_compare(args) -> int:
     for (uda, ind), (early, late) in rankings.items():
         if early is None or late is None:
             continue
-        stats = shift_stats(early.ranks, late.ranks)
+        try:
+            stats = shift_stats(early.ranks, late.ranks)
+            matrix = transition_matrix(early.quintiles, late.quintiles)
+        except EmptyIntersection:
+            continue  # no university is ranked in both periods
         stats_rows.append([uda, ind, stats.n_total, stats.n_changed,
                            round(100.0 * stats.pct_changed, 1),
                            stats.max_abs_shift, stats.mean_abs_shift,
                            stats.median_abs_shift,
                            ";".join(stats.entries), ";".join(stats.exits)])
-        matrix = transition_matrix(early.quintiles, late.quintiles)
         for i in range(5):
             for j in range(5):
                 transition_rows.append([uda, ind, i + 1, j + 1,
                                         matrix.counts[i][j]])
+
+    table = university_shift_table(
+        ledger.corpus.universities,
+        {uda: rankings[(uda, args.indicator)] for uda in udas}, args.indicator)
+    table_rows = [[u] + [table.cells[u][c] for c in table.columns]
+                  + [table.row_total(u)] for u in table.universities]
+    table_rows.append(["pct_changed"]
+                      + [round(table.column_pct_changed(c), 1) for c in table.columns]
+                      + [round(table.overall_pct_changed(), 1)])
+    shares = table.balance_shares()
+
+    # every table is built before the output directory exists
+    emit = Emitter(Path(args.out), args.format,
+                   _corpus_hash(Path(args.input)), _config_hash(args))
     emit.write("shift_stats", ["uda", "indicator", "n_total", "n_changed",
                                "pct_changed", "max_abs_shift", "mean_abs_shift",
                                "median_abs_shift", "entries", "exits"],
@@ -240,20 +251,8 @@ def cmd_compare(args) -> int:
     emit.write("transition_matrices",
                ["uda", "indicator", "early_quintile", "late_quintile", "count"],
                transition_rows)
-
-    table = university_shift_table(
-        ledger.corpus.universities,
-        {uda: rankings[(uda, args.indicator)] for uda in udas}, args.indicator)
-    rows = []
-    for u in table.universities:
-        rows.append([u] + [table.cells[u][c] for c in table.columns]
-                    + [table.row_total(u)])
-    rows.append(["pct_changed"]
-                + [round(table.column_pct_changed(c), 1) for c in table.columns]
-                + [round(table.overall_pct_changed(), 1)])
     emit.write("university_shift_table",
-               ["university_id"] + list(table.columns) + ["total"], rows)
-    shares = table.balance_shares()
+               ["university_id"] + list(table.columns) + ["total"], table_rows)
     emit.write("shift_balance", ["negative_pct", "positive_pct", "nil_pct"],
                [[round(shares["negative"], 1), round(shares["positive"], 1),
                  round(shares["nil"], 1)]])
@@ -308,8 +307,16 @@ def _add_common(p):
     p.add_argument("--out", default="out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InvalidConfig, so main prints them as JSON;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bibliorank",
         description="Field-standardized research performance indicators and "
                     "cross-period rank mobility")
@@ -358,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BiblioRankError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

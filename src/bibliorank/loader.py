@@ -9,10 +9,20 @@ from pathlib import Path
 from .errors import DanglingReference, DuplicateKey, MissingFile, SchemaError
 from .model import Authorship, Corpus, Period, Publication, Researcher, Taxonomy
 
-FILE_STEMS = ("researchers", "publications", "authorships", "taxonomy", "periods")
+# stem -> columns of each corpus file; cli._corpus_hash reads the files in
+# this order
+FILESET = {
+    "researchers": ("researcher_id", "sds", "university_id", "active_years"),
+    "publications": ("pub_id", "year", "subject_category", "citations", "n_authors_total"),
+    "authorships": ("pub_id", "researcher_id", "author_position", "byline_university_id"),
+    "taxonomy": ("sds", "uda", "is_life_science"),
+    "periods": ("label", "start_year", "end_year"),
+}
+FILE_STEMS = tuple(FILESET)
 
 
-def _find_file(input_dir: Path, stem: str) -> Path:
+def find_file(input_dir: Path, stem: str) -> Path:
+    """The stem's file in the fileset: its .csv file, else its .json file."""
     for ext in (".csv", ".json"):
         p = input_dir / f"{stem}{ext}"
         if p.exists():
@@ -20,15 +30,37 @@ def _find_file(input_dir: Path, stem: str) -> Path:
     raise MissingFile(f"{stem}.csv (or .json) not found in {input_dir}")
 
 
+def read_csv(path: Path) -> tuple:
+    """(header, rows) of a UTF-8 CSV file, header None if the file is empty.
+
+    Blank lines are skipped. A file that is not UTF-8 or not readable as CSV
+    is a SchemaError; a CSV error names its row as csv.DictReader counts rows
+    (the header is row 1, blank lines are not counted).
+    """
+    header, rows = None, []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            # extend keeps the rows read before an error, which numbers its row
+            rows.extend(filter(None, reader))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
+    except csv.Error as exc:
+        raise SchemaError(f"not valid CSV ({exc})", path=path,
+                          row=1 if header is None else len(rows) + 2) from None
+    return header, rows
+
+
 def _read_rows(path: Path, required: tuple) -> list:
     """Rows as tuples of the `required` fields, in that order.
 
     Both formats must carry exactly the documented field names. A CSV file is
-    read positionally with the semantics of csv.DictReader: blank lines are
-    skipped and not counted, a repeated header name takes its last column,
-    extra cells are ignored, and a row that lacks a required cell (short, or
-    the column absent from the header) is a SchemaError at that row. A file
-    that is not UTF-8, not JSON, or not readable as CSV is a SchemaError too.
+    read by read_csv, then by position with the semantics of csv.DictReader:
+    a repeated header name takes its last column, extra cells are ignored,
+    and a row that lacks a required cell (short, or the column absent from
+    the header) is a SchemaError at that row. A JSON file that is not UTF-8
+    or not JSON is a SchemaError too.
     """
     if path.suffix == ".json":
         try:
@@ -49,18 +81,7 @@ def _read_rows(path: Path, required: tuple) -> list:
                 raise SchemaError(f"missing columns {missing}", path=path, row=i)
         return list(map(itemgetter(*required), rows))
 
-    header, rows = None, []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            # extend keeps the rows read before an error, which numbers its row
-            rows.extend(filter(None, reader))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
-    except csv.Error as exc:
-        raise SchemaError(f"not valid CSV ({exc})", path=path,
-                          row=1 if header is None else len(rows) + 2) from None
+    header, rows = read_csv(path)
     if header is None:
         raise SchemaError("missing header row", path=path)
     column = {name: i for i, name in enumerate(header)}
@@ -74,10 +95,13 @@ def _read_rows(path: Path, required: tuple) -> list:
     return list(map(itemgetter(*cols), rows))
 
 
-def _numbered_rows(path: Path, required: tuple):
-    """(row number, row) pairs of _read_rows, numbered as its errors are: a JSON
-    file's first object is row 1, a CSV file's first row under the header row 2."""
-    return enumerate(_read_rows(path, required), start=1 if path.suffix == ".json" else 2)
+def _numbered_rows(input_dir: Path, stem: str) -> tuple:
+    """The stem's file, and (row number, row) pairs of _read_rows over its
+    columns, numbered as its errors are: a JSON file's first object is row 1,
+    a CSV file's first row under the header row 2."""
+    path = find_file(input_dir, stem)
+    rows = _read_rows(path, FILESET[stem])
+    return path, enumerate(rows, start=1 if path.suffix == ".json" else 2)
 
 
 def _to_int(value, name, path, row, minimum=None):
@@ -111,10 +135,9 @@ def load_corpus(input_dir) -> Corpus:
     if not input_dir.is_dir():
         raise MissingFile(f"input directory {input_dir} does not exist")
 
-    tax_path = _find_file(input_dir, "taxonomy")
+    tax_path, rows = _numbered_rows(input_dir, "taxonomy")
     sds_to_uda, life = {}, set()
-    for i, (sds, uda, is_life) in _numbered_rows(
-            tax_path, ("sds", "uda", "is_life_science")):
+    for i, (sds, uda, is_life) in rows:
         sds = str(sds)
         if sds in sds_to_uda:
             raise DuplicateKey(f"taxonomy: SDS {sds} listed twice")
@@ -125,10 +148,9 @@ def load_corpus(input_dir) -> Corpus:
             life.add(sds)
     taxonomy = Taxonomy(sds_to_uda=sds_to_uda, life_science_sds=frozenset(life))
 
-    per_path = _find_file(input_dir, "periods")
+    per_path, rows = _numbered_rows(input_dir, "periods")
     periods = []
-    for i, (label, start, end) in _numbered_rows(
-            per_path, ("label", "start_year", "end_year")):
+    for i, (label, start, end) in rows:
         start = _to_int(start, "start_year", per_path, i)
         end = _to_int(end, "end_year", per_path, i)
         if start > end:
@@ -138,11 +160,10 @@ def load_corpus(input_dir) -> Corpus:
     if len(periods) != 2:
         raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=per_path)
 
-    res_path = _find_file(input_dir, "researchers")
+    res_path, rows = _numbered_rows(input_dir, "researchers")
     researchers = []
     rids = set()
-    for i, (rid, sds, university, years) in _numbered_rows(
-            res_path, ("researcher_id", "sds", "university_id", "active_years")):
+    for i, (rid, sds, university, years) in rows:
         rid = str(rid)
         if rid in rids:
             raise DuplicateKey(f"researchers: duplicate researcher_id {rid}")
@@ -154,11 +175,10 @@ def load_corpus(input_dir) -> Corpus:
         researchers.append(Researcher(
             rid, sds, str(university), _parse_years(years, res_path, i)))
 
-    pub_path = _find_file(input_dir, "publications")
+    pub_path, rows = _numbered_rows(input_dir, "publications")
     publications = []
     pub_ids = set()
-    for i, (pid, year, category, citations, n_authors) in _numbered_rows(
-            pub_path, ("pub_id", "year", "subject_category", "citations", "n_authors_total")):
+    for i, (pid, year, category, citations, n_authors) in rows:
         pid = str(pid)
         if pid in pub_ids:
             raise DuplicateKey(f"publications: duplicate pub_id {pid}")
@@ -171,11 +191,10 @@ def load_corpus(input_dir) -> Corpus:
             _to_int(n_authors, "n_authors_total", pub_path, i, minimum=1),
         ))
 
-    auth_path = _find_file(input_dir, "authorships")
+    auth_path, rows = _numbered_rows(input_dir, "authorships")
     authorships = []
     auth_keys = set()
-    for i, (pid, rid, position, byline) in _numbered_rows(
-            auth_path, ("pub_id", "researcher_id", "author_position", "byline_university_id")):
+    for i, (pid, rid, position, byline) in rows:
         pid, rid = str(pid), str(rid)
         if pid not in pub_ids:
             raise DanglingReference(f"authorship references unknown pub_id {pid}")
@@ -196,35 +215,21 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
     """Write the standard CSV fileset; load_corpus(write_corpus(c)) == c."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "taxonomy.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sds", "uda", "is_life_science"])
-        for sds in corpus.taxonomy.sds_list:
-            w.writerow([sds, corpus.taxonomy.sds_to_uda[sds],
-                        int(sds in corpus.taxonomy.life_science_sds)])
-
-    with open(out_dir / "periods.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "start_year", "end_year"])
-        for p in corpus.periods:
-            w.writerow([p.label, p.start_year, p.end_year])
-
-    with open(out_dir / "researchers.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["researcher_id", "sds", "university_id", "active_years"])
-        for r in corpus.researchers:
-            w.writerow([r.researcher_id, r.sds, r.university_id,
-                        ";".join(str(y) for y in sorted(r.active_years))])
-
-    with open(out_dir / "publications.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pub_id", "year", "subject_category", "citations", "n_authors_total"])
-        for p in corpus.publications:
-            w.writerow([p.pub_id, p.year, p.subject_category, p.citations, p.n_authors_total])
-
-    with open(out_dir / "authorships.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pub_id", "researcher_id", "author_position", "byline_university_id"])
-        for a in corpus.authorships:
-            w.writerow([a.pub_id, a.researcher_id, a.author_position, a.byline_university_id])
+    taxonomy = corpus.taxonomy
+    # Publication, Authorship and Period fields are their files' columns, in order
+    rows = {
+        "researchers": ((r.researcher_id, r.sds, r.university_id,
+                         ";".join(map(str, sorted(r.active_years))))
+                        for r in corpus.researchers),
+        "publications": corpus.publications,
+        "authorships": corpus.authorships,
+        "taxonomy": ((sds, taxonomy.sds_to_uda[sds],
+                      int(sds in taxonomy.life_science_sds))
+                     for sds in taxonomy.sds_list),
+        "periods": corpus.periods,
+    }
+    for stem, columns in FILESET.items():
+        with open(out_dir / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(columns)
+            w.writerows(rows[stem])

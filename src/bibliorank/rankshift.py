@@ -6,7 +6,9 @@ rank-shift numbers.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
+from itertools import accumulate
 
 from .aggregate import sds_unit_scores, uda_scores, uda_unit_scores
 from .baseline import median
@@ -80,36 +82,20 @@ def rank_list(scores: dict, uda: str = "", indicator: str = "", period: str = ""
 def assign_quintiles(ranked: RankList) -> QuintileAssignment:
     """Split the ranked order into five contiguous groups, 1 = top.
 
-    For n = 5q + r the first r groups take q + 1 members. A tie block never
-    straddles a boundary: the whole block stays in the better quintile and the
-    groups below shrink.
+    For n = 5q + r the first r groups take q + 1 members; an entry joins the
+    first group whose cumulative size reaches its rank. The ranks must come
+    from rank_list: a tie block shares the competition rank of its first
+    member, so it never straddles a boundary. The whole block stays in the
+    better quintile and the groups below shrink.
     """
-    n = len(ranked.entries)
-    q, r = divmod(n, N_QUINTILES)
-    targets = [q + 1 if i < r else q for i in range(N_QUINTILES)]
-    boundaries = []
-    acc = 0
-    for t in targets:
-        acc += t
-        boundaries.append(acc)
-
-    # group entries into tie blocks (same value -> same block)
-    blocks = []
-    for e in ranked.entries:
-        if blocks and blocks[-1][0].value == e.value:
-            blocks[-1].append(e)
-        else:
-            blocks.append([e])
-
+    q, r = divmod(len(ranked.entries), N_QUINTILES)
+    boundaries = list(accumulate(q + 1 if i < r else q for i in range(N_QUINTILES)))
     entries = {}
     sizes = [0] * N_QUINTILES
-    placed = 0
-    for block in blocks:
-        quintile = next(i for i, b in enumerate(boundaries) if placed < b)
-        for e in block:
-            entries[e.university_id] = quintile + 1
-        sizes[quintile] += len(block)
-        placed += len(block)
+    for e in ranked.entries:
+        quintile = bisect_left(boundaries, e.rank)
+        entries[e.university_id] = quintile + 1
+        sizes[quintile] += 1
     return QuintileAssignment(ranked.uda, ranked.indicator, ranked.period,
                               entries, tuple(sizes))
 
@@ -241,14 +227,15 @@ class ShiftTable:
         return 100.0 * sum(1 for v in numeric if v != 0) / len(numeric)
 
     def overall_pct_changed(self) -> float:
-        """Share of universities whose row total is nonzero."""
+        """Share of universities whose row total is nonzero; 0.0 for no rows."""
         totals = [self.row_total(u) for u in self.cells]
-        return 100.0 * sum(1 for t in totals if t != 0) / len(totals)
+        return 100.0 * sum(1 for t in totals if t != 0) / (len(totals) or 1)
 
     def balance_shares(self) -> dict:
-        """Shares of universities with negative / positive / nil row totals."""
+        """Shares of universities with negative / positive / nil row totals;
+        all 0.0 for a table with no universities."""
         totals = [self.row_total(u) for u in self.cells]
-        n = len(totals)
+        n = len(totals) or 1
         return {
             "negative": 100.0 * sum(1 for t in totals if t < 0) / n,
             "positive": 100.0 * sum(1 for t in totals if t > 0) / n,

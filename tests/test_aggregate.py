@@ -159,6 +159,24 @@ class TestNationalWeightedAverage:
             UnitLedger(corpus, ShareScheme(), build_baselines(corpus)), "P", EARLY)
         assert avg == pytest.approx((1 * 2.0 + 3 * 1.0) / 4)
 
+    def test_uda_scope(self):
+        # UDA A: S1 with 1 researcher at P=2.0; UDA B: S2 with 3 at P=1.0 each
+        tax = make_taxonomy({"S1": "A", "S2": "B"})
+        researchers = [R("r1", "S1")] + [R(f"s{i}", "S2") for i in range(3)]
+        pubs = [P(f"x{i}", 2001 + i % 3) for i in range(6)]
+        auths = [A(f"x{i}", "r1") for i in range(6)]
+        for j in range(3):
+            for i in range(3):
+                pubs.append(P(f"y{j}{i}", 2001 + i))
+                auths.append(A(f"y{j}{i}", f"s{j}"))
+        corpus = make_corpus(researchers, pubs, auths, tax)
+        ledger = UnitLedger(corpus, ShareScheme(), build_baselines(corpus))
+        assert national_weighted_average(ledger, "P", EARLY, scope="A") == 2.0
+        assert national_weighted_average(ledger, "P", EARLY, scope="B") == 1.0
+        assert national_weighted_average(ledger, "P", EARLY) == 1.25
+        with pytest.raises(EmptyScope):
+            national_weighted_average(ledger, "P", EARLY, scope="C")
+
     def test_empty_scope(self):
         corpus = make_corpus([R("r1")], [], [], make_taxonomy({"S1": "A"}))
         with pytest.raises(EmptyScope):

@@ -64,6 +64,12 @@ class TestExternal:
         f.write_text("subject_category,year,median,mean,n_pubs\n")
         assert len(load_external_baselines(f)) == 0
 
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        f = tmp_path / "baselines.csv"
+        f.write_text("subject_category,year,median,mean,n_pubs,median\n"
+                     "CAT_A,2002,2.0,3.1,500,4.0\n")
+        assert load_external_baselines(f).get("CAT_A", 2002).median == 4.0
+
     def test_negative_rejected(self, tmp_path):
         f = tmp_path / "baselines.csv"
         f.write_text("subject_category,year,median,mean,n_pubs\nCAT_A,2002,-1,3.1,500\n")
@@ -83,7 +89,9 @@ class TestExternal:
         (b"CAT_A,2002,nan,1.0,5\n", "median and mean must be finite (row 2)"),
         (b"CAT_A,2002,1.0,1.0,5\nCAT_A,2003,1.0,inf,5\n",
          "median and mean must be finite (row 3)"),
-    ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean"])
+        (b"\nCAT_A,2002\n", "missing columns ['median', 'mean', 'n_pubs'] (row 2)"),
+    ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean",
+            "blank_line_not_counted"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, body, error):
         f = tmp_path / "baselines.csv"
         f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)

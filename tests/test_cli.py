@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from bibliorank import indicators
+from bibliorank import cli, indicators
 from bibliorank.cli import main
+from bibliorank.errors import BiblioRankError
 from bibliorank.loader import write_corpus
 from bibliorank.synthgen import GenConfig, generate
 
-from conftest import A, P, R, make_corpus
+from conftest import A, P, R, make_corpus, make_taxonomy
 
 SRC = str(Path(indicators.__file__).resolve().parents[1])
 
@@ -156,6 +157,80 @@ class TestBadInput:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert json.loads(err.strip())["error"] == error
+        assert not out.exists()
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--input", "DEMO", "--out", "OUT", "--format", "xml"],
+        ["rank", "--out", "OUT"],
+        ["rank", "--input", "DEMO", "--out", "OUT", "--min-staff", "abc"],
+        ["rank", "--input", "DEMO", "--out", "OUT", "--min-staff", "-inf"],
+        ["rerank", "--input", "DEMO", "--out", "OUT"],
+        [],
+    ], ids=["unknown_format", "missing_input", "non_number_min_staff",
+            "min_staff_minus_inf", "unknown_command", "no_command"])
+    def test_one_json_line_and_exit_1(self, demo, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        paths = {"DEMO": str(demo), "OUT": str(out)}
+        assert main([paths.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidConfig"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bibliorank")
+
+
+class TestCompareEdgeCases:
+    """compare exits 0 on valid corpora where no university is ranked in both
+    periods, and writes nothing when a table fails."""
+
+    def run_compare(self, corpus_dir, out, capsys):
+        code = main(["compare", "--input", str(corpus_dir), "--out", str(out),
+                     "--min-staff", "0"])
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        for name in ("shift_stats", "transition_matrices", "university_shift_table",
+                     "shift_balance"):
+            assert (out / f"{name}.csv").exists(), name
+
+    def test_universities_disjoint_between_periods(self, tmp_path, capsys):
+        researchers = [R("r1", univ="U1", years=(2001, 2002, 2003)),
+                       R("r2", univ="U2", years=(2004, 2005))]
+        pubs = [P("p1", 2001), P("p2", 2004)]
+        authorships = [A("p1", "r1", 1, "U1"), A("p2", "r2", 1, "U2")]
+        write_corpus(make_corpus(researchers, pubs, authorships,
+                                 make_taxonomy({"S1": "A"})), tmp_path / "corpus")
+        self.run_compare(tmp_path / "corpus", tmp_path / "out", capsys)
+        stats = (tmp_path / "out" / "shift_stats.csv").read_text().splitlines()
+        assert len(stats) == 2  # provenance and column names only
+        table = (tmp_path / "out" / "university_shift_table.csv").read_text()
+        assert table.splitlines()[2:] == ["U1,,0", "U2,,0", "pct_changed,0.0,0.0"]
+
+    def test_header_only_fileset(self, tmp_path, capsys):
+        write_corpus(make_corpus([], [], []), tmp_path / "corpus")
+        self.run_compare(tmp_path / "corpus", tmp_path / "out", capsys)
+        balance = (tmp_path / "out" / "shift_balance.csv").read_text()
+        assert balance.splitlines()[2:] == ["0.0,0.0,0.0"]
+
+    def test_failing_table_leaves_no_output_directory(self, demo, tmp_path, capsys,
+                                                      monkeypatch):
+        def failing(*args):
+            raise BiblioRankError("patched")
+
+        monkeypatch.setattr(cli, "transition_matrix", failing)
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(demo), "--out", str(out),
+                     "--min-staff", "1"]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "patched"
         assert not out.exists()
 
 

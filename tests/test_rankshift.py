@@ -1,9 +1,14 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
                                UnknownUDA, UnknownUniversity)
 from bibliorank.indicators import ShareScheme, UnitLedger
+from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
                                   assign_quintiles, classify_shifts,
                                   indicator_comparison, period_rankings,
@@ -12,7 +17,7 @@ from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
                                   uda_rank_list, university_shift_table)
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
-from conftest import read_fixture
+from conftest import make_corpus, read_fixture
 
 
 def ranked(values, min_staff=0.0):
@@ -77,6 +82,18 @@ class TestQuintiles:
         assert out.entries["u2"] == out.entries["u3"] == out.entries["u4"] == 2
         assert sum(out.sizes) == 10
         assert out.sizes == (2, 3, 1, 2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle_on_tie_heavy_lists(self, data):
+        """Placing entries by rank gives the oracle's value-block quintiles."""
+        pool = data.draw(st.lists(st.floats(0, 10), min_size=3, max_size=3))
+        n = data.draw(st.integers(1, 40))
+        values = {f"u{i:02d}": data.draw(st.sampled_from(pool)) for i in range(n)}
+        out = assign_quintiles(ranked(values))
+        assert out.entries == Oracle(make_corpus([], [], []))._quintiles(values)
+        counts = Counter(out.entries.values())
+        assert out.sizes == tuple(counts[q] for q in range(1, 6))
 
 
 class TestShiftStats:
