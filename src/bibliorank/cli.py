@@ -40,6 +40,10 @@ def _config_hash(args: argparse.Namespace) -> str:
     skip = {"func", "out", "input"}
     payload = {k: v for k, v in sorted(vars(args).items())
                if k not in skip and not callable(v)}
+    if payload.get("baselines"):
+        # the file's content, not its path, is part of the configuration
+        payload["baselines"] = hashlib.sha256(
+            Path(payload["baselines"]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -101,10 +105,10 @@ def _load_inputs(args) -> UnitLedger:
         raise InvalidConfig(f"--min-staff {args.min_staff}: expected a finite "
                             "staff threshold")
     corpus = load_corpus(Path(args.input))
-    report = validate(corpus)
-    if not report:
-        first = report.violations[0]
-        raise InvalidCorpus(f"violations={len(report)}, the first: "
+    violations = validate(corpus)
+    if violations:
+        first = violations[0]
+        raise InvalidCorpus(f"violations={len(violations)}, the first: "
                             f"[{first.kind}] {first.message}")
     baselines = build_baselines(corpus)
     if args.baselines:
@@ -114,13 +118,13 @@ def _load_inputs(args) -> UnitLedger:
 
 def cmd_ingest(args) -> int:
     corpus = load_corpus(Path(args.input))
-    report = validate(corpus)
+    violations = validate(corpus)
     print(f"researchers={len(corpus.researchers)} "
           f"publications={len(corpus.publications)} "
-          f"authorships={len(corpus.authorships)} violations={len(report)}")
-    for v in report:
+          f"authorships={len(corpus.authorships)} violations={len(violations)}")
+    for v in violations:
         print(f"  [{v.kind}] {v.message}")
-    return 0 if report else 1
+    return 1 if violations else 0
 
 
 def cmd_indicators(args) -> int:

@@ -49,10 +49,6 @@ class MissingBaseline(BiblioRankError):
     pass
 
 
-class PositionOutOfRange(BiblioRankError):
-    pass
-
-
 class ZeroStaff(BiblioRankError):
     pass
 
@@ -90,7 +86,9 @@ class InvalidConfig(BiblioRankError):
 
 
 class InvalidCorpus(BiblioRankError):
-    """A loaded corpus breaks an invariant that model.validate checks."""
+    """A loaded corpus breaks a byline rule that model.validate checks: an
+    author count below the publication's authorship records, an author
+    position outside the byline, or a position listed twice."""
 
 
 class TooLarge(BiblioRankError):

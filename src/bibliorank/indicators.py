@@ -16,8 +16,7 @@ import math
 from collections import namedtuple
 
 from .baseline import BaselineTable, build_baselines, standardize_citations
-from .errors import (NoPublications, PositionOutOfRange, UnknownSDS,
-                     UnknownUniversity, ZeroStaff)
+from .errors import NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff
 from .model import Authorship, Corpus, Period, Publication, presence
 
 INDICATORS = ("P", "FP", "AQ", "FSS")
@@ -60,19 +59,16 @@ def fractional_share(authorship: Authorship, publication: Publication,
     """Credit share of one author on one publication, in (0, 1].
 
     `known_bylines` is the set of byline universities over the publication's
-    corpus-resident authorships, used for the intramural fallback.
+    corpus-resident authorships, used for the intramural fallback. The
+    author position must lie in [1, n_authors_total], as validate checks.
     """
-    if authorship.pub_id != publication.pub_id:
-        raise ValueError("authorship does not belong to publication")
     n = publication.n_authors_total
-    if not (1 <= authorship.author_position <= n):
-        raise PositionOutOfRange(
-            f"position {authorship.author_position} outside [1, {n}] on {publication.pub_id}")
     if n == 1 or not is_life_science:
         return 1.0 / n
     if scheme.intramural_equal and known_bylines and len(set(known_bylines)) == 1:
         return 1.0 / n
-    total = sum(position_weight(p, n, scheme) for p in range(1, n + 1))
+    # one first, one last and n - 2 middle weights
+    total = scheme.first_weight + scheme.last_weight + (n - 2) * scheme.middle_weight
     return position_weight(authorship.author_position, n, scheme) / total
 
 
@@ -99,10 +95,11 @@ class UnitLedger:
     """What every (university, SDS) unit and every researcher did in each
     period, built in one pass over the authorships.
 
-    Read-only once built, so one ledger serves every indicator, period,
-    rollup and rank list of a command. Indicators are ratios of math.fsum
-    over the recorded terms: the result does not depend on the order of the
-    terms, and equal units tie exactly.
+    Expects a corpus that passes model.validate: it does not check author
+    positions or author counts itself. Read-only once built, so one ledger
+    serves every indicator, period, rollup and rank list of a command.
+    Indicators are ratios of math.fsum over the recorded terms: the result
+    does not depend on the order of the terms, and equal units tie exactly.
     """
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
@@ -154,13 +151,10 @@ class UnitLedger:
             if not periods:
                 continue
             bylines = [x.byline_university_id for x in group]
-            std = None
+            std = self._std[pid] = standardize_citations(
+                pub, self.baselines, self.basis, self.fallback_events)
             for a, (life, pairs) in known:
-                # the share first: a bad position outranks a missing baseline
                 share = fractional_share(a, pub, scheme, life, known_bylines=bylines)
-                if std is None:
-                    std = self._std[pid] = standardize_citations(
-                        pub, self.baselines, self.basis, self.fallback_events)
                 impact = share * std
                 for i in periods:
                     for tally in pairs[i]:

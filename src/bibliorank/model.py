@@ -67,20 +67,6 @@ Authorship = namedtuple(
 Violation = namedtuple("Violation", "kind entity message")
 
 
-class ValidationReport:
-    def __init__(self, violations=None):
-        self.violations = list(violations or [])
-
-    def __bool__(self):
-        return not self.violations
-
-    def __len__(self):
-        return len(self.violations)
-
-    def __iter__(self):
-        return iter(self.violations)
-
-
 class Corpus:
     """Immutable container over the loaded records, with lookup indexes.
 
@@ -157,49 +143,30 @@ def staff(corpus: Corpus, university_id: str, sds: str, period: Period,
     )
 
 
-def validate(corpus: Corpus) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
-    out = []
-    sds_set = set(corpus.taxonomy.sds_to_uda)
+def validate(corpus: Corpus) -> tuple:
+    """The byline violations of a loaded corpus, as data, not exceptions.
 
-    for r in corpus.researchers:
-        if r.sds not in sds_set:
-            out.append(Violation("unknown_sds", r.researcher_id,
-                                 f"researcher {r.researcher_id} has SDS {r.sds} not in taxonomy"))
-        if not r.active_years:
-            out.append(Violation("no_active_years", r.researcher_id,
-                                 f"researcher {r.researcher_id} has no active years"))
-
-    for p in corpus.publications:
-        if p.citations < 0:
-            out.append(Violation("negative_citations", p.pub_id,
-                                 f"publication {p.pub_id} has negative citations"))
-        if p.n_authors_total < 1:
-            out.append(Violation("bad_author_count", p.pub_id,
-                                 f"publication {p.pub_id} has n_authors_total < 1"))
-        n_resident = len(corpus.authorships_by_pub.get(p.pub_id, []))
-        if p.n_authors_total < n_resident:
-            out.append(Violation("author_count_too_small", p.pub_id,
-                                 f"publication {p.pub_id} lists {p.n_authors_total} authors "
-                                 f"but has {n_resident} authorship records"))
-
-    seen_positions = {}
-    for a in corpus.authorships:
-        pub = corpus.publication_by_id.get(a.pub_id)
-        if pub is None:
-            out.append(Violation("dangling_pub", f"{a.pub_id}/{a.researcher_id}",
-                                 f"authorship references unknown publication {a.pub_id}"))
-        elif not (1 <= a.author_position <= pub.n_authors_total):
-            out.append(Violation("position_out_of_range", f"{a.pub_id}/{a.researcher_id}",
-                                 f"author position {a.author_position} outside "
-                                 f"[1, {pub.n_authors_total}] on {a.pub_id}"))
-        if a.researcher_id not in corpus.researcher_by_id:
-            out.append(Violation("dangling_researcher", f"{a.pub_id}/{a.researcher_id}",
-                                 f"authorship references unknown researcher {a.researcher_id}"))
-        key = (a.pub_id, a.author_position)
-        if key in seen_positions:
-            out.append(Violation("duplicate_position", a.pub_id,
-                                 f"position {a.author_position} repeated on {a.pub_id}"))
-        seen_positions[key] = True
-
-    return ValidationReport(out)
+    load_corpus checks every row and key on its own; these rules span the
+    authorships of one publication. Every author_count_too_small comes first,
+    in pub_id order, then the per-authorship kinds in authorship order.
+    """
+    counts, bylines = [], []
+    for pid, group in corpus.authorships_by_pub.items():
+        n = corpus.publication_by_id[pid].n_authors_total
+        if n < len(group):
+            counts.append(Violation("author_count_too_small", pid,
+                                    f"publication {pid} lists {n} authors "
+                                    f"but has {len(group)} authorship records"))
+        seen = set()
+        for a in group:
+            pos = a.author_position
+            if not 1 <= pos <= n:
+                bylines.append(Violation("position_out_of_range",
+                                         f"{pid}/{a.researcher_id}",
+                                         f"author position {pos} outside "
+                                         f"[1, {n}] on {pid}"))
+            if pos in seen:
+                bylines.append(Violation("duplicate_position", pid,
+                                         f"position {pos} repeated on {pid}"))
+            seen.add(pos)
+    return tuple(counts + bylines)

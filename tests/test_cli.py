@@ -99,6 +99,25 @@ class TestDeterminism:
         for f in sorted((tmp_path / "one").iterdir()):
             assert filecmp.cmp(f, tmp_path / "two" / f.name, shallow=False), f.name
 
+    def test_config_hash_reads_the_baselines_content(self, demo, tmp_path):
+        def provenance(baselines, out):
+            assert main(["rank", "--input", str(demo), "--out", str(tmp_path / out),
+                         "--min-staff", "1", "--baselines", str(baselines)]) == 0
+            lines = {f.read_text().splitlines()[0]
+                     for f in (tmp_path / out).iterdir()}
+            assert len(lines) == 1
+            return lines.pop()
+
+        body = "subject_category,year,median,mean,n_pubs\nCAT_Q,2001,2,2.5,4\n"
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "a" / "baselines.csv").write_text(body)
+        (tmp_path / "b" / "copy.csv").write_text(body)
+        first = provenance(tmp_path / "a" / "baselines.csv", "out_a")
+        assert provenance(tmp_path / "b" / "copy.csv", "out_b") == first
+        (tmp_path / "a" / "baselines.csv").write_text(body.replace("2.5", "3.5"))
+        assert provenance(tmp_path / "a" / "baselines.csv", "out_c") != first
+
 
 class TestBadInput:
     @pytest.mark.parametrize("scheme", ["2,2", "a,b,c", "0,2,1", "nan,1,1"])
@@ -240,6 +259,9 @@ INVALID_CORPORA = {
     "too_few_authors": ([P("p1", n_authors=1)], [A("p1", "r1", 1), A("p1", "r2", 2)],
                         "[author_count_too_small] publication p1 lists 1 authors "
                         "but has 2 authorship records"),
+    "position_past_byline": ([P("p1", n_authors=2)], [A("p1", "r1", 1), A("p1", "r2", 3)],
+                             "[position_out_of_range] author position 3 outside "
+                             "[1, 2] on p1"),
 }
 
 

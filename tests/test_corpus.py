@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import random
@@ -15,8 +16,8 @@ from bibliorank.errors import (BiblioRankError, DanglingReference, DuplicateKey,
                                MissingFile, SchemaError, UnknownSDS,
                                UnknownUniversity)
 from bibliorank.loader import _read_rows, load_corpus, write_corpus
-from bibliorank.model import presence, staff, validate
-from bibliorank.synthgen import GenConfig, generate
+from bibliorank.model import Corpus, Violation, presence, staff, validate
+from bibliorank.synthgen import GenConfig, generate, make_corpus as make_synth_corpus
 
 from conftest import A, EARLY, LATE, P, R, make_corpus
 
@@ -80,6 +81,33 @@ class TestLoad:
                                  "p1,noyear,CAT_X,1,2\n"})
         with pytest.raises(SchemaError, match="row 2"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("overrides, error, name, message", [
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             "r1,S9,U1,2001\n"},
+         DanglingReference, None, "researcher r1 references unknown SDS S9"),
+        ({"authorships.csv": "pub_id,researcher_id,author_position,byline_university_id\n"
+                             "p1,r9,1,U1\n"},
+         DanglingReference, None, "authorship references unknown researcher_id r9"),
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             "r1,S1,U1,\n"},
+         SchemaError, "researchers.csv", "active_years is empty (row 2)"),
+        ({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                              "p1,2001,CAT_X,5,0\n"},
+         SchemaError, "publications.csv", "n_authors_total=0 below minimum 1 (row 2)"),
+        ({"authorships.csv": "pub_id,researcher_id,author_position,byline_university_id\n"
+                             "p1,r1,0,U1\n"},
+         SchemaError, "authorships.csv", "author_position=0 below minimum 1 (row 2)"),
+    ], ids=["unknown_sds", "unknown_researcher", "no_active_years", "zero_authors",
+            "position_zero"])
+    def test_row_rule_is_the_loader_s(self, tmp_path, overrides, error, name, message):
+        """validate() does not repeat these checks: the loader is their only guard."""
+        write_fileset(tmp_path, overrides)
+        with pytest.raises(error) as exc:
+            load_corpus(tmp_path)
+        assert type(exc.value) is error
+        assert str(exc.value) == (message if name is None
+                                  else f"{tmp_path / name}: {message}")
 
     @pytest.mark.parametrize("overrides, name, error", [
         ({"publications.json": '[{"pub_id": "p1",'}, "publications.json",
@@ -401,8 +429,7 @@ class TestStaff:
 
 class TestValidate:
     def test_valid_corpus_empty_report(self, simple_corpus):
-        assert validate(simple_corpus)
-        assert len(validate(simple_corpus)) == 0
+        assert validate(simple_corpus) == ()
 
     def test_position_out_of_range_listed(self):
         corpus = make_corpus([R("r1")],
@@ -419,3 +446,47 @@ class TestValidate:
         kinds = {v.kind for v in report}
         assert "author_count_too_small" in kinds
         assert "duplicate_position" in kinds
+
+    @given(seed=st.integers(0, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_two_loop_reference(self, seed, data):
+        corpus = synth_corpus(seed)
+        pubs, auths = list(corpus.publications), list(corpus.authorships)
+        for _ in range(data.draw(st.integers(0, 6), label="n_mutations")):
+            if data.draw(st.booleans(), label="mutate_position"):
+                i = data.draw(st.integers(0, len(auths) - 1), label="authorship")
+                auths[i] = auths[i]._replace(author_position=data.draw(st.integers(1, 5)))
+            else:
+                i = data.draw(st.integers(0, len(pubs) - 1), label="publication")
+                pubs[i] = pubs[i]._replace(n_authors_total=data.draw(st.integers(1, 3)))
+        mutated = Corpus(corpus.taxonomy, corpus.researchers, pubs, auths,
+                         corpus.periods)
+        assert validate(mutated) == naive_validate(mutated)
+
+
+@functools.lru_cache(maxsize=None)
+def synth_corpus(seed):
+    return make_synth_corpus(GenConfig(seed=seed, n_universities=3, n_sds=3))
+
+
+def naive_validate(corpus):
+    """The three byline rules as two plain loops: publications, then authorships."""
+    out = []
+    for p in corpus.publications:
+        n_resident = sum(a.pub_id == p.pub_id for a in corpus.authorships)
+        if p.n_authors_total < n_resident:
+            out.append(Violation("author_count_too_small", p.pub_id,
+                                 f"publication {p.pub_id} lists {p.n_authors_total} "
+                                 f"authors but has {n_resident} authorship records"))
+    seen = set()
+    for a in corpus.authorships:
+        n = corpus.publication_by_id[a.pub_id].n_authors_total
+        if not 1 <= a.author_position <= n:
+            out.append(Violation("position_out_of_range", f"{a.pub_id}/{a.researcher_id}",
+                                 f"author position {a.author_position} outside "
+                                 f"[1, {n}] on {a.pub_id}"))
+        if (a.pub_id, a.author_position) in seen:
+            out.append(Violation("duplicate_position", a.pub_id,
+                                 f"position {a.author_position} repeated on {a.pub_id}"))
+        seen.add((a.pub_id, a.author_position))
+    return tuple(out)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibliorank.baseline import BaselineTable, build_baselines
-from bibliorank.errors import NoPublications, PositionOutOfRange, ZeroStaff
+from bibliorank.baseline import build_baselines
+from bibliorank.errors import NoPublications, ZeroStaff
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
 from bibliorank.model import Period
@@ -44,10 +44,12 @@ class TestFractionalShare:
                                  known_bylines=["U1", "U2"])
         assert share == pytest.approx(2 / 6)
 
-    def test_position_out_of_range(self):
-        with pytest.raises(PositionOutOfRange):
-            fractional_share(A("p1", "r1", 5), P("p1", n_authors=3),
-                             ShareScheme(), False)
+    @pytest.mark.parametrize("pos, weight", [(1, 2), (2, 1), (10**9 - 1, 1), (10**9, 2)])
+    def test_huge_byline_costs_one_sum(self, pos, weight):
+        # 2 + 2 + (10**9 - 2) * 1 weights, not a sum over a billion positions
+        share = fractional_share(A("p1", "r1", pos), P("p1", n_authors=10**9),
+                                 ShareScheme(), True)
+        assert share == weight / 1_000_000_002
 
     @given(n=st.integers(1, 25),
            first=st.floats(0.01, 5.0), last=st.floats(0.01, 5.0),
@@ -271,7 +273,7 @@ class TestLedger:
         assert ledger.fallback_events == [("p1", "CAT_X", 2001)]
 
     def test_unknown_researcher_and_publication_are_skipped(self):
-        # Corpus() checks no references; the loader and validate() do
+        # Corpus() checks no references; load_corpus does
         corpus = make_corpus([R("r1")], [P("p1")],
                              [A("p1", "r1"), A("ghost", "nobody")])
         ledger = UnitLedger(corpus)
@@ -288,8 +290,3 @@ class TestLedger:
         corpus = make_corpus([R("r1"), R("r2", univ="U2")], pubs, authorships)
         ledger = UnitLedger(corpus)
         assert ledger.fallback_events == [("p2", "CAT_X", 2001), ("p5", "CAT_X", 2001)]
-
-    def test_bad_position_outranks_missing_baseline(self):
-        corpus = make_corpus([R("r1")], [P("p1", n_authors=3)], [A("p1", "r1", pos=5)])
-        with pytest.raises(PositionOutOfRange):
-            UnitLedger(corpus, baselines=BaselineTable())
