@@ -13,10 +13,10 @@ from .model import (Authorship, Corpus, Period, Publication, Researcher,
                     Taxonomy, staff, validate)
 from .rankshift import (QuintileAssignment, RankList, ShiftStats, ShiftTable,
                         TransitionMatrix, assign_quintiles, classify_shifts,
-                        compare_drilldowns, indicator_comparison,
-                        period_rankings, quintile_shift, rank_list,
-                        sds_drilldown, shift_stats, transition_matrix,
-                        uda_rank_list, university_shift_table)
+                        compare_drilldowns, period_rankings, quintile_shift,
+                        rank_list, sds_drilldown, shift_stats,
+                        transition_matrix, uda_rank_list,
+                        university_shift_table)
 
 # The generator needs numpy, which takes longer to import than the rest of the
 # package; load it on first use so that scoring commands start without it.

@@ -4,8 +4,10 @@ SDS-level unit scores are divided by the national staff-weighted mean of the
 SDS, so 1.0 always reads as "national average". UDA scores are staff-weighted
 convex combinations of those rescaled values.
 
-Scores are read from the command's UnitLedger. uda_scores rolls up the
-sds_unit_scores maps it is given, so a command scores each SDS once.
+Scores are read from the command's UnitLedger. uda_scores is one pass over
+the sds_unit_scores maps it is given: they list the staffed units, so they
+alone decide which units a rollup counts, and a command scores each SDS once.
+uda_score looks one university up in that rollup.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
-                     ZeroBase, ZeroStaff)
+                     UnknownUniversity, ZeroBase, ZeroStaff)
 from .indicators import UnitLedger, unit_indicator
 from .model import Period, presence
 
@@ -63,60 +65,49 @@ def uda_unit_scores(ledger: UnitLedger, uda: str, indicator: str,
             for sds in ledger.corpus.taxonomy.sds_in_uda(uda)}
 
 
-def _rescaled(unit_scores: dict) -> dict:
-    """sds -> rescale_sds output ({} where every unit is absent)."""
-    out = {}
+def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period,
+               unit_scores: dict) -> dict:
+    """university_id -> UdaScore for every university of the UDA that has one.
+
+    `unit_scores` is the UDA's uda_unit_scores, which the caller may already
+    hold for its unit table. Its maps list the staffed units, so they decide
+    which units count: each SDS is rescaled once and each unit it lists adds
+    (staff, rescaled value or None) to its university.
+    """
+    contributions = {}
     for sds, scores in unit_scores.items():
         try:
-            out[sds] = rescale_sds(scores)
+            rescaled = rescale_sds(scores)
         except AllAbsent:
-            out[sds] = {}
+            rescaled = {}
+        for u, _ in scores:
+            contributions.setdefault(u, []).append(
+                (ledger.staff(u, sds, period), rescaled.get((u, sds))))
+    out = {}
+    for u, pairs in sorted(contributions.items()):
+        # absent SDS scores are dropped and the weights renormalized
+        scored = [(w, v) for w, v in pairs if v is not None]
+        if scored:
+            value = (math.fsum(w * v for w, v in scored)
+                     / math.fsum(w for w, _ in scored))
+            out[u] = UdaScore(u, uda, indicator, period.label, value,
+                              math.fsum(w for w, _ in pairs))
     return out
-
-
-def _rollup(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
-            period: Period, rescaled: dict) -> UdaScore:
-    contributions = []
-    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
-        w = ledger.staff(university_id, sds, period)
-        if w <= 0:
-            continue
-        contributions.append((w, rescaled[sds].get((university_id, sds))))
-    if not contributions:
-        raise NoStaffInUda(f"{university_id} has no staff in UDA {uda}")
-    covered = math.fsum(w for w, _ in contributions)
-    # absent SDS scores are dropped and the weights renormalized
-    scored = [(w, v) for w, v in contributions if v is not None]
-    if not scored:
-        raise NoStaffInUda(
-            f"{university_id} has no scored SDS in UDA {uda} for {indicator}")
-    w_total = math.fsum(w for w, _ in scored)
-    value = math.fsum(w * v for w, v in scored) / w_total
-    return UdaScore(university_id, uda, indicator, period.label, value, covered)
 
 
 def uda_score(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
               period: Period) -> UdaScore:
-    """Staff-weighted combination of the university's rescaled SDS scores."""
-    return _rollup(ledger, university_id, uda, indicator, period,
-                   _rescaled(uda_unit_scores(ledger, uda, indicator, period)))
-
-
-def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period,
-               unit_scores: dict) -> dict:
-    """university_id -> uda_score for every university of the UDA that has one.
-
-    `unit_scores` is the UDA's uda_unit_scores, which the caller may already
-    hold for its unit table; each SDS is rescaled once for all universities.
-    """
-    rescaled = _rescaled(unit_scores)
-    out = {}
-    for u in ledger.corpus.universities_in_uda(uda):
-        try:
-            out[u] = _rollup(ledger, u, uda, indicator, period, rescaled)
-        except NoStaffInUda:
-            continue
-    return out
+    """One university's entry of uda_scores."""
+    if university_id not in ledger.corpus.universities:
+        raise UnknownUniversity(university_id)
+    unit_scores = uda_unit_scores(ledger, uda, indicator, period)
+    score = uda_scores(ledger, uda, indicator, period, unit_scores).get(university_id)
+    if score is not None:
+        return score
+    if any((university_id, sds) in scores for sds, scores in unit_scores.items()):
+        raise NoStaffInUda(
+            f"{university_id} has no scored SDS in UDA {uda} for {indicator}")
+    raise NoStaffInUda(f"{university_id} has no staff in UDA {uda}")
 
 
 def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period,

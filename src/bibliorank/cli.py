@@ -173,7 +173,7 @@ def cmd_indicators(args) -> int:
                       ledger, uda, ind, period,
                       {s: unit_scores[(s, ind, period)] for s in sds_codes})
                   for period in corpus.periods for ind in INDICATORS}
-        for u in corpus.universities_in_uda(uda):
+        for u in sorted(set().union(*rolled.values())):
             for period in corpus.periods:
                 for ind in INDICATORS:
                     sc = rolled[(period, ind)].get(u)
@@ -237,7 +237,7 @@ def cmd_compare(args) -> int:
 
     table = university_shift_table(
         ledger.corpus.universities,
-        {uda: rankings[(uda, args.indicator)] for uda in udas}, args.indicator)
+        {uda: rankings[(uda, args.indicator)] for uda in udas})
     table_rows = [[u] + [table.cells[u][c] for c in table.columns]
                   + [table.row_total(u)] for u in table.universities]
     table_rows.append(["pct_changed"]
@@ -284,13 +284,9 @@ def cmd_drilldown(args) -> int:
 
 def cmd_synth(args) -> int:
     from .synthgen import GenConfig, generate  # numpy loads only for this command
-    config = GenConfig(
-        seed=args.seed, n_universities=args.n_universities, n_sds=args.n_sds,
-        sds_per_uda=args.sds_per_uda, staff_min=args.staff_min,
-        staff_max=args.staff_max,
-        pubs_per_researcher_year=args.pubs_per_researcher_year,
-        citation_mean=args.citation_mean, turnover_rate=args.turnover_rate,
-        life_science_fraction=args.life_science_fraction)
+    # the subparser sets only the options given; GenConfig holds the defaults
+    config = GenConfig(**{k: v for k, v in vars(args).items()
+                          if k not in ("command", "func", "out")})
     manifest = generate(config, Path(args.out))
     print(json.dumps({k: v for k, v in manifest.items() if k != "config"},
                      sort_keys=True))
@@ -350,19 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indicator", choices=INDICATORS, default="FSS")
     p.set_defaults(func=cmd_drilldown)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic corpus fileset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-universities", dest="n_universities", type=int, default=8)
-    p.add_argument("--n-sds", dest="n_sds", type=int, default=6)
-    p.add_argument("--sds-per-uda", dest="sds_per_uda", type=int, default=3)
-    p.add_argument("--staff-min", dest="staff_min", type=int, default=1)
-    p.add_argument("--staff-max", dest="staff_max", type=int, default=4)
-    p.add_argument("--pubs-per-researcher-year", dest="pubs_per_researcher_year",
-                   type=float, default=1.2)
-    p.add_argument("--citation-mean", dest="citation_mean", type=float, default=2.0)
-    p.add_argument("--turnover-rate", dest="turnover_rate", type=float, default=0.2)
-    p.add_argument("--life-science-fraction", dest="life_science_fraction",
-                   type=float, default=0.3)
+    p = sub.add_parser("synth", help="generate a seeded synthetic corpus fileset",
+                       argument_default=argparse.SUPPRESS)
+    for option, kind in (("seed", int), ("n-universities", int), ("n-sds", int),
+                         ("sds-per-uda", int), ("staff-min", int), ("staff-max", int),
+                         ("pubs-per-researcher-year", float), ("citation-mean", float),
+                         ("turnover-rate", float), ("life-science-fraction", float)):
+        p.add_argument(f"--{option}", type=kind)
     p.add_argument("--out", default="synth_out")
     p.set_defaults(func=cmd_synth)
     return parser

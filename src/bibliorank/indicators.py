@@ -22,14 +22,13 @@ from .model import Authorship, Corpus, Period, Publication, presence
 INDICATORS = ("P", "FP", "AQ", "FSS")
 
 
-class ShareScheme(namedtuple("ShareScheme",
-                             "first_weight last_weight middle_weight intramural_equal",
-                             defaults=(2.0, 2.0, 1.0, True))):
-    """Author-share weighting for life-science publication bylines.
+class ShareScheme(namedtuple("ShareScheme", "first_weight last_weight middle_weight",
+                             defaults=(2.0, 2.0, 1.0))):
+    """Author-share position weights for life-science publication bylines.
 
     Position weights apply only to life-science fields; everywhere else a
-    publication's credit splits equally across its authors. When every known
-    byline carries the same university the split reverts to equal shares.
+    publication's credit splits equally across its authors. fractional_share
+    also splits equally when every known byline carries the same university.
     """
     __slots__ = ()
 
@@ -65,7 +64,7 @@ def fractional_share(authorship: Authorship, publication: Publication,
     n = publication.n_authors_total
     if n == 1 or not is_life_science:
         return 1.0 / n
-    if scheme.intramural_equal and known_bylines and len(set(known_bylines)) == 1:
+    if known_bylines and len(set(known_bylines)) == 1:
         return 1.0 / n
     # one first, one last and n - 2 middle weights
     total = scheme.first_weight + scheme.last_weight + (n - 2) * scheme.middle_weight
@@ -104,28 +103,27 @@ class UnitLedger:
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
                  baselines: BaselineTable | None = None, basis: str = "median",
-                 staff_mode: str = "prorata", periods=None):
+                 staff_mode: str = "prorata"):
         self.corpus = corpus
         self.scheme = scheme
         self.baselines = build_baselines(corpus) if baselines is None else baselines
         self.basis = basis
         self.staff_mode = staff_mode
-        self.periods = tuple(corpus.periods if periods is None else periods)
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
         self._universities = set(corpus.universities)
         self._sds_universities = {}
         for u, s in corpus.units():
             self._sds_universities.setdefault(s, []).append(u)
-        self._units = {p: {} for p in self.periods}
-        self._researchers = {p: {} for p in self.periods}
+        self._units = {p: {} for p in corpus.periods}
+        self._researchers = {p: {} for p in corpus.periods}
 
         # per researcher: its life-science flag and, per period index, the
         # (researcher tally, unit tally) pair its authorships add to
         tallies = {}
         for r in corpus.researchers:
             pairs = []
-            for p in self.periods:
+            for p in corpus.periods:
                 own = presence(r, p, staff_mode)
                 mine = self._researchers[p][r.researcher_id] = _Tally([own])
                 unit = self._units[p].get((r.university_id, r.sds))
@@ -139,21 +137,18 @@ class UnitLedger:
         # lists and fallback_events keep that order
         year_periods = {}  # year -> indexes of the periods containing it
         for pid, group in corpus.authorships_by_pub.items():
-            known = [(a, tallies[a.researcher_id]) for a in group
-                     if a.researcher_id in tallies]
-            if not known:
-                continue
             pub = corpus.publication_by_id[pid]
             periods = year_periods.get(pub.year)
             if periods is None:
                 periods = year_periods[pub.year] = [
-                    i for i, p in enumerate(self.periods) if p.contains(pub.year)]
+                    i for i, p in enumerate(corpus.periods) if p.contains(pub.year)]
             if not periods:
                 continue
             bylines = [x.byline_university_id for x in group]
             std = self._std[pid] = standardize_citations(
                 pub, self.baselines, self.basis, self.fallback_events)
-            for a, (life, pairs) in known:
+            for a in group:
+                life, pairs = tallies[a.researcher_id]
                 share = fractional_share(a, pub, scheme, life, known_bylines=bylines)
                 impact = share * std
                 for i in periods:
@@ -220,10 +215,10 @@ class UnitLedger:
 
 
 def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,
-               basis: str, staff_mode: str, periods=None) -> UnitLedger:
+               basis: str, staff_mode: str) -> UnitLedger:
     """`ledger` when given, which must come from the same inputs; else a new one."""
     if ledger is None:
-        return UnitLedger(corpus, scheme, baselines, basis, staff_mode, periods)
+        return UnitLedger(corpus, scheme, baselines, basis, staff_mode)
     if (ledger.corpus is not corpus or ledger.baselines is not baselines
             or (ledger.scheme, ledger.basis, ledger.staff_mode)
             != (scheme, basis, staff_mode)):
@@ -235,7 +230,7 @@ def unit_indicator(corpus: Corpus, university_id: str, sds: str, indicator: str,
                    period: Period, scheme: ShareScheme, baselines: BaselineTable,
                    basis: str = "median", staff_mode: str = "prorata", *,
                    ledger: UnitLedger | None = None) -> IndicatorScore:
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
     return ledger.unit_score(university_id, sds, indicator, period)
 
 
@@ -244,5 +239,5 @@ def researcher_indicator(corpus: Corpus, researcher_id: str, indicator: str,
                          basis: str = "median", staff_mode: str = "prorata", *,
                          ledger: UnitLedger | None = None) -> IndicatorScore:
     """Same formulas with a single researcher as the unit (staff = own presence)."""
-    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode, (period,))
+    ledger = ledger_for(ledger, corpus, scheme, baselines, basis, staff_mode)
     return ledger.researcher_score(researcher_id, indicator, period)

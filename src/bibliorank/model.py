@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from operator import attrgetter
 
-from .errors import UnknownSDS, UnknownUniversity
+from .errors import DanglingReference, UnknownSDS, UnknownUniversity
 
 
 class Period(namedtuple("Period", "label start_year end_year")):
@@ -90,6 +90,17 @@ class Corpus:
         self.authorships_by_pub = {}
         for a in self.authorships:
             self.authorships_by_pub.setdefault(a.pub_id, []).append(a)
+        # load_corpus rejects these row by row; a Corpus built directly is
+        # checked here and names its smallest unknown key
+        unknown = self.authorships_by_pub.keys() - self.publication_by_id.keys()
+        if unknown:
+            raise DanglingReference(
+                f"authorship references unknown pub_id {min(unknown)}")
+        unknown = ({a.researcher_id for a in self.authorships}
+                   - self.researcher_by_id.keys())
+        if unknown:
+            raise DanglingReference(
+                f"authorship references unknown researcher_id {min(unknown)}")
         self.universities = sorted({r.university_id for r in self.researchers})
         self._unit_researchers = {}
         for r in self.researchers:

@@ -160,12 +160,9 @@ def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
 def sds_rank_list(ledger: UnitLedger, sds: str, indicator: str, period: Period,
                   min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a single SDS by the raw unit score."""
-    unit_scores = sds_unit_scores(ledger, sds, indicator, period)
-    scores = {u: (s.value if s is not None else None,
-                  s.staff if s is not None else 0.0)
-              for (u, _), s in unit_scores.items()}
-    # absent scores still need their staff for the threshold check; they are
-    # excluded from ranking either way
+    scores = {u: (s.value, s.staff)
+              for (u, _), s in sds_unit_scores(ledger, sds, indicator, period).items()
+              if s is not None}
     return rank_list(scores, sds, indicator, period.label, min_staff)
 
 
@@ -206,10 +203,9 @@ class ShiftTable:
     least one period, printed as "n.a.").
     """
 
-    def __init__(self, columns: list, cells: dict, indicator: str = ""):
+    def __init__(self, columns: list, cells: dict):
         self.columns = columns
         self.cells = cells
-        self.indicator = indicator
 
     def row_total(self, university_id) -> int:
         return sum(v for v in self.cells[university_id].values() if v is not None)
@@ -243,8 +239,7 @@ class ShiftTable:
         }
 
 
-def university_shift_table(universities, rankings: dict,
-                           indicator: str = "") -> ShiftTable:
+def university_shift_table(universities, rankings: dict) -> ShiftTable:
     """Quintile shift of every university in every UDA between the two periods.
 
     `rankings` maps each UDA, in column order, to its period_rankings pair.
@@ -252,7 +247,7 @@ def university_shift_table(universities, rankings: dict,
     shifts = {uda: quintile_shifts(pair) for uda, pair in rankings.items()}
     cells = {u: {uda: by_uni.get(u) for uda, by_uni in shifts.items()}
              for u in universities}
-    return ShiftTable(columns=list(rankings), cells=cells, indicator=indicator)
+    return ShiftTable(columns=list(rankings), cells=cells)
 
 
 def _check_scope(ledger: UnitLedger, university_id: str, uda: str):
@@ -304,11 +299,3 @@ def compare_drilldowns(drilldowns: dict) -> dict:
     return {sds: {"P": p[sds], "FP": fp[sds], "AQ": aq[sds],
                   "flags": classify_shifts(p[sds], fp[sds], aq[sds])}
             for sds in p if sds in fp and sds in aq}
-
-
-def indicator_comparison(ledger: UnitLedger, university_id: str, uda: str,
-                         min_staff: float = DEFAULT_MIN_STAFF) -> dict:
-    """compare_drilldowns over one university's P, FP and AQ drilldowns."""
-    return compare_drilldowns({ind: sds_drilldown(ledger, university_id, uda, ind,
-                                                  min_staff)
-                               for ind in COMPARED})

@@ -1,10 +1,14 @@
 import pytest
 
 from bibliorank.aggregate import (national_weighted_average, percent_variation,
-                                  rescale_sds, sds_unit_scores, uda_score)
+                                  rescale_sds, sds_unit_scores, uda_score,
+                                  uda_scores, uda_unit_scores)
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import AllAbsent, EmptyScope, NoStaffInUda, ZeroBase
+from bibliorank.errors import (AllAbsent, EmptyScope, NoStaffInUda,
+                               UnknownUniversity, ZeroBase)
 from bibliorank.indicators import IndicatorScore, ShareScheme, UnitLedger
+from bibliorank.oracle import Oracle
+from bibliorank.rankshift import uda_rank_list
 
 from conftest import A, EARLY, LATE, P, R, make_corpus, make_taxonomy, read_fixture
 
@@ -128,6 +132,40 @@ class TestUdaScore:
         sc = uda_score(UnitLedger(self.corpus, self.scheme, self.baselines),
                        "U1", "A", "P", EARLY)
         assert 0.75 <= sc.value <= 1.25
+
+    def test_errors_and_messages(self):
+        # U1 is staffed in S1 without publications, so its AQ is undefined
+        corpus = make_corpus([R("r1"), R("r2", univ="U2")], [P("p1")],
+                             [A("p1", "r2", byline="U2")],
+                             make_taxonomy({"S1": "A"}))
+        ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
+        with pytest.raises(UnknownUniversity, match="^NOPE$"):
+            uda_score(ledger, "NOPE", "A", "P", EARLY)
+        with pytest.raises(NoStaffInUda, match="^U1 has no staff in UDA A$"):
+            uda_score(ledger, "U1", "A", "P", LATE)
+        with pytest.raises(NoStaffInUda,
+                           match="^U1 has no scored SDS in UDA A for AQ$"):
+            uda_score(ledger, "U1", "A", "AQ", EARLY)
+
+    def test_staff_at_an_integer_boundary(self):
+        # U1's early presences are 1/3, 1/3, 1 in S1 and 2/3, 2/3, 1 in S2:
+        # four researchers' worth, but the per-SDS sums round below 4
+        tax = make_taxonomy({"S1": "A", "S2": "A"})
+        researchers = [R("a1", "S1", years=(2001,)), R("a2", "S1", years=(2002,)),
+                       R("a3", "S1"), R("b1", "S2", years=(2001, 2002)),
+                       R("b2", "S2", years=(2002, 2003)), R("b3", "S2")]
+        corpus = make_corpus(researchers, [P("p1"), P("p2")],
+                             [A("p1", "a3"), A("p2", "b3")], tax)
+        ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
+        rolled = uda_scores(ledger, "A", "P", EARLY,
+                            uda_unit_scores(ledger, "A", "P", EARLY))
+        # covered_staff adds the per-SDS staff sums
+        assert rolled["U1"].covered_staff == 3.9999999999999996
+        # uda_rank_list sums every presence at once and ranks U1 at 4 ...
+        ranked = uda_rank_list(ledger, "A", "P", EARLY, min_staff=4.0)
+        assert ranked.universities == ["U1"]
+        # ... while the oracle adds the per-SDS sums and does not
+        assert ("A", "P", "E") not in Oracle(corpus, min_staff=4.0).uda_rank_tables()
 
 
 class TestNationalWeightedAverage:

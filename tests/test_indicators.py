@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import NoPublications, ZeroStaff
+from bibliorank.errors import DanglingReference, NoPublications, ZeroStaff
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
 from bibliorank.model import Period
@@ -268,16 +268,18 @@ class TestLedger:
                              [A("p1", "r1"), A("p2", "r1"), A("p4", "r1"),
                               A("p3", "r2", byline="U2")],
                              make_taxonomy({"S1": "A"}))
-        ledger = UnitLedger(corpus, baselines=build_baselines(corpus),
-                            periods=(EARLY,))
+        ledger = UnitLedger(corpus, baselines=build_baselines(corpus))
         assert ledger.fallback_events == [("p1", "CAT_X", 2001)]
 
-    def test_unknown_researcher_and_publication_are_skipped(self):
-        # Corpus() checks no references; load_corpus does
-        corpus = make_corpus([R("r1")], [P("p1")],
-                             [A("p1", "r1"), A("ghost", "nobody")])
-        ledger = UnitLedger(corpus)
-        assert ledger.unit_score("U1", "S1", "P", EARLY).n_pubs == 1
+    def test_unknown_researcher_and_publication_are_rejected(self):
+        # Corpus() rejects them, as load_corpus does, so no ledger sees them
+        for authorship, message in [
+                (A("ghost", "r1"), "authorship references unknown pub_id ghost"),
+                (A("p1", "nobody"),
+                 "authorship references unknown researcher_id nobody")]:
+            with pytest.raises(DanglingReference) as err:
+                make_corpus([R("r1")], [P("p1")], [A("p1", "r1"), authorship])
+            assert str(err.value) == message
 
     def test_fallback_events_once_per_publication_in_pub_id_order(self):
         # CAT_X/2001 has median 0, so p2 and p5 fall back; each has two authors

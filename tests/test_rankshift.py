@@ -9,9 +9,9 @@ from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
                                UnknownUDA, UnknownUniversity)
 from bibliorank.indicators import ShareScheme, UnitLedger
 from bibliorank.oracle import Oracle
-from bibliorank.rankshift import (QuintileAssignment, RankList, ShiftTable,
-                                  assign_quintiles, classify_shifts,
-                                  indicator_comparison, period_rankings,
+from bibliorank.rankshift import (COMPARED, QuintileAssignment, RankList,
+                                  ShiftTable, assign_quintiles, classify_shifts,
+                                  compare_drilldowns, period_rankings,
                                   quintile_shift, rank_list, sds_drilldown,
                                   shift_stats, transition_matrix,
                                   uda_rank_list, university_shift_table)
@@ -224,7 +224,7 @@ class TestCorpusDriven:
         table = university_shift_table(
             self.corpus.universities,
             {uda: period_rankings(uda_rank_list, self.ledger, uda, "FSS", 1.0)
-             for uda in self.corpus.taxonomy.uda_list}, "FSS")
+             for uda in self.corpus.taxonomy.uda_list})
         for u in table.universities:
             numeric = [v for v in table.cells[u].values() if v is not None]
             assert all(abs(v) <= 4 for v in numeric)
@@ -236,7 +236,7 @@ class TestCorpusDriven:
         table = university_shift_table(
             self.corpus.universities,
             {uda: period_rankings(uda_rank_list, self.ledger, uda, "P", 1.0)
-             for uda in self.corpus.taxonomy.uda_list}, "P")
+             for uda in self.corpus.taxonomy.uda_list})
         for uda in self.corpus.taxonomy.uda_list:
             assigns = []
             for period in self.corpus.periods:
@@ -274,16 +274,17 @@ class TestCorpusDriven:
     def test_indicator_comparison_flags(self):
         uda = self.corpus.taxonomy.uda_list[0]
         univ = self.corpus.universities_in_uda(uda)[0]
-        rows = indicator_comparison(self.ledger, univ, uda, min_staff=1.0)
+        rows = compare_drilldowns({ind: sds_drilldown(self.ledger, univ, uda, ind,
+                                                      min_staff=1.0)
+                                   for ind in COMPARED})
         for sds, row in rows.items():
             assert row["flags"] == classify_shifts(row["P"], row["FP"], row["AQ"])
 
-    @pytest.mark.parametrize("fn", [sds_drilldown, indicator_comparison])
+    @pytest.mark.parametrize("fn", [sds_drilldown])
     def test_drilldown_rejects_unknown_scope(self, fn):
         uda = self.corpus.taxonomy.uda_list[0]
         univ = self.corpus.universities_in_uda(uda)[0]
-        extra = ("FSS",) if fn is sds_drilldown else ()
         with pytest.raises(UnknownUniversity):
-            fn(self.ledger, "NOPE", uda, *extra)
+            fn(self.ledger, "NOPE", uda, "FSS")
         with pytest.raises(UnknownUDA):
-            fn(self.ledger, univ, "NOPE", *extra)
+            fn(self.ledger, univ, "NOPE", "FSS")

@@ -35,8 +35,8 @@ def test_invalid_records_raise_value_error(make):
 
 
 def test_share_scheme_defaults_and_keywords():
-    assert ShareScheme() == ShareScheme(2.0, 2.0, 1.0, True)
-    assert ShareScheme(middle_weight=0.5) == ShareScheme(2.0, 2.0, 0.5, True)
+    assert ShareScheme() == ShareScheme(2.0, 2.0, 1.0)
+    assert ShareScheme(middle_weight=0.5) == ShareScheme(2.0, 2.0, 0.5)
 
 
 def test_period_repr_and_tuple_behaviour():
