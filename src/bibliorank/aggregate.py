@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
-                     UnknownUniversity, ZeroBase, ZeroStaff)
+                     UnknownUDA, UnknownUniversity, ZeroBase, ZeroStaff)
 from .indicators import UnitLedger, unit_indicator
 from .model import Period, presence
 
@@ -100,6 +100,8 @@ def uda_score(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
     """One university's entry of uda_scores."""
     if university_id not in ledger.corpus.universities:
         raise UnknownUniversity(university_id)
+    if uda not in ledger.corpus.taxonomy.uda_list:
+        raise UnknownUDA(f"UDA {uda} is not in the taxonomy")
     unit_scores = uda_unit_scores(ledger, uda, indicator, period)
     score = uda_scores(ledger, uda, indicator, period, unit_scores).get(university_id)
     if score is not None:

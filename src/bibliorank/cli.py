@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -359,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # the records are acyclic and a command is short
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -366,6 +369,9 @@ def main(argv=None) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -115,24 +115,21 @@ class UnitLedger:
         self._sds_universities = {}
         for u, s in corpus.units():
             self._sds_universities.setdefault(s, []).append(u)
-        self._units = {p: {} for p in corpus.periods}
-        self._researchers = {p: {} for p in corpus.periods}
+        self._uda_sds = {uda: corpus.taxonomy.sds_in_uda(uda)
+                         for uda in corpus.taxonomy.uda_list}
 
-        # per researcher: its life-science flag and, per period index, the
-        # (researcher tally, unit tally) pair its authorships add to
-        tallies = {}
-        for r in corpus.researchers:
-            pairs = []
-            for p in corpus.periods:
-                own = presence(r, p, staff_mode)
-                mine = self._researchers[p][r.researcher_id] = _Tally([own])
-                unit = self._units[p].get((r.university_id, r.sds))
-                if unit is None:
-                    unit = self._units[p][(r.university_id, r.sds)] = _Tally()
-                unit.presence.append(own)
-                pairs.append((mine, unit))
-            tallies[r.researcher_id] = (corpus.taxonomy.is_life_science(r.sds), pairs)
+        # per researcher: its life-science flag and its tally in each period
+        tallies = {r.researcher_id: (corpus.taxonomy.is_life_science(r.sds),
+                                     [_Tally([presence(r, p, staff_mode)])
+                                      for p in corpus.periods])
+                   for r in corpus.researchers}
+        self._researchers = {p: {rid: mine[i] for rid, (_, mine) in tallies.items()}
+                             for i, p in enumerate(corpus.periods)}
 
+        # stratum -> positive divisor; standardize_citations takes the rest (and
+        # an unknown basis), so its errors and fallback_events keep their order
+        divisors = {key: d for key, entry in self.baselines.entries.items()
+                    if basis in ("median", "mean") and (d := getattr(entry, basis)) > 0}
         # authorships_by_pub runs in corpus.authorships order, so the term
         # lists and fallback_events keep that order
         year_periods = {}  # year -> indexes of the periods containing it
@@ -144,18 +141,35 @@ class UnitLedger:
                     i for i, p in enumerate(corpus.periods) if p.contains(pub.year)]
             if not periods:
                 continue
+            divisor = divisors.get((pub.subject_category, pub.year))
+            std = self._std[pid] = (
+                pub.citations / divisor if divisor else standardize_citations(
+                    pub, self.baselines, self.basis, self.fallback_events))
             bylines = [x.byline_university_id for x in group]
-            std = self._std[pid] = standardize_citations(
-                pub, self.baselines, self.basis, self.fallback_events)
+            # only a life-science author on a byline of several universities
+            weighted = pub.n_authors_total > 1 and len(set(bylines)) > 1
             for a in group:
-                life, pairs = tallies[a.researcher_id]
-                share = fractional_share(a, pub, scheme, life, known_bylines=bylines)
+                life, mine = tallies[a.researcher_id]
+                share = (fractional_share(a, pub, scheme, life, known_bylines=bylines)
+                         if weighted and life else 1.0 / pub.n_authors_total)
                 impact = share * std
                 for i in periods:
-                    for tally in pairs[i]:
-                        tally.pubs.add(pid)
-                        tally.shares.append(share)
-                        tally.impacts.append(impact)
+                    tally = mine[i]
+                    tally.pubs.add(pid)
+                    tally.shares.append(share)
+                    tally.impacts.append(impact)
+
+        # each unit's terms are its members' terms: math.fsum is exactly
+        # rounded, so the order they are gathered in changes no value
+        self._units = {p: {unit: _Tally() for unit in corpus.units()} for p in corpus.periods}
+        for p, units in self._units.items():
+            for r in corpus.researchers:
+                mine = self._researchers[p][r.researcher_id]
+                unit = units[(r.university_id, r.sds)]
+                unit.presence.extend(mine.presence)
+                unit.pubs.update(mine.pubs)
+                unit.shares.extend(mine.shares)
+                unit.impacts.extend(mine.impacts)
 
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
         if sds not in self.corpus.taxonomy.sds_to_uda:
@@ -192,7 +206,7 @@ class UnitLedger:
 
     def uda_staff(self, university_id: str, uda: str, period: Period) -> float:
         units = self._units[period]
-        return math.fsum(x for sds in self.corpus.taxonomy.sds_in_uda(uda)
+        return math.fsum(x for sds in self._uda_sds.get(uda, ())
                          if (university_id, sds) in units
                          for x in units[(university_id, sds)].presence)
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import csv
 import json
-from operator import itemgetter
+from itertools import chain, compress
+from operator import gt, itemgetter
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateKey, MissingFile, SchemaError
@@ -95,118 +96,135 @@ def _read_rows(path: Path, required: tuple) -> list:
     return list(map(itemgetter(*cols), rows))
 
 
-def _numbered_rows(input_dir: Path, stem: str) -> tuple:
-    """The stem's file, and (row number, row) pairs of _read_rows over its
-    columns, numbered as its errors are: a JSON file's first object is row 1,
-    a CSV file's first row under the header row 2."""
-    path = find_file(input_dir, stem)
-    rows = _read_rows(path, FILESET[stem])
-    return path, enumerate(rows, start=1 if path.suffix == ".json" else 2)
+class _File:
+    """One file's columns, and the first failing row of each column check.
+    Checks are noted in the order a row-by-row pass makes them, so the first
+    noted failure of the earliest row (raise_first) is that pass's error."""
+
+    def __init__(self, input_dir: Path, stem: str):
+        self.path = find_file(input_dir, stem)
+        self.first = 1 if self.path.suffix == ".json" else 2  # as _read_rows counts
+        self.columns = (list(zip(*_read_rows(self.path, FILESET[stem])))
+                        or [()] * len(FILESET[stem]))
+        self.failures = []
+
+    def note(self, fails: bool, values, failing, error):
+        """If `fails`, note error(i) for the first value i that is failing
+        and return i; a str error is a SchemaError's message."""
+        if fails:
+            i = next(i for i, v in enumerate(values) if failing(v))
+            exc = error(i)
+            if isinstance(exc, str):
+                exc = SchemaError(exc, path=self.path, row=self.first + i)
+            self.failures.append((i, exc))
+            return i
+
+    def unique(self, keys, error) -> None:
+        seen = set()  # set.add returns None: a key fails where it was seen before
+        self.note(len(set(keys)) < len(keys), keys, lambda k: k in seen or seen.add(k), error)
+
+    def known(self, keys, known: set, error) -> None:
+        self.note(not known.issuperset(keys), keys, lambda k: k not in known, error)
+
+    def ints(self, values, name: str, minimum=None) -> list:
+        """The column as ints, up to its first value that is not an integer."""
+        ints = _ints(values)
+        if ints is None:
+            i = self.note(True, values, lambda v: _ints((v,)) is None,
+                          lambda i: f"{name}={values[i]!r} is not an integer")
+            ints = _ints(values[:i])
+        if minimum is not None:
+            self.note(ints and min(ints) < minimum, ints, lambda v: v < minimum,
+                      lambda i: f"{name}={ints[i]} below minimum {minimum}")
+        return ints
+
+    def years(self, values) -> list:
+        """active_years as frozensets: a JSON list, or text separated by ';'."""
+        lists = [v if v.__class__ is list else [y for y in str(v).split(";") if y != ""]
+                 for v in values]
+        if [] not in lists and _ints(list(chain.from_iterable(lists))) is not None:
+            return [frozenset(map(int, y)) for y in lists]
+        self.note(True, lists, lambda y: not _ints(y), lambda i: (
+            f"active_years={next(y for y in lists[i] if _ints((y,)) is None)!r} "
+            "is not an integer" if lists[i] else "active_years is empty"))
+        return []
+
+    def raise_first(self) -> None:
+        if self.failures:
+            raise min(self.failures, key=itemgetter(0))[1]
 
 
-def _to_int(value, name, path, row, minimum=None):
+def _ints(values):
+    """values as ints, or None if one is not text or a JSON integer that int()
+    reads: int() would truncate a JSON float and read a JSON bool as 0 or 1."""
     try:
-        # text or a JSON integer only: int() would truncate a JSON float and
-        # read a JSON bool as 0 or 1 (class tests: isinstance costs the CSV path)
-        if value.__class__ is not str and value.__class__ is not int:
-            raise TypeError
-        v = int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{name}={value!r} is not an integer", path=path, row=row)
-    if minimum is not None and v < minimum:
-        raise SchemaError(f"{name}={v} below minimum {minimum}", path=path, row=row)
-    return v
-
-
-def _parse_years(value, path, row):
-    if isinstance(value, list):
-        years = [_to_int(y, "active_years", path, row) for y in value]
-    else:
-        parts = [p for p in str(value).split(";") if p != ""]
-        years = [_to_int(p, "active_years", path, row) for p in parts]
-    if not years:
-        raise SchemaError("active_years is empty", path=path, row=row)
-    return frozenset(years)
+        return list(map(int, values)) if {str, int}.issuperset(map(type, values)) else None
+    except ValueError:
+        return None
 
 
 def load_corpus(input_dir) -> Corpus:
-    """Load and cross-validate the five-file corpus fileset from a directory."""
+    """Load and cross-validate the five-file corpus fileset from a directory:
+    the files in the order below, each at its earliest failing row."""
     input_dir = Path(input_dir)
     if not input_dir.is_dir():
         raise MissingFile(f"input directory {input_dir} does not exist")
 
-    tax_path, rows = _numbered_rows(input_dir, "taxonomy")
-    sds_to_uda, life = {}, set()
-    for i, (sds, uda, is_life) in rows:
-        sds = str(sds)
-        if sds in sds_to_uda:
-            raise DuplicateKey(f"taxonomy: SDS {sds} listed twice")
-        sds_to_uda[sds] = str(uda)
-        if _to_int(is_life, "is_life_science", tax_path, i) not in (0, 1):
-            raise SchemaError("is_life_science must be 0 or 1", path=tax_path, row=i)
-        if int(is_life):
-            life.add(sds)
-    taxonomy = Taxonomy(sds_to_uda=sds_to_uda, life_science_sds=frozenset(life))
+    f = _File(input_dir, "taxonomy")
+    sds, udas, life = f.columns
+    sds = list(map(str, sds))
+    f.unique(sds, lambda i: DuplicateKey(f"taxonomy: SDS {sds[i]} listed twice"))
+    life = f.ints(life, "is_life_science")
+    f.note(not {0, 1}.issuperset(life), life, lambda v: v not in (0, 1),
+           lambda i: "is_life_science must be 0 or 1")
+    f.raise_first()
+    sds_to_uda = dict(zip(sds, map(str, udas)))
+    taxonomy = Taxonomy(sds_to_uda, frozenset(compress(sds, life)))
 
-    per_path, rows = _numbered_rows(input_dir, "periods")
-    periods = []
-    for i, (label, start, end) in rows:
-        start = _to_int(start, "start_year", per_path, i)
-        end = _to_int(end, "end_year", per_path, i)
-        if start > end:
-            raise SchemaError(f"start_year={start} is after end_year={end}",
-                              path=per_path, row=i)
-        periods.append(Period(label=str(label), start_year=start, end_year=end))
+    f = _File(input_dir, "periods")
+    labels, starts, ends = f.columns
+    starts = f.ints(starts, "start_year")
+    ends = f.ints(ends, "end_year")
+    f.note(any(map(gt, starts, ends)), zip(starts, ends), lambda se: se[0] > se[1],
+           lambda i: f"start_year={starts[i]} is after end_year={ends[i]}")
+    f.raise_first()
+    periods = list(map(Period, map(str, labels), starts, ends))
     if len(periods) != 2:
-        raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=per_path)
+        raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=f.path)
 
-    res_path, rows = _numbered_rows(input_dir, "researchers")
-    researchers = []
-    rids = set()
-    for i, (rid, sds, university, years) in rows:
-        rid = str(rid)
-        if rid in rids:
-            raise DuplicateKey(f"researchers: duplicate researcher_id {rid}")
-        rids.add(rid)
-        sds = str(sds)
-        if sds not in sds_to_uda:
-            raise DanglingReference(f"researcher {rid} references unknown SDS {sds}")
-        # positional arguments: keywords cost a third more per record
-        researchers.append(Researcher(
-            rid, sds, str(university), _parse_years(years, res_path, i)))
+    f = _File(input_dir, "researchers")
+    rids, res_sds, universities, active = f.columns
+    rids, res_sds = list(map(str, rids)), list(map(str, res_sds))
+    f.unique(rids, lambda i: DuplicateKey(f"researchers: duplicate researcher_id {rids[i]}"))
+    f.known(res_sds, set(sds_to_uda), lambda i: DanglingReference(
+        f"researcher {rids[i]} references unknown SDS {res_sds[i]}"))
+    active = f.years(active)
+    f.raise_first()
+    researchers = list(map(Researcher, rids, res_sds, map(str, universities), active))
 
-    pub_path, rows = _numbered_rows(input_dir, "publications")
-    publications = []
-    pub_ids = set()
-    for i, (pid, year, category, citations, n_authors) in rows:
-        pid = str(pid)
-        if pid in pub_ids:
-            raise DuplicateKey(f"publications: duplicate pub_id {pid}")
-        pub_ids.add(pid)
-        publications.append(Publication(
-            pid,
-            _to_int(year, "year", pub_path, i),
-            str(category),
-            _to_int(citations, "citations", pub_path, i, minimum=0),
-            _to_int(n_authors, "n_authors_total", pub_path, i, minimum=1),
-        ))
+    f = _File(input_dir, "publications")
+    pids, years, categories, citations, n_authors = f.columns
+    pids = list(map(str, pids))
+    f.unique(pids, lambda i: DuplicateKey(f"publications: duplicate pub_id {pids[i]}"))
+    years = f.ints(years, "year")
+    citations = f.ints(citations, "citations", minimum=0)
+    n_authors = f.ints(n_authors, "n_authors_total", minimum=1)
+    f.raise_first()
+    publications = list(map(Publication, pids, years, map(str, categories),
+                            citations, n_authors))
 
-    auth_path, rows = _numbered_rows(input_dir, "authorships")
-    authorships = []
-    auth_keys = set()
-    for i, (pid, rid, position, byline) in rows:
-        pid, rid = str(pid), str(rid)
-        if pid not in pub_ids:
-            raise DanglingReference(f"authorship references unknown pub_id {pid}")
-        if rid not in rids:
-            raise DanglingReference(f"authorship references unknown researcher_id {rid}")
-        key = (pid, rid)
-        if key in auth_keys:
-            raise DuplicateKey(f"authorships: duplicate (pub_id, researcher_id) {key}")
-        auth_keys.add(key)
-        authorships.append(Authorship(
-            pid, rid, _to_int(position, "author_position", auth_path, i, minimum=1),
-            str(byline)))
+    f = _File(input_dir, "authorships")
+    a_pids, a_rids, positions, bylines = f.columns
+    a_pids, a_rids = list(map(str, a_pids)), list(map(str, a_rids))
+    f.known(a_pids, set(pids), lambda i: DanglingReference(
+        f"authorship references unknown pub_id {a_pids[i]}"))
+    f.known(a_rids, set(rids), lambda i: DanglingReference(
+        f"authorship references unknown researcher_id {a_rids[i]}"))
+    f.unique(list(zip(a_pids, a_rids)), lambda i: DuplicateKey(
+        f"authorships: duplicate (pub_id, researcher_id) {(a_pids[i], a_rids[i])}"))
+    positions = f.ints(positions, "author_position", minimum=1)
+    f.raise_first()
+    authorships = list(map(Authorship, a_pids, a_rids, positions, map(str, bylines)))
 
     return Corpus(taxonomy, researchers, publications, authorships, periods)
 

@@ -90,8 +90,8 @@ class Corpus:
         self.authorships_by_pub = {}
         for a in self.authorships:
             self.authorships_by_pub.setdefault(a.pub_id, []).append(a)
-        # load_corpus rejects these row by row; a Corpus built directly is
-        # checked here and names its smallest unknown key
+        # load_corpus rejects these at their earliest row; a Corpus built
+        # directly is checked here and names its smallest unknown key
         unknown = self.authorships_by_pub.keys() - self.publication_by_id.keys()
         if unknown:
             raise DanglingReference(

@@ -4,7 +4,7 @@ from bibliorank.aggregate import (national_weighted_average, percent_variation,
                                   rescale_sds, sds_unit_scores, uda_score,
                                   uda_scores, uda_unit_scores)
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import (AllAbsent, EmptyScope, NoStaffInUda,
+from bibliorank.errors import (AllAbsent, EmptyScope, NoStaffInUda, UnknownUDA,
                                UnknownUniversity, ZeroBase)
 from bibliorank.indicators import IndicatorScore, ShareScheme, UnitLedger
 from bibliorank.oracle import Oracle
@@ -146,6 +146,8 @@ class TestUdaScore:
         with pytest.raises(NoStaffInUda,
                            match="^U1 has no scored SDS in UDA A for AQ$"):
             uda_score(ledger, "U1", "A", "AQ", EARLY)
+        with pytest.raises(UnknownUDA, match="^UDA NOPE is not in the taxonomy$"):
+            uda_score(ledger, "U1", "NOPE", "P", EARLY)
 
     def test_staff_at_an_integer_boundary(self):
         # U1's early presences are 1/3, 1/3, 1 in S1 and 2/3, 2/3, 1 in S2:

@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import json
 import os
 import subprocess
@@ -343,6 +344,38 @@ class TestOnePassScoring:
         assert shared
         for sds, shift in shared:
             assert comparison[sds] == shift, sds
+
+
+class TestCollector:
+    """A command runs with the cyclic garbage collector paused; main gives
+    the caller's collector back in the state it found it."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["ingest", "--input", "DEMO"], 0),
+        (["ingest", "--input", "MISSING"], 1),
+        (["rank", "--input", "DEMO", "--format", "xml"], 1),
+        (["--help"], SystemExit),
+    ], ids=["success", "biblio_rank_error", "argument_error", "help"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_collector(self, demo, tmp_path, capsys, monkeypatch,
+                                         argv, status, enabled):
+        seen = []
+        real_ingest = cli.cmd_ingest
+        monkeypatch.setattr(cli, "cmd_ingest",
+                            lambda args: seen.append(gc.isenabled()) or real_ingest(args))
+        paths = {"DEMO": str(demo), "MISSING": str(tmp_path / "missing")}
+        argv = [paths.get(a, a) for a in argv]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if status is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == status
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == ([False] if argv[0] == "ingest" else [])
 
 
 @pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "dataclasses",

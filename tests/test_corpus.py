@@ -15,7 +15,7 @@ from bibliorank.cli import main
 from bibliorank.errors import (BiblioRankError, DanglingReference, DuplicateKey,
                                MissingFile, SchemaError, UnknownSDS,
                                UnknownUniversity)
-from bibliorank.loader import _read_rows, load_corpus, write_corpus
+from bibliorank.loader import FILESET, _read_rows, load_corpus, write_corpus
 from bibliorank.model import Corpus, Violation, presence, staff, validate
 from bibliorank.synthgen import GenConfig, generate, make_corpus as make_synth_corpus
 
@@ -179,6 +179,126 @@ class TestLoad:
         assert shuffled.researchers == corpus.researchers
         assert shuffled.publications == corpus.publications
         assert shuffled.authorships == corpus.authorships
+
+
+# id -> (formats, {stem: rows}, (error, stem of a SchemaError, message, index
+# of the failing row among the stem's rows)); the other files are write_fileset's
+EARLIEST_ROW_CASES = {
+    "duplicate_key_then_bad_integer": (("csv", "json"), {"publications": [
+        ["p1", "2001", "CAT_X", "5", "2"], ["p1", "2002", "CAT_X", "1", "1"],
+        ["p2", "noyear", "CAT_X", "1", "1"]]},
+        (DuplicateKey, None, "publications: duplicate pub_id p1", None)),
+    "bad_integer_then_duplicate_key": (("csv", "json"), {"publications": [
+        ["p1", "noyear", "CAT_X", "5", "2"], ["p1", "2002", "CAT_X", "1", "1"]]},
+        (SchemaError, "publications", "year='noyear' is not an integer", 0)),
+    "bad_integer_then_dangling_id": (("csv", "json"), {"authorships": [
+        ["p1", "r1", "x", "U1"], ["ghost", "r1", "1", "U1"]]},
+        (SchemaError, "authorships", "author_position='x' is not an integer", 0)),
+    "dangling_id_then_bad_integer": (("csv", "json"), {"authorships": [
+        ["ghost", "r1", "1", "U1"], ["p1", "r1", "x", "U1"]]},
+        (DanglingReference, None, "authorship references unknown pub_id ghost", None)),
+    "below_minimum_then_duplicate_key": (("csv", "json"), {"authorships": [
+        ["p1", "r1", "0", "U1"], ["p1", "r1", "1", "U1"]]},
+        (SchemaError, "authorships", "author_position=0 below minimum 1", 0)),
+    "last_column_then_duplicate_key": (("csv", "json"), {"publications": [
+        ["p1", "2001", "CAT_X", "5", "0"], ["p1", "2001", "CAT_X", "5", "1"]]},
+        (SchemaError, "publications", "n_authors_total=0 below minimum 1", 0)),
+    "same_row_unknown_pub_and_researcher": (("csv", "json"), {"authorships": [
+        ["p1", "r1", "1", "U1"], ["ghost", "r9", "0", "U1"]]},
+        (DanglingReference, None, "authorship references unknown pub_id ghost", None)),
+    "same_row_unknown_researcher_and_bad_integer": (("csv", "json"), {"authorships": [
+        ["p1", "r9", "x", "U1"]]},
+        (DanglingReference, None, "authorship references unknown researcher_id r9",
+         None)),
+    "same_row_duplicate_authorship_and_bad_integer": (("csv", "json"), {"authorships": [
+        ["p1", "r1", "1", "U1"], ["p1", "r1", "x", "U1"]]},
+        (DuplicateKey, None,
+         "authorships: duplicate (pub_id, researcher_id) ('p1', 'r1')", None)),
+    "same_row_duplicate_pub_and_bad_integers": (("csv", "json"), {"publications": [
+        ["p1", "2001", "CAT_X", "5", "2"], ["p1", "noyear", "CAT_X", "-1", "0"]]},
+        (DuplicateKey, None, "publications: duplicate pub_id p1", None)),
+    "same_row_below_minimum_and_bad_integer": (("csv", "json"), {"publications": [
+        ["p1", "2001", "CAT_X", "-1", "x"]]},
+        (SchemaError, "publications", "citations=-1 below minimum 0", 0)),
+    "same_row_duplicate_researcher_and_unknown_sds": (("csv", "json"), {"researchers": [
+        ["r1", "S1", "U1", "2001"], ["r1", "S9", "U1", ""]]},
+        (DuplicateKey, None, "researchers: duplicate researcher_id r1", None)),
+    "same_row_unknown_sds_and_bad_years": (("csv", "json"), {"researchers": [
+        ["r1", "S9", "U1", "x"]]},
+        (DanglingReference, None, "researcher r1 references unknown SDS S9", None)),
+    "bad_years_then_unknown_sds": (("csv", "json"), {"researchers": [
+        ["r1", "S1", "U1", "2001;x"], ["r2", "S9", "U1", "2001"]]},
+        (SchemaError, "researchers", "active_years='x' is not an integer", 0)),
+    "empty_years_then_duplicate_key": (("csv", "json"), {"researchers": [
+        ["r1", "S1", "U1", ";"], ["r1", "S1", "U1", "2001"]]},
+        (SchemaError, "researchers", "active_years is empty", 0)),
+    "same_row_duplicate_sds_and_bad_flag": (("csv", "json"), {"taxonomy": [
+        ["S1", "A", "0"], ["S1", "B", "7"]]},
+        (DuplicateKey, None, "taxonomy: SDS S1 listed twice", None)),
+    "flag_out_of_range_then_duplicate_key": (("csv", "json"), {"taxonomy": [
+        ["S1", "A", "7"], ["S1", "A", "0"]]},
+        (SchemaError, "taxonomy", "is_life_science must be 0 or 1", 0)),
+    "bad_flag_then_flag_out_of_range": (("csv", "json"), {"taxonomy": [
+        ["S1", "A", "x"], ["S2", "A", "7"]]},
+        (SchemaError, "taxonomy", "is_life_science='x' is not an integer", 0)),
+    "start_after_end_then_bad_integer": (("csv", "json"), {"periods": [
+        ["E", "2003", "2001"], ["L", "x", "2008"]]},
+        (SchemaError, "periods", "start_year=2003 is after end_year=2001", 0)),
+    "bad_end_then_start_after_end": (("csv", "json"), {"periods": [
+        ["E", "2001", "y"], ["L", "2009", "2008"]]},
+        (SchemaError, "periods", "end_year='y' is not an integer", 0)),
+    "same_row_two_bad_integers": (("csv", "json"), {"periods": [
+        ["E", "2001", "2003"], ["L", "x", "y"]]},
+        (SchemaError, "periods", "start_year='x' is not an integer", 1)),
+    "bad_row_before_the_period_count": (("csv", "json"), {"periods": [
+        ["E", "2001", "y"]]},
+        (SchemaError, "periods", "end_year='y' is not an integer", 0)),
+    "earlier_file_first": (("csv", "json"), {
+        "taxonomy": [["S1", "A", "x"]], "researchers": [["r1", "S9", "U1", "2001"]]},
+        (SchemaError, "taxonomy", "is_life_science='x' is not an integer", 0)),
+    "json_duplicate_id_then_float": (("json",), {"publications": [
+        [1, 2001, "CAT_X", 5, 2], ["1", 2001.0, "CAT_X", 5, 2]]},
+        (DuplicateKey, None, "publications: duplicate pub_id 1", None)),
+    "json_bool_then_duplicate_key": (("json",), {"publications": [
+        ["p1", True, "CAT_X", 5, 2], ["p1", 2001, "CAT_X", 5, 2]]},
+        (SchemaError, "publications", "year=True is not an integer", 0)),
+    "json_float_year_then_unknown_sds": (("json",), {"researchers": [
+        ["r1", "S1", "U1", [2001, 2002.0]], ["r2", "S9", "U1", [2001]]]},
+        (SchemaError, "researchers", "active_years=2002.0 is not an integer", 0)),
+}
+
+
+class TestEarliestRowWins:
+    """A fileset that breaks several rules fails at its earliest failing row;
+    within one row the loader's check order decides, and files load in the
+    order taxonomy, periods, researchers, publications, authorships."""
+
+    @pytest.mark.parametrize("fmt, files, expected", [
+        pytest.param(fmt, files, expected, id=f"{case}-{fmt}")
+        for case, (formats, files, expected) in EARLIEST_ROW_CASES.items()
+        for fmt in formats])
+    def test_error_type_message_and_row(self, tmp_path, fmt, files, expected):
+        overrides = {}
+        for stem, rows in files.items():
+            if fmt == "json":
+                overrides[f"{stem}.csv"] = None
+                overrides[f"{stem}.json"] = json.dumps(
+                    [dict(zip(FILESET[stem], row)) for row in rows])
+            else:
+                buf = io.StringIO()
+                csv.writer(buf).writerows([FILESET[stem], *rows])
+                overrides[f"{stem}.csv"] = buf.getvalue()
+        write_fileset(tmp_path, overrides)
+        error, stem, message, index = expected
+        with pytest.raises(BiblioRankError) as exc:
+            load_corpus(tmp_path)
+        assert type(exc.value) is error
+        if stem is None:
+            assert str(exc.value) == message
+        else:
+            row = index + (1 if fmt == "json" else 2)
+            assert str(exc.value) == f"{tmp_path / f'{stem}.{fmt}'}: {message} (row {row})"
+            assert exc.value.row == row
 
 
 PUB_COLUMNS = ("pub_id", "year", "subject_category", "citations", "n_authors_total")

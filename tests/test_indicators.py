@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibliorank.baseline import build_baselines
-from bibliorank.errors import DanglingReference, NoPublications, ZeroStaff
+from bibliorank.baseline import (BaselineEntry, BaselineTable, build_baselines,
+                                 standardize_citations)
+from bibliorank.errors import (DanglingReference, MissingBaseline, NoPublications,
+                               ZeroStaff)
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
 from bibliorank.model import Period
@@ -292,3 +294,47 @@ class TestLedger:
         corpus = make_corpus([R("r1"), R("r2", univ="U2")], pubs, authorships)
         ledger = UnitLedger(corpus)
         assert ledger.fallback_events == [("p2", "CAT_X", 2001), ("p5", "CAT_X", 2001)]
+
+    @pytest.mark.parametrize("basis", ["median", "mean"])
+    @pytest.mark.parametrize("external", [False, True], ids=["corpus", "external"])
+    def test_standardization_is_a_walk_in_authorship_order(self, basis, external):
+        """The ledger's per-publication scores and fallback_events equal
+        standardize_citations called on each publication of a period, in
+        authorships_by_pub order."""
+        # CAT_Z/2001 has median 0 and mean 2, CAT_V/2001 median 0 and no
+        # positive year, CAT_W/2001 only zeros; p9 is in no period
+        pubs = [P("p1", 2001, "CAT_Z", 0), P("p2", 2001, "CAT_Z", 6),
+                P("p3", 2001, "CAT_Z", 0), P("p4", 2002, "CAT_Z", 4),
+                P("p5", 2001, "CAT_V", 0), P("p6", 2001, "CAT_V", 5),
+                P("p7", 2001, "CAT_V", 0), P("p8", 2001, "CAT_W", 0),
+                P("p9", 1999, "CAT_Z", 7), P("pa", 2004, "CAT_X", 3),
+                P("pb", 2004, "CAT_X", 1), P("pc", 2001, "CAT_Z", 8)]
+        authorships = [A(p.pub_id, "r1") for p in pubs] + [A("pc", "r2", 2, "U2")]
+        corpus = make_corpus([R("r1", years=range(1999, 2009)),
+                              R("r2", univ="U2")], pubs, authorships)
+        baselines = build_baselines(corpus)
+        if external:
+            # a zero stratum that was positive, and a positive one that was zero
+            baselines = baselines.merge(BaselineTable({
+                ("CAT_X", 2004): BaselineEntry(0.0, 0.0, 2, "external"),
+                ("CAT_Z", 2001): BaselineEntry(3.0, 3.0, 4, "external")}))
+        ledger = UnitLedger(corpus, ShareScheme(), baselines, basis)
+        events, expected = [], {}
+        for pid in corpus.authorships_by_pub:
+            pub = corpus.publication_by_id[pid]
+            if any(p.contains(pub.year) for p in corpus.periods):
+                expected[pid] = standardize_citations(pub, baselines, basis, events)
+        # a mean is zero only when every count is, unless a table says so
+        assert bool(events) == (basis == "median" or external)
+        assert ledger.fallback_events == events
+        assert ledger._std == expected
+
+    def test_a_missing_stratum_fails_as_the_walk_does(self):
+        pubs = [P("p1", 2001, "CAT_X", 2), P("p2", 2002, "CAT_Y", 3),
+                P("p3", 2003, "CAT_Z", 1)]
+        corpus = make_corpus([R("r1")], pubs, [A(p.pub_id, "r1") for p in pubs])
+        baselines = BaselineTable({("CAT_X", 2001): BaselineEntry(1.0, 1.0, 1, "external")})
+        with pytest.raises(MissingBaseline, match=r"^no baseline for \(CAT_Y, 2002\)$"):
+            UnitLedger(corpus, ShareScheme(), baselines)
+        with pytest.raises(ValueError, match="basis must be"):
+            UnitLedger(corpus, ShareScheme(), build_baselines(corpus), basis="n_pubs")
