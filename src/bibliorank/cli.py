@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: ingest, indicators, rank, compare, drilldown, synth. Every
+Subcommands: ingest, indicators, rank, compare, drilldown, synth. Each
+scoring command builds all of its tables before `report` writes any. Every
 emitted table carries a provenance header (corpus hash, config hash, tool
 version) and outputs are pure functions of inputs + flags, so re-runs
 produce byte-identical files.
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -128,29 +130,34 @@ def cmd_ingest(args) -> int:
     return 1 if violations else 0
 
 
-def cmd_indicators(args) -> int:
-    ledger = _load_inputs(args)
-    corpus = ledger.corpus
+def report(tables, args) -> int:
+    """A scoring command: build every table of `tables(ledger, args)`, then
+    write them, so that a failing table leaves no output."""
+    built = tables(_load_inputs(args), args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
+    for name, (columns, rows) in built.items():
+        emit.write(name, columns, rows)
+    return 0
 
+
+def indicator_tables(ledger, args) -> dict:
+    corpus = ledger.corpus
     # (sds, indicator, period) -> sds_unit_scores, for the table and the rollup
     unit_scores = {}
-    rows = []
+    unit_rows = []
     for s in corpus.taxonomy.sds_list:
         for period in corpus.periods:
             for ind in INDICATORS:
                 scores = unit_scores[(s, ind, period)] = sds_unit_scores(
                     ledger, s, ind, period)
                 for (u, _), sc in sorted(scores.items()):
-                    rows.append([u, s, ind, period.label,
-                                 None if sc is None else sc.value,
-                                 None if sc is None else sc.n_pubs,
-                                 None if sc is None else sc.staff])
-    emit.write("unit_scores", ["university_id", "sds", "indicator", "period",
-                               "value", "n_pubs", "staff"], rows)
+                    unit_rows.append([u, s, ind, period.label,
+                                      None if sc is None else sc.value,
+                                      None if sc is None else sc.n_pubs,
+                                      None if sc is None else sc.staff])
 
-    rows = []
+    researcher_rows = []
     for r in corpus.researchers:
         for period in corpus.periods:
             if presence(r, period, args.staff_mode) <= 0:
@@ -158,16 +165,13 @@ def cmd_indicators(args) -> int:
             for ind in INDICATORS:
                 try:
                     sc = ledger.researcher_score(r.researcher_id, ind, period)
-                    rows.append([r.researcher_id, ind, period.label,
-                                 sc.value, sc.n_pubs, sc.staff])
+                    researcher_rows.append([r.researcher_id, ind, period.label,
+                                            sc.value, sc.n_pubs, sc.staff])
                 except (ZeroStaff, NoPublications):
-                    rows.append([r.researcher_id, ind, period.label,
-                                 None, 0, None])
-    emit.write("researcher_scores",
-               ["researcher_id", "indicator", "period", "value", "n_pubs", "staff"],
-               rows)
+                    researcher_rows.append([r.researcher_id, ind, period.label,
+                                            None, 0, None])
 
-    rows = []
+    uda_rows = []
     for uda in corpus.taxonomy.uda_list:
         sds_codes = corpus.taxonomy.sds_in_uda(uda)
         rolled = {(period, ind): uda_scores(
@@ -179,44 +183,46 @@ def cmd_indicators(args) -> int:
                 for ind in INDICATORS:
                     sc = rolled[(period, ind)].get(u)
                     if sc is not None:
-                        rows.append([u, uda, ind, period.label, sc.value,
-                                     sc.covered_staff])
-    emit.write("uda_scores", ["university_id", "uda", "indicator", "period",
-                              "value", "covered_staff"], rows)
-    return 0
+                        uda_rows.append([u, uda, ind, period.label, sc.value,
+                                         sc.covered_staff])
+    return {
+        "unit_scores": (["university_id", "sds", "indicator", "period", "value",
+                         "n_pubs", "staff"], unit_rows),
+        "researcher_scores": (["researcher_id", "indicator", "period", "value",
+                               "n_pubs", "staff"], researcher_rows),
+        "uda_scores": (["university_id", "uda", "indicator", "period", "value",
+                        "covered_staff"], uda_rows),
+    }
 
 
-def cmd_rank(args) -> int:
-    ledger = _load_inputs(args)
-    emit = Emitter(Path(args.out), args.format,
-                   _corpus_hash(Path(args.input)), _config_hash(args))
+def _uda_rankings(ledger, min_staff: float) -> dict:
+    """(uda, indicator) -> period_rankings of the UDA's rank lists."""
+    return {(uda, ind): period_rankings(uda_rank_list, ledger, uda, ind, min_staff)
+            for uda in ledger.corpus.taxonomy.uda_list for ind in INDICATORS}
 
+
+def rank_tables(ledger, args) -> dict:
     rank_rows, quintile_rows = [], []
-    for uda in ledger.corpus.taxonomy.uda_list:
-        for ind in INDICATORS:
-            for ranking in period_rankings(uda_rank_list, ledger, uda, ind,
-                                           args.min_staff):
-                if ranking is None:
-                    continue
-                ranked, assigned = ranking
-                for e in ranked.entries:
-                    rank_rows.append([uda, ind, ranked.period, e.university_id,
-                                      e.value, e.rank])
-                    quintile_rows.append([uda, ind, ranked.period, e.university_id,
-                                          assigned.entries[e.university_id]])
-    emit.write("rank_lists", ["uda", "indicator", "period", "university_id",
-                              "value", "rank"], rank_rows)
-    emit.write("quintiles", ["uda", "indicator", "period", "university_id",
-                             "quintile"], quintile_rows)
-    return 0
+    for (uda, ind), rankings in _uda_rankings(ledger, args.min_staff).items():
+        for ranking in rankings:
+            if ranking is None:
+                continue
+            ranked, assigned = ranking
+            for e in ranked.entries:
+                rank_rows.append([uda, ind, ranked.period, e.university_id,
+                                  e.value, e.rank])
+                quintile_rows.append([uda, ind, ranked.period, e.university_id,
+                                      assigned.entries[e.university_id]])
+    return {
+        "rank_lists": (["uda", "indicator", "period", "university_id", "value",
+                        "rank"], rank_rows),
+        "quintiles": (["uda", "indicator", "period", "university_id", "quintile"],
+                      quintile_rows),
+    }
 
 
-def cmd_compare(args) -> int:
-    ledger = _load_inputs(args)
-    udas = ledger.corpus.taxonomy.uda_list
-    rankings = {(uda, ind): period_rankings(uda_rank_list, ledger, uda, ind,
-                                            args.min_staff)
-                for uda in udas for ind in INDICATORS}
+def compare_tables(ledger, args) -> dict:
+    rankings = _uda_rankings(ledger, args.min_staff)
     stats_rows, transition_rows = [], []
     for (uda, ind), (early, late) in rankings.items():
         if early is None or late is None:
@@ -238,53 +244,51 @@ def cmd_compare(args) -> int:
 
     table = university_shift_table(
         ledger.corpus.universities,
-        {uda: rankings[(uda, args.indicator)] for uda in udas})
+        {uda: rankings[(uda, args.indicator)]
+         for uda in ledger.corpus.taxonomy.uda_list})
     table_rows = [[u] + [table.cells[u][c] for c in table.columns]
                   + [table.row_total(u)] for u in table.universities]
     table_rows.append(["pct_changed"]
                       + [round(table.column_pct_changed(c), 1) for c in table.columns]
                       + [round(table.overall_pct_changed(), 1)])
     shares = table.balance_shares()
-
-    # every table is built before the output directory exists
-    emit = Emitter(Path(args.out), args.format,
-                   _corpus_hash(Path(args.input)), _config_hash(args))
-    emit.write("shift_stats", ["uda", "indicator", "n_total", "n_changed",
-                               "pct_changed", "max_abs_shift", "mean_abs_shift",
-                               "median_abs_shift", "entries", "exits"],
-               stats_rows)
-    emit.write("transition_matrices",
-               ["uda", "indicator", "early_quintile", "late_quintile", "count"],
-               transition_rows)
-    emit.write("university_shift_table",
-               ["university_id"] + list(table.columns) + ["total"], table_rows)
-    emit.write("shift_balance", ["negative_pct", "positive_pct", "nil_pct"],
-               [[round(shares["negative"], 1), round(shares["positive"], 1),
-                 round(shares["nil"], 1)]])
-    return 0
+    return {
+        "shift_stats": (["uda", "indicator", "n_total", "n_changed", "pct_changed",
+                         "max_abs_shift", "mean_abs_shift", "median_abs_shift",
+                         "entries", "exits"], stats_rows),
+        "transition_matrices": (["uda", "indicator", "early_quintile",
+                                 "late_quintile", "count"], transition_rows),
+        "university_shift_table": (["university_id"] + list(table.columns)
+                                   + ["total"], table_rows),
+        "shift_balance": (["negative_pct", "positive_pct", "nil_pct"],
+                          [[round(shares["negative"], 1),
+                            round(shares["positive"], 1),
+                            round(shares["nil"], 1)]]),
+    }
 
 
-def cmd_drilldown(args) -> int:
-    ledger = _load_inputs(args)
-    # one drilldown per indicator, shared by both reports; sds_drilldown
-    # raises UnknownUniversity / UnknownUDA, so compute before any output
+def drilldown_tables(ledger, args) -> dict:
+    # one drilldown per indicator, shared by both reports
     drilldowns = {ind: sds_drilldown(ledger, args.university, args.uda, ind,
                                      args.min_staff)
                   for ind in dict.fromkeys((args.indicator, *COMPARED))}
     shifts = drilldowns[args.indicator]
     comparison = compare_drilldowns(drilldowns)
-    emit = Emitter(Path(args.out), args.format,
-                   _corpus_hash(Path(args.input)), _config_hash(args))
-    emit.write("sds_drilldown", ["sds", "quintile_shift"],
-               [[sds, shifts[sds]] for sds in sorted(shifts)])
-    rows = [[sds, row["P"], row["FP"], row["AQ"], ";".join(row["flags"])]
-            for sds, row in sorted(comparison.items())]
-    emit.write("indicator_comparison", ["sds", "P", "FP", "AQ", "flags"], rows)
-    return 0
+    return {
+        "sds_drilldown": (["sds", "quintile_shift"],
+                          [[sds, shifts[sds]] for sds in sorted(shifts)]),
+        "indicator_comparison": (
+            ["sds", "P", "FP", "AQ", "flags"],
+            [[sds, row["P"], row["FP"], row["AQ"], ";".join(row["flags"])]
+             for sds, row in sorted(comparison.items())]),
+    }
 
 
 def cmd_synth(args) -> int:
-    from .synthgen import GenConfig, generate  # numpy loads only for this command
+    try:
+        from .synthgen import GenConfig, generate  # numpy loads only for this command
+    except ModuleNotFoundError as exc:
+        raise InvalidConfig(f"synth needs numpy, from the 'synth' extra ({exc})") from None
     # the subparser sets only the options given; GenConfig holds the defaults
     config = GenConfig(**{k: v for k, v in vars(args).items()
                           if k not in ("command", "func", "out")})
@@ -329,23 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicators", help="per-unit, per-researcher and UDA scores")
     _add_common(p)
-    p.set_defaults(func=cmd_indicators)
+    p.set_defaults(func=partial(report, indicator_tables))
 
     p = sub.add_parser("rank", help="rank lists and quintile assignments")
     _add_common(p)
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=partial(report, rank_tables))
 
     p = sub.add_parser("compare", help="cross-period shift statistics and matrices")
     _add_common(p)
     p.add_argument("--indicator", choices=INDICATORS, default="FSS")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=partial(report, compare_tables))
 
     p = sub.add_parser("drilldown", help="per-SDS shifts for one university and UDA")
     _add_common(p)
     p.add_argument("--university", required=True)
     p.add_argument("--uda", required=True)
     p.add_argument("--indicator", choices=INDICATORS, default="FSS")
-    p.set_defaults(func=cmd_drilldown)
+    p.set_defaults(func=partial(report, drilldown_tables))
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus fileset",
                        argument_default=argparse.SUPPRESS)
@@ -365,7 +369,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except BiblioRankError as exc:
+    except (BiblioRankError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

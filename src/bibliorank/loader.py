@@ -183,12 +183,14 @@ def load_corpus(input_dir) -> Corpus:
 
     f = _File(input_dir, "periods")
     labels, starts, ends = f.columns
+    labels = list(map(str, labels))
+    f.unique(labels, lambda i: DuplicateKey(f"periods: duplicate label {labels[i]}"))
     starts = f.ints(starts, "start_year")
     ends = f.ints(ends, "end_year")
     f.note(any(map(gt, starts, ends)), zip(starts, ends), lambda se: se[0] > se[1],
            lambda i: f"start_year={starts[i]} is after end_year={ends[i]}")
     f.raise_first()
-    periods = list(map(Period, map(str, labels), starts, ends))
+    periods = list(map(Period, labels, starts, ends))
     if len(periods) != 2:
         raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=f.path)
 

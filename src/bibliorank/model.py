@@ -114,21 +114,11 @@ class Corpus:
     def late(self) -> Period:
         return self.periods[1]
 
-    def period(self, label: str) -> Period:
-        for p in self.periods:
-            if p.label == label:
-                return p
-        raise KeyError(label)
-
     def unit_researchers(self, university_id, sds):
         return self._unit_researchers.get((university_id, sds), [])
 
     def units(self):
         return sorted(self._unit_researchers)
-
-    def universities_in_uda(self, uda):
-        sds_set = set(self.taxonomy.sds_in_uda(uda))
-        return sorted({u for (u, s) in self._unit_researchers if s in sds_set})
 
 
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:

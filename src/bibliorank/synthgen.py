@@ -39,6 +39,8 @@ class GenConfig:
     late: tuple = ("P2", 2004, 2008)
 
     def check(self):
+        if self.seed < 0:
+            raise InvalidConfig("seed must be a non-negative integer")
         if self.n_universities < 1 or self.n_sds < 1 or self.sds_per_uda < 1:
             raise InvalidConfig("counts must be positive")
         if not (0 < self.staff_min <= self.staff_max):

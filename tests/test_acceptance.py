@@ -271,7 +271,7 @@ def test_criterion_7_oracle_equivalence():
 
         sds_tables = orc.sds_rank_tables(unit_expected)
         for (sds, ind, label), (want_ranks, _) in sds_tables.items():
-            period = corpus.period(label)
+            period = {p.label: p for p in corpus.periods}[label]
             rl = sds_rank_list(ledger, sds, ind, period, min_staff=1.0)
             assert {e.university_id: e.rank for e in rl.entries} == want_ranks
 

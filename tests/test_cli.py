@@ -2,6 +2,7 @@ import filecmp
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -252,6 +253,86 @@ class TestCompareEdgeCases:
                      "--min-staff", "1"]) == 1
         assert json.loads(capsys.readouterr().err)["message"] == "patched"
         assert not out.exists()
+
+
+class TestReportStep:
+    """A scoring command writes nothing until every table is built."""
+
+    @pytest.mark.parametrize("command, table", [
+        ("indicators", "uda_scores"), ("rank", "period_rankings"),
+        ("compare", "university_shift_table"), ("drilldown", "compare_drilldowns")])
+    def test_late_failing_table_leaves_no_output_directory(self, demo, tmp_path,
+                                                           capsys, monkeypatch,
+                                                           command, table):
+        def failing(*args):
+            raise BiblioRankError("patched")
+
+        monkeypatch.setattr(cli, table, failing)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(demo), "--out", str(out), "--min-staff", "1"]
+        if command == "drilldown":
+            argv += ["--university", "UNI001", "--uda", "UDA01"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "patched"
+        assert not out.exists()
+
+
+def error_line(argv, capsys) -> str:
+    """The `error` of the one JSON line a failing command prints."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+class TestIOErrors:
+    """An OSError prints one JSON error line named by its class, and exits 1."""
+
+    def test_out_names_an_existing_file(self, demo, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert error_line(["rank", "--input", str(demo), "--out", str(out),
+                           "--min-staff", "1"], capsys) == "FileExistsError"
+        assert out.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_baselines_names_a_directory(self, demo, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert error_line(["indicators", "--input", str(demo), "--out", str(out),
+                           "--baselines", str(tmp_path)], capsys) == "IsADirectoryError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "indicators"])
+    def test_corpus_file_is_a_directory(self, demo, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(demo, corpus)
+        (corpus / "researchers.csv").unlink()
+        (corpus / "researchers.csv").mkdir()
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus)]
+        if command != "ingest":
+            argv += ["--out", str(out)]
+        assert error_line(argv, capsys) == "IsADirectoryError"
+        assert not out.exists()
+
+
+class TestSynthErrors:
+    """synth fails with one InvalidConfig line and writes nothing."""
+
+    def run_synth(self, argv, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert error_line(["synth", *argv, "--out", str(out)], capsys) == "InvalidConfig"
+        assert not out.exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self.run_synth(["--seed", "-1"], tmp_path, capsys)
+
+    def test_without_numpy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delitem(sys.modules, "bibliorank.synthgen")
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        self.run_synth([], tmp_path, capsys)
 
 
 INVALID_CORPORA = {

@@ -253,6 +253,15 @@ EARLIEST_ROW_CASES = {
     "bad_row_before_the_period_count": (("csv", "json"), {"periods": [
         ["E", "2001", "y"]]},
         (SchemaError, "periods", "end_year='y' is not an integer", 0)),
+    "duplicate_period_label": (("csv", "json"), {"periods": [
+        ["P1", "2001", "2003"], ["P1", "2004", "2008"]]},
+        (DuplicateKey, None, "periods: duplicate label P1", None)),
+    "same_row_duplicate_label_and_bad_integer": (("csv", "json"), {"periods": [
+        ["E", "2001", "2003"], ["E", "x", "2008"]]},
+        (DuplicateKey, None, "periods: duplicate label E", None)),
+    "bad_integer_then_duplicate_label": (("csv", "json"), {"periods": [
+        ["E", "x", "2003"], ["E", "2004", "2008"]]},
+        (SchemaError, "periods", "start_year='x' is not an integer", 0)),
     "earlier_file_first": (("csv", "json"), {
         "taxonomy": [["S1", "A", "x"]], "researchers": [["r1", "S9", "U1", "2001"]]},
         (SchemaError, "taxonomy", "is_life_science='x' is not an integer", 0)),

@@ -263,7 +263,8 @@ class TestCorpusDriven:
     def test_drilldown_against_direct_recomputation(self):
         from bibliorank.rankshift import sds_rank_list
         uda = self.corpus.taxonomy.uda_list[0]
-        univ = self.corpus.universities_in_uda(uda)[0]
+        univ = min(u for u, s in self.corpus.units()
+                   if self.corpus.taxonomy.sds_to_uda[s] == uda)
         shifts = sds_drilldown(self.ledger, univ, uda, "FSS", min_staff=1.0)
         for sds, shift in shifts.items():
             assigns = [assign_quintiles(sds_rank_list(
@@ -273,7 +274,8 @@ class TestCorpusDriven:
 
     def test_indicator_comparison_flags(self):
         uda = self.corpus.taxonomy.uda_list[0]
-        univ = self.corpus.universities_in_uda(uda)[0]
+        univ = min(u for u, s in self.corpus.units()
+                   if self.corpus.taxonomy.sds_to_uda[s] == uda)
         rows = compare_drilldowns({ind: sds_drilldown(self.ledger, univ, uda, ind,
                                                       min_staff=1.0)
                                    for ind in COMPARED})
@@ -283,7 +285,8 @@ class TestCorpusDriven:
     @pytest.mark.parametrize("fn", [sds_drilldown])
     def test_drilldown_rejects_unknown_scope(self, fn):
         uda = self.corpus.taxonomy.uda_list[0]
-        univ = self.corpus.universities_in_uda(uda)[0]
+        univ = min(u for u, s in self.corpus.units()
+                   if self.corpus.taxonomy.sds_to_uda[s] == uda)
         with pytest.raises(UnknownUniversity):
             fn(self.ledger, "NOPE", uda, "FSS")
         with pytest.raises(UnknownUDA):
