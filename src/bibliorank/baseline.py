@@ -9,7 +9,8 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import MissingBaseline, MissingFile, NegativeValue, SchemaError
+from .errors import (DuplicateKey, MissingBaseline, MissingFile, NegativeValue,
+                     SchemaError)
 from .loader import read_csv
 from .model import Corpus, Publication
 
@@ -78,7 +79,8 @@ def load_external_baselines(path) -> BaselineTable:
 
     A file that is not UTF-8 or not readable as CSV, a row that lacks a cell or
     holds a value that is not a number, and a baseline that is not finite are
-    each a SchemaError.
+    each a SchemaError; a stratum listed twice is a DuplicateKey at its second
+    row.
     """
     path = Path(path)
     if not path.exists():
@@ -102,6 +104,8 @@ def load_external_baselines(path) -> BaselineTable:
             n_pubs = int(n_pubs)
         except ValueError as exc:
             raise SchemaError(str(exc), path=path, row=i)
+        if (category, year) in entries:
+            raise DuplicateKey(f"{path}: duplicate stratum ({category}, {year}) at row {i}")
         if not (math.isfinite(median) and math.isfinite(mean)):
             raise SchemaError("median and mean must be finite", path=path, row=i)
         if median < 0 or mean < 0:

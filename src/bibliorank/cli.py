@@ -22,10 +22,10 @@ from . import __version__
 from .aggregate import sds_unit_scores, uda_scores
 from .baseline import build_baselines, load_external_baselines
 from .errors import (BiblioRankError, EmptyIntersection, InvalidConfig,
-                     InvalidCorpus, NoPublications, ZeroStaff)
+                     InvalidCorpus)
 from .indicators import INDICATORS, ShareScheme, UnitLedger
 from .loader import FILE_STEMS, find_file, load_corpus
-from .model import presence, validate
+from .model import validate
 from .rankshift import (COMPARED, compare_drilldowns, period_rankings,
                         sds_drilldown, shift_stats, transition_matrix,
                         uda_rank_list, university_shift_table)
@@ -160,16 +160,15 @@ def indicator_tables(ledger, args) -> dict:
     researcher_rows = []
     for r in corpus.researchers:
         for period in corpus.periods:
-            if presence(r, period, args.staff_mode) <= 0:
+            tally = ledger.researcher_tally(r.researcher_id, period)
+            if tally.staff <= 0:
                 continue
             for ind in INDICATORS:
-                try:
-                    sc = ledger.researcher_score(r.researcher_id, ind, period)
-                    researcher_rows.append([r.researcher_id, ind, period.label,
-                                            sc.value, sc.n_pubs, sc.staff])
-                except (ZeroStaff, NoPublications):
-                    researcher_rows.append([r.researcher_id, ind, period.label,
-                                            None, 0, None])
+                value = tally.values[ind]
+                researcher_rows.append(
+                    [r.researcher_id, ind, period.label, None, 0, None] if value is None
+                    else [r.researcher_id, ind, period.label, value, tally.n_pubs,
+                          tally.staff])
 
     uda_rows = []
     for uda in corpus.taxonomy.uda_list:

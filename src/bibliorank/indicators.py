@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 
 from .baseline import BaselineTable, build_baselines, standardize_citations
 from .errors import NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff
@@ -71,19 +72,38 @@ def fractional_share(authorship: Authorship, publication: Publication,
     return position_weight(authorship.author_position, n, scheme) / total
 
 
-class _Tally:
-    """The terms one unit or researcher contributes to the indicators of one period."""
-    __slots__ = ("presence", "pubs", "shares", "impacts")
+class Tally:
+    """What one unit or researcher did in one period: the terms its indicators
+    sum, then, once finished, the sums themselves.
+
+    After finish, `staff`, `n_pubs` and `values` (indicator -> value, None
+    where it is undefined: AQ without publications, the others without staff)
+    are plain numbers, read as often as needed. math.fsum is exactly rounded,
+    so the order of the terms changes no sum and equal units tie exactly.
+    """
+    __slots__ = ("presence", "pids", "shares", "impacts", "staff", "n_pubs", "values")
 
     def __init__(self, presence=()):
         self.presence = list(presence)  # sums to staff
-        self.pubs = set()               # distinct publication ids
+        self.pids = []                  # publication id per authorship
         self.shares = []                # author share per authorship
         self.impacts = []               # share x standardized citations
 
-    @property
-    def staff(self) -> float:
-        return math.fsum(self.presence)
+    def finish(self, std: dict, years: int) -> "Tally":
+        """Take each sum once; `std` maps pub_id to its standardized citation
+        score and `years` is the length of the period."""
+        pubs = set(self.pids)
+        staff = self.staff = math.fsum(self.presence)
+        n_pubs = self.n_pubs = len(pubs)
+        per_year = staff * years
+        staffed = staff > 0
+        self.values = {
+            "P": n_pubs / per_year if staffed else None,
+            "FP": math.fsum(self.shares) / per_year if staffed else None,
+            "AQ": math.fsum(map(std.__getitem__, pubs)) / n_pubs if n_pubs else None,
+            "FSS": math.fsum(self.impacts) / per_year if staffed else None,
+        }
+        return self
 
 
 def _describe(unit) -> str:
@@ -95,10 +115,9 @@ class UnitLedger:
     period, built in one pass over the authorships.
 
     Expects a corpus that passes model.validate: it does not check author
-    positions or author counts itself. Read-only once built, so one ledger
-    serves every indicator, period, rollup and rank list of a command.
-    Indicators are ratios of math.fsum over the recorded terms: the result
-    does not depend on the order of the terms, and equal units tie exactly.
+    positions or author counts itself. Each Tally is finished once, when the
+    ledger is built; read-only from then on, so one ledger serves every
+    indicator, period, rollup and rank list of a command.
     """
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
@@ -117,14 +136,12 @@ class UnitLedger:
             self._sds_universities.setdefault(s, []).append(u)
         self._uda_sds = {uda: corpus.taxonomy.sds_in_uda(uda)
                          for uda in corpus.taxonomy.uda_list}
+        periods = corpus.periods
 
         # per researcher: its life-science flag and its tally in each period
         tallies = {r.researcher_id: (corpus.taxonomy.is_life_science(r.sds),
-                                     [_Tally([presence(r, p, staff_mode)])
-                                      for p in corpus.periods])
+                                     [Tally([presence(r, p, staff_mode)]) for p in periods])
                    for r in corpus.researchers}
-        self._researchers = {p: {rid: mine[i] for rid, (_, mine) in tallies.items()}
-                             for i, p in enumerate(corpus.periods)}
 
         # stratum -> positive divisor; standardize_citations takes the rest (and
         # an unknown basis), so its errors and fallback_events keep their order
@@ -135,70 +152,67 @@ class UnitLedger:
         year_periods = {}  # year -> indexes of the periods containing it
         for pid, group in corpus.authorships_by_pub.items():
             pub = corpus.publication_by_id[pid]
-            periods = year_periods.get(pub.year)
-            if periods is None:
-                periods = year_periods[pub.year] = [
-                    i for i, p in enumerate(corpus.periods) if p.contains(pub.year)]
-            if not periods:
+            _, year, category, citations, n = pub
+            in_periods = year_periods.get(year)
+            if in_periods is None:
+                in_periods = year_periods[year] = [
+                    i for i, p in enumerate(periods) if p.contains(year)]
+            if not in_periods:
                 continue
-            divisor = divisors.get((pub.subject_category, pub.year))
-            std = self._std[pid] = (
-                pub.citations / divisor if divisor else standardize_citations(
-                    pub, self.baselines, self.basis, self.fallback_events))
-            bylines = [x.byline_university_id for x in group]
+            divisor = divisors.get((category, year))
+            std = self._std[pid] = (citations / divisor if divisor else standardize_citations(
+                pub, self.baselines, basis, self.fallback_events))
             # only a life-science author on a byline of several universities
-            weighted = pub.n_authors_total > 1 and len(set(bylines)) > 1
+            # has a weighted share
+            bylines = n > 1 and len(group) > 1 and {a[3] for a in group}
+            weighted = bylines and len(bylines) > 1
             for a in group:
-                life, mine = tallies[a.researcher_id]
+                life, mine = tallies[a[1]]
                 share = (fractional_share(a, pub, scheme, life, known_bylines=bylines)
-                         if weighted and life else 1.0 / pub.n_authors_total)
+                         if weighted and life else 1.0 / n)
                 impact = share * std
-                for i in periods:
+                for i in in_periods:
                     tally = mine[i]
-                    tally.pubs.add(pid)
+                    tally.pids.append(pid)
                     tally.shares.append(share)
                     tally.impacts.append(impact)
 
-        # each unit's terms are its members' terms: math.fsum is exactly
-        # rounded, so the order they are gathered in changes no value
-        self._units = {p: {unit: _Tally() for unit in corpus.units()} for p in corpus.periods}
-        for p, units in self._units.items():
+        # each unit's terms are its members' terms, and each sum is taken
+        # over all of them at once
+        self._researchers = {}
+        self._units = {}
+        for i, p in enumerate(periods):
+            mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
+            units = self._units[p] = {unit: Tally() for unit in corpus.units()}
             for r in corpus.researchers:
-                mine = self._researchers[p][r.researcher_id]
+                tally = mine[r.researcher_id]
                 unit = units[(r.university_id, r.sds)]
-                unit.presence.extend(mine.presence)
-                unit.pubs.update(mine.pubs)
-                unit.shares.extend(mine.shares)
-                unit.impacts.extend(mine.impacts)
+                unit.presence.extend(tally.presence)
+                unit.pids.extend(tally.pids)
+                unit.shares.extend(tally.shares)
+                unit.impacts.extend(tally.impacts)
+            for tally in chain(mine.values(), units.values()):
+                tally.finish(self._std, p.length_years)
 
-    def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
+    def _unit(self, university_id: str, sds: str, period: Period) -> Tally:
         if sds not in self.corpus.taxonomy.sds_to_uda:
             raise UnknownSDS(sds)
         if university_id not in self._universities:
             raise UnknownUniversity(university_id)
-        return self._units[period].get((university_id, sds)) or _Tally()
+        return (self._units[period].get((university_id, sds))
+                or Tally().finish(self._std, period.length_years))
 
-    def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
+    def _score(self, unit, tally: Tally, indicator: str, period: Period) -> IndicatorScore:
         if indicator not in INDICATORS:
             raise ValueError(f"unknown indicator {indicator!r}")
-        n_staff = tally.staff
-        n_pubs = len(tally.pubs)
-        if indicator == "AQ":
-            if not n_pubs:
+        value = tally.values[indicator]
+        if value is None:
+            if indicator == "AQ":
                 raise NoPublications(
                     f"{_describe(unit)} has no publications in {period.label}")
-            value = math.fsum(self._std[p] for p in tally.pubs) / n_pubs
-        else:
-            if n_staff <= 0:
-                raise ZeroStaff(f"{_describe(unit)} has no staff in {period.label}")
-            if indicator == "P":
-                total = n_pubs
-            elif indicator == "FP":
-                total = math.fsum(tally.shares)
-            else:
-                total = math.fsum(tally.impacts)
-            value = total / (n_staff * period.length_years)
-        return IndicatorScore(unit, indicator, period.label, value, n_pubs, n_staff)
+            raise ZeroStaff(f"{_describe(unit)} has no staff in {period.label}")
+        return IndicatorScore(unit, indicator, period.label, value, tally.n_pubs,
+                              tally.staff)
 
     def staff(self, university_id: str, sds: str, period: Period) -> float:
         """Headcount of a unit in a period, fractional under prorata."""
@@ -221,10 +235,15 @@ class UnitLedger:
         return self._score((university_id, sds),
                            self._unit(university_id, sds, period), indicator, period)
 
+    def researcher_tally(self, researcher_id: str, period: Period) -> Tally:
+        """The researcher's finished Tally: staff (its own presence), n_pubs
+        and the value of every indicator."""
+        return self._researchers[period][researcher_id]
+
     def researcher_score(self, researcher_id: str, indicator: str,
                          period: Period) -> IndicatorScore:
         """Same formulas with a single researcher as the unit (staff = own presence)."""
-        return self._score(researcher_id, self._researchers[period][researcher_id],
+        return self._score(researcher_id, self.researcher_tally(researcher_id, period),
                            indicator, period)
 
 

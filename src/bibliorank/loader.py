@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import gt, itemgetter
 from pathlib import Path
 
@@ -54,46 +54,57 @@ def read_csv(path: Path) -> tuple:
 
 
 def _read_rows(path: Path, required: tuple) -> list:
-    """Rows as tuples of the `required` fields, in that order.
+    """The `required` fields of every row, as one tuple per field, in that order.
 
     Both formats must carry exactly the documented field names. A CSV file is
-    read by read_csv, then by position with the semantics of csv.DictReader:
-    a repeated header name takes its last column, extra cells are ignored,
-    and a row that lacks a required cell (short, or the column absent from
-    the header) is a SchemaError at that row. A JSON file that is not UTF-8
-    or not JSON is a SchemaError too.
+    read by read_csv, transposed once and read by position with the semantics
+    of csv.DictReader: a repeated header name takes its last column, extra
+    cells are ignored, and a row that lacks a required cell (short, or the
+    column absent from the header) is a SchemaError at that row. A JSON file
+    that is not UTF-8 or not JSON is a SchemaError too. Each check runs over
+    whole columns; rows are walked one by one only to number a failing row.
     """
     if path.suffix == ".json":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                rows = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"not valid JSON ({exc})", path=path) from None
-        if not isinstance(rows, list):
-            raise SchemaError("expected a JSON array of objects", path=path)
-        for i, row in enumerate(rows, start=1):
-            if not isinstance(row, dict):
-                raise SchemaError(f"expected a JSON object, got {type(row).__name__}",
-                                  path=path, row=i)
-            missing = [c for c in required if c not in row or row[c] is None]
-            if missing:
-                raise SchemaError(f"missing columns {missing}", path=path, row=i)
-        return list(map(itemgetter(*required), rows))
-
+        return _json_columns(path, required)
     header, rows = read_csv(path)
     if header is None:
         raise SchemaError("missing header row", path=path)
+    if not rows:
+        return [()] * len(required)
     column = {name: i for i, name in enumerate(header)}
     cols = [column.get(c) for c in required]
-    width = None if None in cols else max(cols) + 1
-    if rows and (width is None or min(map(len, rows)) < width):
+    columns = list(zip(*rows))  # as many columns as the shortest row has cells
+    if None in cols or max(cols) >= len(columns):
         for i, row in enumerate(rows, start=2):
             missing = [c for c, j in zip(required, cols) if j is None or j >= len(row)]
             if missing:
                 raise SchemaError(f"missing columns {missing}", path=path, row=i)
-    return list(map(itemgetter(*cols), rows))
+    return [columns[j] for j in cols]
+
+
+def _json_columns(path: Path, required: tuple) -> list:
+    """_read_rows of a JSON array of objects."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON ({exc})", path=path) from None
+    if not isinstance(rows, list):
+        raise SchemaError("expected a JSON array of objects", path=path)
+    if {dict}.issuperset(map(type, rows)):
+        columns = [tuple(map(dict.get, rows, repeat(c))) for c in required]
+        if not any(None in column for column in columns):
+            return columns
+    for i, row in enumerate(rows, start=1):  # name the failing row
+        if not isinstance(row, dict):
+            raise SchemaError(f"expected a JSON object, got {type(row).__name__}",
+                              path=path, row=i)
+        missing = [c for c in required if c not in row or row[c] is None]
+        if missing:
+            raise SchemaError(f"missing columns {missing}", path=path, row=i)
+    raise AssertionError("unreachable: a row failed a check above")
 
 
 class _File:
@@ -103,10 +114,14 @@ class _File:
 
     def __init__(self, input_dir: Path, stem: str):
         self.path = find_file(input_dir, stem)
-        self.first = 1 if self.path.suffix == ".json" else 2  # as _read_rows counts
-        self.columns = (list(zip(*_read_rows(self.path, FILESET[stem])))
-                        or [()] * len(FILESET[stem]))
+        self.json = self.path.suffix == ".json"
+        self.first = 1 if self.json else 2  # as _read_rows counts
+        self.columns = _read_rows(self.path, FILESET[stem])
         self.failures = []
+
+    def text(self, values) -> tuple:
+        """A text column: CSV cells are text already, JSON values read as str()."""
+        return tuple(map(str, values)) if self.json else values
 
     def note(self, fails: bool, values, failing, error):
         """If `fails`, note error(i) for the first value i that is failing
@@ -128,7 +143,7 @@ class _File:
 
     def ints(self, values, name: str, minimum=None) -> list:
         """The column as ints, up to its first value that is not an integer."""
-        ints = _ints(values)
+        ints = _ints(values, text=not self.json)
         if ints is None:
             i = self.note(True, values, lambda v: _ints((v,)) is None,
                           lambda i: f"{name}={values[i]!r} is not an integer")
@@ -142,8 +157,10 @@ class _File:
         """active_years as frozensets: a JSON list, or text separated by ';'."""
         lists = [v if v.__class__ is list else [y for y in str(v).split(";") if y != ""]
                  for v in values]
-        if [] not in lists and _ints(list(chain.from_iterable(lists))) is not None:
-            return [frozenset(map(int, y)) for y in lists]
+        table = None if [] in lists else _int_table(list(chain.from_iterable(lists)),
+                                                    text=not self.json)
+        if table is not None:
+            return [frozenset(map(table.__getitem__, y)) for y in lists]
         self.note(True, lists, lambda y: not _ints(y), lambda i: (
             f"active_years={next(y for y in lists[i] if _ints((y,)) is None)!r} "
             "is not an integer" if lists[i] else "active_years is empty"))
@@ -154,13 +171,31 @@ class _File:
             raise min(self.failures, key=itemgetter(0))[1]
 
 
-def _ints(values):
-    """values as ints, or None if one is not text or a JSON integer that int()
-    reads: int() would truncate a JSON float and read a JSON bool as 0 or 1."""
+def _int_table(values, text=False):
+    """value -> int() of each distinct value, or None if one is not an integer
+    that int() reads. Each value must be a str or a JSON integer, unless `text`
+    says all are str, as in a CSV column: int() would truncate a JSON float
+    and read a JSON bool as 0 or 1."""
+    if not (text or {str, int}.issuperset(map(type, values))):
+        return None
+    distinct = set(values)
     try:
-        return list(map(int, values)) if {str, int}.issuperset(map(type, values)) else None
+        return dict(zip(distinct, map(int, distinct)))
     except ValueError:
         return None
+
+
+def _ints(values, text=False):
+    """values as ints, or None as _int_table. A column repeats few values, so
+    each distinct one is read once."""
+    table = _int_table(values, text)
+    return None if table is None else list(map(table.__getitem__, values))
+
+
+def _records(cls, *columns) -> list:
+    """The rows of `columns` as `cls` named tuples, built by tuple.__new__:
+    the named tuple's own __new__ is a Python call per record."""
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 def load_corpus(input_dir) -> Corpus:
@@ -172,18 +207,18 @@ def load_corpus(input_dir) -> Corpus:
 
     f = _File(input_dir, "taxonomy")
     sds, udas, life = f.columns
-    sds = list(map(str, sds))
+    sds = f.text(sds)
     f.unique(sds, lambda i: DuplicateKey(f"taxonomy: SDS {sds[i]} listed twice"))
     life = f.ints(life, "is_life_science")
     f.note(not {0, 1}.issuperset(life), life, lambda v: v not in (0, 1),
            lambda i: "is_life_science must be 0 or 1")
     f.raise_first()
-    sds_to_uda = dict(zip(sds, map(str, udas)))
+    sds_to_uda = dict(zip(sds, f.text(udas)))
     taxonomy = Taxonomy(sds_to_uda, frozenset(compress(sds, life)))
 
     f = _File(input_dir, "periods")
     labels, starts, ends = f.columns
-    labels = list(map(str, labels))
+    labels = f.text(labels)
     f.unique(labels, lambda i: DuplicateKey(f"periods: duplicate label {labels[i]}"))
     starts = f.ints(starts, "start_year")
     ends = f.ints(ends, "end_year")
@@ -196,28 +231,28 @@ def load_corpus(input_dir) -> Corpus:
 
     f = _File(input_dir, "researchers")
     rids, res_sds, universities, active = f.columns
-    rids, res_sds = list(map(str, rids)), list(map(str, res_sds))
+    rids, res_sds = f.text(rids), f.text(res_sds)
     f.unique(rids, lambda i: DuplicateKey(f"researchers: duplicate researcher_id {rids[i]}"))
     f.known(res_sds, set(sds_to_uda), lambda i: DanglingReference(
         f"researcher {rids[i]} references unknown SDS {res_sds[i]}"))
     active = f.years(active)
     f.raise_first()
-    researchers = list(map(Researcher, rids, res_sds, map(str, universities), active))
+    researchers = _records(Researcher, rids, res_sds, f.text(universities), active)
 
     f = _File(input_dir, "publications")
     pids, years, categories, citations, n_authors = f.columns
-    pids = list(map(str, pids))
+    pids = f.text(pids)
     f.unique(pids, lambda i: DuplicateKey(f"publications: duplicate pub_id {pids[i]}"))
     years = f.ints(years, "year")
     citations = f.ints(citations, "citations", minimum=0)
     n_authors = f.ints(n_authors, "n_authors_total", minimum=1)
     f.raise_first()
-    publications = list(map(Publication, pids, years, map(str, categories),
-                            citations, n_authors))
+    publications = _records(Publication, pids, years, f.text(categories),
+                            citations, n_authors)
 
     f = _File(input_dir, "authorships")
     a_pids, a_rids, positions, bylines = f.columns
-    a_pids, a_rids = list(map(str, a_pids)), list(map(str, a_rids))
+    a_pids, a_rids = f.text(a_pids), f.text(a_rids)
     f.known(a_pids, set(pids), lambda i: DanglingReference(
         f"authorship references unknown pub_id {a_pids[i]}"))
     f.known(a_rids, set(rids), lambda i: DanglingReference(
@@ -226,7 +261,7 @@ def load_corpus(input_dir) -> Corpus:
         f"authorships: duplicate (pub_id, researcher_id) {(a_pids[i], a_rids[i])}"))
     positions = f.ints(positions, "author_position", minimum=1)
     f.raise_first()
-    authorships = list(map(Authorship, a_pids, a_rids, positions, map(str, bylines)))
+    authorships = _records(Authorship, a_pids, a_rids, positions, f.text(bylines))
 
     return Corpus(taxonomy, researchers, publications, authorships, periods)
 

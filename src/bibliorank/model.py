@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DanglingReference, UnknownSDS, UnknownUniversity
 
@@ -70,33 +70,34 @@ Violation = namedtuple("Violation", "kind entity message")
 class Corpus:
     """Immutable container over the loaded records, with lookup indexes.
 
-    Record tuples are sorted by primary key so that all derived numbers are
-    independent of input row order.
+    Record tuples are sorted, by primary key first, so that all derived numbers
+    are independent of input row order.
     """
 
     def __init__(self, taxonomy, researchers, publications, authorships, periods):
         if len(periods) != 2:
             raise ValueError("corpus requires exactly two periods (early, late)")
+        if periods[0].label == periods[1].label:
+            raise ValueError(f"both periods are labelled {periods[0].label}")
         self.taxonomy = taxonomy
-        self.researchers = tuple(sorted(researchers, key=attrgetter("researcher_id")))
-        self.publications = tuple(sorted(publications, key=attrgetter("pub_id")))
-        self.authorships = tuple(
-            sorted(authorships, key=attrgetter("pub_id", "researcher_id"))
-        )
+        # a record tuple starts with its key, so sorting the tuples sorts by key
+        self.researchers = tuple(sorted(researchers))
+        self.publications = tuple(sorted(publications))
+        self.authorships = tuple(sorted(authorships))
         self.periods = tuple(sorted(periods, key=attrgetter("start_year", "end_year")))
 
         self.researcher_by_id = {r.researcher_id: r for r in self.researchers}
         self.publication_by_id = {p.pub_id: p for p in self.publications}
-        self.authorships_by_pub = {}
+        self.authorships_by_pub = by_pub = {}
         for a in self.authorships:
-            self.authorships_by_pub.setdefault(a.pub_id, []).append(a)
+            by_pub.setdefault(a.pub_id, []).append(a)
         # load_corpus rejects these at their earliest row; a Corpus built
         # directly is checked here and names its smallest unknown key
         unknown = self.authorships_by_pub.keys() - self.publication_by_id.keys()
         if unknown:
             raise DanglingReference(
                 f"authorship references unknown pub_id {min(unknown)}")
-        unknown = ({a.researcher_id for a in self.authorships}
+        unknown = (set(map(itemgetter(1), self.authorships))
                    - self.researcher_by_id.keys())
         if unknown:
             raise DanglingReference(
@@ -123,7 +124,7 @@ class Corpus:
 
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:
     """Fraction of the period the researcher counts for (pro-rata by active years)."""
-    overlap = len(set(researcher.active_years) & set(period.years))
+    overlap = len(set(period.years).intersection(researcher.active_years))
     if overlap == 0:
         return 0.0
     if staff_mode == "headcount":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bibliorank.baseline import (build_baselines, load_external_baselines, median,
                                  standardize_citations)
-from bibliorank.errors import MissingBaseline, NegativeValue, SchemaError
+from bibliorank.errors import DuplicateKey, MissingBaseline, NegativeValue, SchemaError
 
 from conftest import P, R, A, make_corpus
 
@@ -75,6 +75,16 @@ class TestExternal:
         f.write_text("subject_category,year,median,mean,n_pubs\nCAT_A,2002,-1,3.1,500\n")
         with pytest.raises(NegativeValue):
             load_external_baselines(f)
+
+    def test_repeated_stratum_is_a_duplicate_key(self, tmp_path):
+        # the year is read as an integer, so " 2001" names the same stratum
+        f = tmp_path / "baselines.csv"
+        f.write_text("subject_category,year,median,mean,n_pubs\n"
+                     "CAT_X,2001,1.0,1.0,5\nCAT_Y,2001,2.0,2.0,5\n"
+                     "CAT_X, 2001,5.0,5.0,5\n")
+        with pytest.raises(DuplicateKey) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: duplicate stratum (CAT_X, 2001) at row 4"
 
     def test_wrong_columns(self, tmp_path):
         f = tmp_path / "baselines.csv"

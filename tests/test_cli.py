@@ -146,10 +146,12 @@ class TestBadInput:
         assert json.loads(lines[0])["error"] == "InvalidConfig"
         assert not out.exists()
 
-    @pytest.mark.parametrize("body", [b"CAT_A,2002\n", b"CAT_\xff,2002,1,1,5\n",
-                                      b"CAT_A,2002,nan,1,5\n"],
-                             ids=["short_row", "invalid_utf8", "nan_median"])
-    def test_malformed_baselines(self, demo, tmp_path, capsys, body):
+    @pytest.mark.parametrize("body, error", [
+        (b"CAT_A,2002\n", "SchemaError"), (b"CAT_\xff,2002,1,1,5\n", "SchemaError"),
+        (b"CAT_A,2002,nan,1,5\n", "SchemaError"),
+        (b"CAT_X,2001,1,1,5\nCAT_X,2001,5,5,5\n", "DuplicateKey"),
+    ], ids=["short_row", "invalid_utf8", "nan_median", "repeated_stratum"])
+    def test_malformed_baselines(self, demo, tmp_path, capsys, body, error):
         bad = tmp_path / "baselines.csv"
         bad.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)
         out = tmp_path / "out"
@@ -159,7 +161,7 @@ class TestBadInput:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "SchemaError"
+        assert json.loads(lines[0])["error"] == error
         assert str(bad) in json.loads(lines[0])["message"]
         assert not out.exists()
 

@@ -16,7 +16,7 @@ from bibliorank.errors import (BiblioRankError, DanglingReference, DuplicateKey,
                                MissingFile, SchemaError, UnknownSDS,
                                UnknownUniversity)
 from bibliorank.loader import FILESET, _read_rows, load_corpus, write_corpus
-from bibliorank.model import Corpus, Violation, presence, staff, validate
+from bibliorank.model import Corpus, Period, Violation, presence, staff, validate
 from bibliorank.synthgen import GenConfig, generate, make_corpus as make_synth_corpus
 
 from conftest import A, EARLY, LATE, P, R, make_corpus
@@ -165,6 +165,33 @@ class TestLoad:
         assert reloaded.authorships == simple_corpus.authorships
         assert reloaded.periods == simple_corpus.periods
         assert reloaded.taxonomy == simple_corpus.taxonomy
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_csv_and_json_filesets_load_equal_records(self, tmp_path, seed):
+        """All five files written as CSV and as JSON (JSON numbers and
+        active_years lists) load to equal records, of the same classes."""
+        corpus = make_synth_corpus(GenConfig(seed=seed, coauthorship_rate=0.6))
+        write_corpus(corpus, tmp_path / "csv")
+        taxonomy = corpus.taxonomy
+        rows = {
+            "researchers": [(*r[:3], sorted(r.active_years)) for r in corpus.researchers],
+            "publications": corpus.publications,
+            "authorships": corpus.authorships,
+            "taxonomy": [(sds, taxonomy.sds_to_uda[sds], int(sds in taxonomy.life_science_sds))
+                         for sds in taxonomy.sds_list],
+            "periods": corpus.periods,
+        }
+        (tmp_path / "json").mkdir()
+        for stem, columns in FILESET.items():
+            (tmp_path / "json" / f"{stem}.json").write_text(
+                json.dumps([dict(zip(columns, row)) for row in rows[stem]]))
+        loaded = [load_corpus(tmp_path / fmt) for fmt in ("csv", "json")]
+        for name in ("researchers", "publications", "authorships", "periods", "taxonomy"):
+            expected = getattr(corpus, name)
+            for other in loaded:
+                assert getattr(other, name) == expected, name
+                assert list(map(type, getattr(other, name))) == list(map(type, expected))
+        assert len(corpus.authorships) > len(corpus.publications) > 0
 
     def test_row_order_does_not_matter(self, tmp_path):
         generate(GenConfig(seed=7), tmp_path)
@@ -327,6 +354,20 @@ def dictreader_rows(path, required):
     return [tuple(row[c] for c in required) for row in rows]
 
 
+class TestCorpusPeriods:
+    """A Corpus built directly checks its periods as load_corpus does."""
+
+    @pytest.mark.parametrize("periods, message", [
+        ((EARLY,), "corpus requires exactly two periods (early, late)"),
+        ((Period("P1", 2001, 2003), Period("P1", 2004, 2008)),
+         "both periods are labelled P1"),
+    ], ids=["one_period", "repeated_label"])
+    def test_rejected(self, periods, message):
+        with pytest.raises(ValueError) as exc:
+            make_corpus([R("r1")], [P("p1")], [A("p1", "r1")], periods=periods)
+        assert str(exc.value) == message
+
+
 class TestReadRows:
     """The positional CSV reader keeps csv.DictReader's semantics."""
 
@@ -355,7 +396,7 @@ class TestReadRows:
     def test_rows_in_required_order(self, tmp_path, text, rows):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
-        assert _read_rows(path, ("a", "b", "c")) == rows
+        assert list(zip(*_read_rows(path, ("a", "b", "c")))) == rows
 
     def test_loader_reports_the_row_after_blank_lines(self, tmp_path):
         write_fileset(tmp_path, {"publications.csv": ",".join(PUB_COLUMNS) + "\n\n"
@@ -373,7 +414,7 @@ class TestReadRows:
             '[{"pub_id": "p1", "year": 2001, "subject_category": "CAT_X", '
             '"citations": 5, "n_authors_total": 2, "extra": 1}]')
         assert load_corpus(tmp_path).publications == csv_corpus.publications
-        assert _read_rows(tmp_path / "publications.json", PUB_COLUMNS) == [
+        assert list(zip(*_read_rows(tmp_path / "publications.json", PUB_COLUMNS))) == [
             ("p1", 2001, "CAT_X", 5, 2)]
         (tmp_path / "publications.json").write_text('[{"pub_id": "p1", "year": null}]')
         with pytest.raises(SchemaError, match=r"\['year', 'subject_category', "
@@ -406,7 +447,8 @@ class TestReadRows:
             path = Path(tmp) / "t.csv"
             path.write_text(buf.getvalue(), encoding="utf-8", newline="")
             outcomes = []
-            for read in (dictreader_rows, _read_rows):
+            for read in (dictreader_rows,
+                         lambda path, required: list(zip(*_read_rows(path, required)))):
                 try:
                     outcomes.append(("rows", read(path, tuple(required))))
                 except SchemaError as exc:
