@@ -160,15 +160,9 @@ def indicator_tables(ledger, args) -> dict:
     researcher_rows = []
     for r in corpus.researchers:
         for period in corpus.periods:
-            tally = ledger.researcher_tally(r.researcher_id, period)
-            if tally.staff <= 0:
-                continue
-            for ind in INDICATORS:
-                value = tally.values[ind]
-                researcher_rows.append(
-                    [r.researcher_id, ind, period.label, None, 0, None] if value is None
-                    else [r.researcher_id, ind, period.label, value, tally.n_pubs,
-                          tally.staff])
+            for ind, value, n_pubs, staff in ledger.researcher_rows(r.researcher_id, period):
+                researcher_rows.append([r.researcher_id, ind, period.label, value,
+                                        n_pubs, staff])
 
     uda_rows = []
     for uda in corpus.taxonomy.uda_list:

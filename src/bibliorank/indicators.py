@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
 
 from .baseline import BaselineTable, build_baselines, standardize_citations
 from .errors import NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff
@@ -72,7 +71,7 @@ def fractional_share(authorship: Authorship, publication: Publication,
     return position_weight(authorship.author_position, n, scheme) / total
 
 
-class Tally:
+class _Tally:
     """What one unit or researcher did in one period: the terms its indicators
     sum, then, once finished, the sums themselves.
 
@@ -88,8 +87,9 @@ class Tally:
         self.pids = []                  # publication id per authorship
         self.shares = []                # author share per authorship
         self.impacts = []               # share x standardized citations
+        self.values = None              # set by finish
 
-    def finish(self, std: dict, years: int) -> "Tally":
+    def finish(self, std: dict, years: int) -> "_Tally":
         """Take each sum once; `std` maps pub_id to its standardized citation
         score and `years` is the length of the period."""
         pubs = set(self.pids)
@@ -115,9 +115,11 @@ class UnitLedger:
     period, built in one pass over the authorships.
 
     Expects a corpus that passes model.validate: it does not check author
-    positions or author counts itself. Each Tally is finished once, when the
-    ledger is built; read-only from then on, so one ledger serves every
-    indicator, period, rollup and rank list of a command.
+    positions or author counts itself. Each unit's tally is finished once,
+    when the ledger is built, and each researcher's the first time it is
+    read: of the CLI commands only `indicators` reads researchers. No value
+    changes after that, so one ledger serves every indicator, period, rollup
+    and rank list of a command.
     """
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
@@ -140,7 +142,7 @@ class UnitLedger:
 
         # per researcher: its life-science flag and its tally in each period
         tallies = {r.researcher_id: (corpus.taxonomy.is_life_science(r.sds),
-                                     [Tally([presence(r, p, staff_mode)]) for p in periods])
+                                     [_Tally([presence(r, p, staff_mode)]) for p in periods])
                    for r in corpus.researchers}
 
         # stratum -> positive divisor; standardize_citations takes the rest (and
@@ -183,7 +185,7 @@ class UnitLedger:
         self._units = {}
         for i, p in enumerate(periods):
             mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
-            units = self._units[p] = {unit: Tally() for unit in corpus.units()}
+            units = self._units[p] = {unit: _Tally() for unit in corpus.units()}
             for r in corpus.researchers:
                 tally = mine[r.researcher_id]
                 unit = units[(r.university_id, r.sds)]
@@ -191,18 +193,18 @@ class UnitLedger:
                 unit.pids.extend(tally.pids)
                 unit.shares.extend(tally.shares)
                 unit.impacts.extend(tally.impacts)
-            for tally in chain(mine.values(), units.values()):
+            for tally in units.values():
                 tally.finish(self._std, p.length_years)
 
-    def _unit(self, university_id: str, sds: str, period: Period) -> Tally:
+    def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
         if sds not in self.corpus.taxonomy.sds_to_uda:
             raise UnknownSDS(sds)
         if university_id not in self._universities:
             raise UnknownUniversity(university_id)
         return (self._units[period].get((university_id, sds))
-                or Tally().finish(self._std, period.length_years))
+                or _Tally().finish(self._std, period.length_years))
 
-    def _score(self, unit, tally: Tally, indicator: str, period: Period) -> IndicatorScore:
+    def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
         if indicator not in INDICATORS:
             raise ValueError(f"unknown indicator {indicator!r}")
         value = tally.values[indicator]
@@ -235,16 +237,27 @@ class UnitLedger:
         return self._score((university_id, sds),
                            self._unit(university_id, sds, period), indicator, period)
 
-    def researcher_tally(self, researcher_id: str, period: Period) -> Tally:
-        """The researcher's finished Tally: staff (its own presence), n_pubs
-        and the value of every indicator."""
-        return self._researchers[period][researcher_id]
+    def _researcher(self, researcher_id: str, period: Period) -> _Tally:
+        tally = self._researchers[period][researcher_id]
+        if tally.values is None:
+            tally.finish(self._std, period.length_years)
+        return tally
 
     def researcher_score(self, researcher_id: str, indicator: str,
                          period: Period) -> IndicatorScore:
         """Same formulas with a single researcher as the unit (staff = own presence)."""
-        return self._score(researcher_id, self.researcher_tally(researcher_id, period),
+        return self._score(researcher_id, self._researcher(researcher_id, period),
                            indicator, period)
+
+    def researcher_rows(self, researcher_id: str, period: Period) -> list:
+        """(indicator, value, n_pubs, staff) of every indicator of a researcher
+        on staff in the period, (indicator, None, 0, None) where the value is
+        undefined (AQ without publications); no rows for one not on staff."""
+        tally = self._researcher(researcher_id, period)
+        if tally.staff <= 0:
+            return []
+        return [(ind, None, 0, None) if (value := tally.values[ind]) is None
+                else (ind, value, tally.n_pubs, tally.staff) for ind in INDICATORS]
 
 
 def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,

@@ -143,7 +143,7 @@ class _File:
 
     def ints(self, values, name: str, minimum=None) -> list:
         """The column as ints, up to its first value that is not an integer."""
-        ints = _ints(values, text=not self.json)
+        ints = _ints(values)
         if ints is None:
             i = self.note(True, values, lambda v: _ints((v,)) is None,
                           lambda i: f"{name}={values[i]!r} is not an integer")
@@ -157,8 +157,7 @@ class _File:
         """active_years as frozensets: a JSON list, or text separated by ';'."""
         lists = [v if v.__class__ is list else [y for y in str(v).split(";") if y != ""]
                  for v in values]
-        table = None if [] in lists else _int_table(list(chain.from_iterable(lists)),
-                                                    text=not self.json)
+        table = None if [] in lists else _int_table(list(chain.from_iterable(lists)))
         if table is not None:
             return [frozenset(map(table.__getitem__, y)) for y in lists]
         self.note(True, lists, lambda y: not _ints(y), lambda i: (
@@ -171,12 +170,11 @@ class _File:
             raise min(self.failures, key=itemgetter(0))[1]
 
 
-def _int_table(values, text=False):
-    """value -> int() of each distinct value, or None if one is not an integer
-    that int() reads. Each value must be a str or a JSON integer, unless `text`
-    says all are str, as in a CSV column: int() would truncate a JSON float
-    and read a JSON bool as 0 or 1."""
-    if not (text or {str, int}.issuperset(map(type, values))):
+def _int_table(values):
+    """value -> int() of each distinct value, or None if one is not text or a
+    JSON integer that int() reads: int() would truncate a JSON float and read
+    a JSON bool as 0 or 1."""
+    if not {str, int}.issuperset(map(type, values)):
         return None
     distinct = set(values)
     try:
@@ -185,10 +183,11 @@ def _int_table(values, text=False):
         return None
 
 
-def _ints(values, text=False):
-    """values as ints, or None as _int_table. A column repeats few values, so
-    each distinct one is read once."""
-    table = _int_table(values, text)
+def _ints(values):
+    """values as ints, or None as _int_table. Each distinct value is read once,
+    and equal values share one int: an integer column repeats a few values
+    (a year, a count of authors, a byline position) over many rows."""
+    table = _int_table(values)
     return None if table is None else list(map(table.__getitem__, values))
 
 

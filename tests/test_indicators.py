@@ -8,7 +8,7 @@ from bibliorank.errors import (DanglingReference, MissingBaseline, NoPublication
                                ZeroStaff)
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
-from bibliorank.model import Period
+from bibliorank.model import Period, presence
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
@@ -228,6 +228,28 @@ class TestResearcherLevel:
                         assert got is None
                     else:
                         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("corpus", [
+        synth_corpus(GenConfig(seed=5, n_universities=2, n_sds=2)),
+        # on staff in both periods, publishing only in the late one
+        one_unit_corpus([P("p1", 2004)], [A("p1", "r1")], years=(2001, 2004))],
+        ids=["synthetic", "no_early_publications"])
+    def test_rows_are_the_scores_of_staffed_researchers(self, corpus):
+        ledger = UnitLedger(corpus, ShareScheme())
+        for r in corpus.researchers:
+            for period in corpus.periods:
+                rows = ledger.researcher_rows(r.researcher_id, period)
+                if presence(r, period, "prorata") <= 0:
+                    assert rows == []
+                    continue
+                want = []
+                for ind in ("P", "FP", "AQ", "FSS"):
+                    try:
+                        sc = ledger.researcher_score(r.researcher_id, ind, period)
+                        want.append((ind, sc.value, sc.n_pubs, sc.staff))
+                    except NoPublications:
+                        want.append((ind, None, 0, None))
+                assert rows == want
 
 
 class TestInvariants:
