@@ -30,12 +30,6 @@ class BaselineTable:
     def __init__(self, entries=None):
         self.entries = dict(entries or {})
 
-    def __contains__(self, stratum):
-        return stratum in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
     def get(self, subject_category, year):
         return self.entries.get((subject_category, year))
 

@@ -26,9 +26,9 @@ from .errors import (BiblioRankError, EmptyIntersection, InvalidConfig,
 from .indicators import INDICATORS, ShareScheme, UnitLedger
 from .loader import FILE_STEMS, find_file, load_corpus
 from .model import validate
-from .rankshift import (COMPARED, compare_drilldowns, period_rankings,
-                        sds_drilldown, shift_stats, transition_matrix,
-                        uda_rank_list, university_shift_table)
+from .rankshift import (COMPARED, DEFAULT_MIN_STAFF, compare_drilldowns,
+                        period_rankings, sds_drilldown, shift_stats,
+                        transition_matrix, uda_rank_list, university_shift_table)
 
 
 def _corpus_hash(input_dir: Path) -> str:
@@ -296,7 +296,8 @@ def _add_common(p):
     p.add_argument("--baselines", default=None,
                    help="external baseline CSV overriding corpus-derived strata")
     p.add_argument("--basis", choices=("median", "mean"), default="median")
-    p.add_argument("--min-staff", dest="min_staff", type=float, default=6.0)
+    p.add_argument("--min-staff", dest="min_staff", type=float,
+                   default=DEFAULT_MIN_STAFF)
     p.add_argument("--staff-mode", dest="staff_mode",
                    choices=("prorata", "headcount"), default="prorata")
     p.add_argument("--scheme", default="2,2,1",

@@ -41,6 +41,10 @@ class UnknownUDA(BiblioRankError):
     pass
 
 
+class UnknownResearcher(BiblioRankError):
+    pass
+
+
 class NegativeValue(BiblioRankError):
     pass
 

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .baseline import BaselineTable, build_baselines, standardize_citations
-from .errors import NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff
+from .errors import NoPublications, UnknownResearcher, ZeroStaff
 from .model import Authorship, Corpus, Period, Publication, presence
 
 INDICATORS = ("P", "FP", "AQ", "FSS")
@@ -106,6 +106,13 @@ class _Tally:
         return self
 
 
+class _ByPeriod(dict):
+    """period -> tallies; a period outside the corpus raises ValueError."""
+
+    def __missing__(self, period):
+        raise ValueError(f"unknown period {period.label!r}")
+
+
 def _describe(unit) -> str:
     return unit if isinstance(unit, str) else f"({unit[0]}, {unit[1]})"
 
@@ -132,12 +139,9 @@ class UnitLedger:
         self.staff_mode = staff_mode
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
-        self._universities = set(corpus.universities)
         self._sds_universities = {}
         for u, s in corpus.units():
             self._sds_universities.setdefault(s, []).append(u)
-        self._uda_sds = {uda: corpus.taxonomy.sds_in_uda(uda)
-                         for uda in corpus.taxonomy.uda_list}
         periods = corpus.periods
 
         # per researcher: its life-science flag and its tally in each period
@@ -181,8 +185,8 @@ class UnitLedger:
 
         # each unit's terms are its members' terms, and each sum is taken
         # over all of them at once
-        self._researchers = {}
-        self._units = {}
+        self._researchers = _ByPeriod()
+        self._units = _ByPeriod()
         for i, p in enumerate(periods):
             mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
             units = self._units[p] = {unit: _Tally() for unit in corpus.units()}
@@ -197,12 +201,12 @@ class UnitLedger:
                 tally.finish(self._std, p.length_years)
 
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
-        if sds not in self.corpus.taxonomy.sds_to_uda:
-            raise UnknownSDS(sds)
-        if university_id not in self._universities:
-            raise UnknownUniversity(university_id)
-        return (self._units[period].get((university_id, sds))
-                or _Tally().finish(self._std, period.length_years))
+        tally = self._units[period].get((university_id, sds))
+        if tally is None:
+            # a unit with researchers names a known university and SDS
+            self.corpus.check_names(university_id, sds)
+            tally = _Tally().finish(self._std, period.length_years)
+        return tally
 
     def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
         if indicator not in INDICATORS:
@@ -221,13 +225,15 @@ class UnitLedger:
         return self._unit(university_id, sds, period).staff
 
     def uda_staff(self, university_id: str, uda: str, period: Period) -> float:
+        self.corpus.check_names(university_id)
         units = self._units[period]
-        return math.fsum(x for sds in self._uda_sds.get(uda, ())
+        return math.fsum(x for sds in self.corpus.taxonomy.sds_in_uda(uda)
                          if (university_id, sds) in units
                          for x in units[(university_id, sds)].presence)
 
     def staffed_universities(self, sds: str, period: Period) -> list:
         """Sorted universities whose unit in the SDS has positive staff."""
+        self.corpus.check_names(sds=sds)
         units = self._units[period]
         return [u for u in self._sds_universities.get(sds, ())
                 if units[(u, sds)].staff > 0]
@@ -238,7 +244,9 @@ class UnitLedger:
                            self._unit(university_id, sds, period), indicator, period)
 
     def _researcher(self, researcher_id: str, period: Period) -> _Tally:
-        tally = self._researchers[period][researcher_id]
+        tally = self._researchers[period].get(researcher_id)
+        if tally is None:
+            raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
         if tally.values is None:
             tally.finish(self._std, period.length_years)
         return tally

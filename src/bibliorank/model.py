@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
-from .errors import DanglingReference, UnknownSDS, UnknownUniversity
+from .errors import DanglingReference, UnknownSDS, UnknownUDA, UnknownUniversity
 
 
 class Period(namedtuple("Period", "label start_year end_year")):
@@ -53,7 +53,11 @@ class Taxonomy(namedtuple("Taxonomy", "sds_to_uda life_science_sds")):
         return sorted(set(self.sds_to_uda.values()))
 
     def sds_in_uda(self, uda: str):
-        return sorted(s for s, u in self.sds_to_uda.items() if u == uda)
+        """The UDA's sorted SDS codes; the one check that a UDA exists."""
+        codes = sorted(s for s, u in self.sds_to_uda.items() if u == uda)
+        if not codes:
+            raise UnknownUDA(f"UDA {uda} is not in the taxonomy")
+        return codes
 
     def is_life_science(self, sds: str) -> bool:
         return sds in self.life_science_sds
@@ -86,7 +90,6 @@ class Corpus:
         self.authorships = tuple(sorted(authorships))
         self.periods = tuple(sorted(periods, key=attrgetter("start_year", "end_year")))
 
-        self.researcher_by_id = {r.researcher_id: r for r in self.researchers}
         self.publication_by_id = {p.pub_id: p for p in self.publications}
         self.authorships_by_pub = by_pub = {}
         for a in self.authorships:
@@ -98,14 +101,16 @@ class Corpus:
             raise DanglingReference(
                 f"authorship references unknown pub_id {min(unknown)}")
         unknown = (set(map(itemgetter(1), self.authorships))
-                   - self.researcher_by_id.keys())
+                   - set(map(itemgetter(0), self.researchers)))
         if unknown:
             raise DanglingReference(
                 f"authorship references unknown researcher_id {min(unknown)}")
-        self.universities = sorted({r.university_id for r in self.researchers})
+        self._university_set = {r.university_id for r in self.researchers}
+        self.universities = sorted(self._university_set)
         self._unit_researchers = {}
         for r in self.researchers:
             self._unit_researchers.setdefault((r.university_id, r.sds), []).append(r)
+        self._units = tuple(sorted(self._unit_researchers))
 
     @property
     def early(self) -> Period:
@@ -115,11 +120,19 @@ class Corpus:
     def late(self) -> Period:
         return self.periods[1]
 
+    def check_names(self, university_id=None, sds=None):
+        """The one check that a university and an SDS exist; None skips one."""
+        if sds is not None and sds not in self.taxonomy.sds_to_uda:
+            raise UnknownSDS(f"SDS {sds} is not in the taxonomy")
+        if university_id is not None and university_id not in self._university_set:
+            raise UnknownUniversity(f"university {university_id} is not in the corpus")
+
     def unit_researchers(self, university_id, sds):
         return self._unit_researchers.get((university_id, sds), [])
 
     def units(self):
-        return sorted(self._unit_researchers)
+        """Every (university_id, sds) with researchers, sorted."""
+        return self._units
 
 
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:
@@ -135,10 +148,7 @@ def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata"
 def staff(corpus: Corpus, university_id: str, sds: str, period: Period,
           staff_mode: str = "prorata") -> float:
     """Headcount of a (university, SDS) unit in a period, fractional under prorata."""
-    if sds not in corpus.taxonomy.sds_to_uda:
-        raise UnknownSDS(sds)
-    if university_id not in corpus.universities:
-        raise UnknownUniversity(university_id)
+    corpus.check_names(university_id, sds)
     return math.fsum(
         presence(r, period, staff_mode)
         for r in corpus.unit_researchers(university_id, sds)

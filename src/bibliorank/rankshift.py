@@ -12,8 +12,7 @@ from itertools import accumulate
 
 from .aggregate import sds_unit_scores, uda_scores, uda_unit_scores
 from .baseline import median
-from .errors import (EmptyIntersection, NoEligibleUniversities, UnknownUDA,
-                     UnknownUniversity)
+from .errors import EmptyIntersection, NoEligibleUniversities
 from .indicators import UnitLedger
 from .model import Period
 
@@ -24,12 +23,7 @@ N_QUINTILES = 5
 RankEntry = namedtuple("RankEntry", "university_id value rank")
 
 
-class RankList(namedtuple("RankList", "uda indicator period entries min_staff_threshold")):
-    __slots__ = ()
-
-    @property
-    def universities(self):
-        return [e.university_id for e in self.entries]
+RankList = namedtuple("RankList", "uda indicator period entries min_staff_threshold")
 
 
 # entries: university_id -> quintile, 1 = top; sizes: realized group sizes, top first
@@ -250,20 +244,13 @@ def university_shift_table(universities, rankings: dict) -> ShiftTable:
     return ShiftTable(columns=list(rankings), cells=cells)
 
 
-def _check_scope(ledger: UnitLedger, university_id: str, uda: str):
-    if university_id not in ledger.corpus.universities:
-        raise UnknownUniversity(f"university {university_id} is not in the corpus")
-    if uda not in ledger.corpus.taxonomy.uda_list:
-        raise UnknownUDA(f"UDA {uda} is not in the taxonomy")
-
-
 def sds_drilldown(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
                   min_staff: float = DEFAULT_MIN_STAFF) -> dict:
     """Per-SDS quintile shifts of one university within a UDA.
 
     Only SDSs where the university is eligible in both periods appear.
     """
-    _check_scope(ledger, university_id, uda)
+    ledger.corpus.check_names(university_id)
     out = {}
     for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
         shifts = quintile_shifts(period_rankings(sds_rank_list, ledger, sds,

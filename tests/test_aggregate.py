@@ -139,7 +139,8 @@ class TestUdaScore:
                              [A("p1", "r2", byline="U2")],
                              make_taxonomy({"S1": "A"}))
         ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
-        with pytest.raises(UnknownUniversity, match="^NOPE$"):
+        with pytest.raises(UnknownUniversity,
+                           match="^university NOPE is not in the corpus$"):
             uda_score(ledger, "NOPE", "A", "P", EARLY)
         with pytest.raises(NoStaffInUda, match="^U1 has no staff in UDA A$"):
             uda_score(ledger, "U1", "A", "P", LATE)
@@ -165,7 +166,7 @@ class TestUdaScore:
         assert rolled["U1"].covered_staff == 3.9999999999999996
         # uda_rank_list sums every presence at once and ranks U1 at 4 ...
         ranked = uda_rank_list(ledger, "A", "P", EARLY, min_staff=4.0)
-        assert ranked.universities == ["U1"]
+        assert [e.university_id for e in ranked.entries] == ["U1"]
         # ... while the oracle adds the per-SDS sums and does not
         assert ("A", "P", "E") not in Oracle(corpus, min_staff=4.0).uda_rank_tables()
 
@@ -214,7 +215,7 @@ class TestNationalWeightedAverage:
         assert national_weighted_average(ledger, "P", EARLY, scope="A") == 2.0
         assert national_weighted_average(ledger, "P", EARLY, scope="B") == 1.0
         assert national_weighted_average(ledger, "P", EARLY) == 1.25
-        with pytest.raises(EmptyScope):
+        with pytest.raises(UnknownUDA):
             national_weighted_average(ledger, "P", EARLY, scope="C")
 
     def test_empty_scope(self):

@@ -41,7 +41,7 @@ class TestBuild:
     def test_every_stratum_covered(self, simple_corpus):
         table = build_baselines(simple_corpus)
         for pub in simple_corpus.publications:
-            assert (pub.subject_category, pub.year) in table
+            assert (pub.subject_category, pub.year) in table.entries
 
 
 class TestExternal:
@@ -62,7 +62,7 @@ class TestExternal:
     def test_header_only_is_valid(self, tmp_path):
         f = tmp_path / "baselines.csv"
         f.write_text("subject_category,year,median,mean,n_pubs\n")
-        assert len(load_external_baselines(f)) == 0
+        assert len(load_external_baselines(f).entries) == 0
 
     def test_repeated_header_name_reads_its_last_column(self, tmp_path):
         f = tmp_path / "baselines.csv"

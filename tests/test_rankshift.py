@@ -1,19 +1,24 @@
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibliorank.aggregate import (national_weighted_average, sds_unit_scores,
+                                  uda_score, uda_unit_scores)
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
-                               UnknownUDA, UnknownUniversity)
-from bibliorank.indicators import ShareScheme, UnitLedger
+                               UnknownResearcher, UnknownSDS, UnknownUDA,
+                               UnknownUniversity)
+from bibliorank.indicators import (ShareScheme, UnitLedger, researcher_indicator,
+                                   unit_indicator)
+from bibliorank.model import Period, staff
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (COMPARED, QuintileAssignment, RankList,
                                   ShiftTable, assign_quintiles, classify_shifts,
                                   compare_drilldowns, period_rankings,
                                   quintile_shift, rank_list, sds_drilldown,
-                                  shift_stats, transition_matrix,
+                                  sds_rank_list, shift_stats, transition_matrix,
                                   uda_rank_list, university_shift_table)
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
@@ -44,7 +49,7 @@ class TestRankList:
 
     def test_staff_threshold(self):
         rl = rank_list({"a": (3.0, 6.0), "b": (9.0, 5.9)}, min_staff=6.0)
-        assert rl.universities == ["a"]
+        assert [e.university_id for e in rl.entries] == ["a"]
 
     def test_no_eligible(self):
         with pytest.raises(NoEligibleUniversities):
@@ -212,6 +217,93 @@ class TestClassify:
         assert classify_shifts(0, 0, 0) == ()
 
 
+# the names a call may use besides the one unknown name it is given
+Known = namedtuple("Known", "univ sds uda researcher period")
+ODD = Period("ODD", 1990, 1991)
+MESSAGES = {UnknownUDA: "UDA NOPE is not in the taxonomy",
+            UnknownSDS: "SDS NOPE is not in the taxonomy",
+            UnknownUniversity: "university NOPE is not in the corpus",
+            UnknownResearcher: "researcher NOPE is not in the corpus",
+            ValueError: "unknown period 'ODD'"}
+
+
+def _unit_indicator(ledger, k, univ=None, sds=None):
+    return unit_indicator(ledger.corpus, univ or k.univ, sds or k.sds, "FSS", k.period,
+                          ledger.scheme, ledger.baselines, ledger=ledger)
+
+
+# (id, call(ledger, known), error): each call names exactly one unknown name
+UNKNOWN_NAMES = [
+    ("uda_unit_scores-uda",
+     lambda led, k: uda_unit_scores(led, "NOPE", "FSS", k.period), UnknownUDA),
+    ("uda_rank_list-uda",
+     lambda led, k: uda_rank_list(led, "NOPE", "FSS", k.period), UnknownUDA),
+    ("period_rankings-uda",
+     lambda led, k: period_rankings(uda_rank_list, led, "NOPE", "FSS"), UnknownUDA),
+    ("uda_score-uda",
+     lambda led, k: uda_score(led, k.univ, "NOPE", "FSS", k.period), UnknownUDA),
+    ("sds_drilldown-uda",
+     lambda led, k: sds_drilldown(led, k.univ, "NOPE", "FSS"), UnknownUDA),
+    ("national_weighted_average-uda",
+     lambda led, k: national_weighted_average(led, "FSS", k.period, "NOPE"), UnknownUDA),
+    ("uda_staff-uda",
+     lambda led, k: led.uda_staff(k.univ, "NOPE", k.period), UnknownUDA),
+    ("uda_score-university",
+     lambda led, k: uda_score(led, "NOPE", k.uda, "FSS", k.period), UnknownUniversity),
+    ("sds_drilldown-university",
+     lambda led, k: sds_drilldown(led, "NOPE", k.uda, "FSS"), UnknownUniversity),
+    ("uda_staff-university",
+     lambda led, k: led.uda_staff("NOPE", k.uda, k.period), UnknownUniversity),
+    ("unit_score-university",
+     lambda led, k: led.unit_score("NOPE", k.sds, "FSS", k.period), UnknownUniversity),
+    ("ledger.staff-university",
+     lambda led, k: led.staff("NOPE", k.sds, k.period), UnknownUniversity),
+    ("model.staff-university",
+     lambda led, k: staff(led.corpus, "NOPE", k.sds, k.period), UnknownUniversity),
+    ("unit_indicator-university",
+     lambda led, k: _unit_indicator(led, k, univ="NOPE"), UnknownUniversity),
+    ("sds_unit_scores-sds",
+     lambda led, k: sds_unit_scores(led, "NOPE", "FSS", k.period), UnknownSDS),
+    ("sds_rank_list-sds",
+     lambda led, k: sds_rank_list(led, "NOPE", "FSS", k.period), UnknownSDS),
+    ("period_rankings-sds",
+     lambda led, k: period_rankings(sds_rank_list, led, "NOPE", "FSS"), UnknownSDS),
+    ("staffed_universities-sds",
+     lambda led, k: led.staffed_universities("NOPE", k.period), UnknownSDS),
+    ("unit_score-sds",
+     lambda led, k: led.unit_score(k.univ, "NOPE", "FSS", k.period), UnknownSDS),
+    ("ledger.staff-sds",
+     lambda led, k: led.staff(k.univ, "NOPE", k.period), UnknownSDS),
+    ("model.staff-sds",
+     lambda led, k: staff(led.corpus, k.univ, "NOPE", k.period), UnknownSDS),
+    ("unit_indicator-sds",
+     lambda led, k: _unit_indicator(led, k, sds="NOPE"), UnknownSDS),
+    ("researcher_score-researcher",
+     lambda led, k: led.researcher_score("NOPE", "P", k.period), UnknownResearcher),
+    ("researcher_rows-researcher",
+     lambda led, k: led.researcher_rows("NOPE", k.period), UnknownResearcher),
+    ("researcher_indicator-researcher",
+     lambda led, k: researcher_indicator(led.corpus, "NOPE", "P", k.period, led.scheme,
+                                         led.baselines, ledger=led), UnknownResearcher),
+    ("unit_score-period",
+     lambda led, k: led.unit_score(k.univ, k.sds, "FSS", ODD), ValueError),
+    ("ledger.staff-period",
+     lambda led, k: led.staff(k.univ, k.sds, ODD), ValueError),
+    ("uda_staff-period",
+     lambda led, k: led.uda_staff(k.univ, k.uda, ODD), ValueError),
+    ("staffed_universities-period",
+     lambda led, k: led.staffed_universities(k.sds, ODD), ValueError),
+    ("sds_unit_scores-period",
+     lambda led, k: sds_unit_scores(led, k.sds, "FSS", ODD), ValueError),
+    ("uda_rank_list-period",
+     lambda led, k: uda_rank_list(led, k.uda, "FSS", ODD), ValueError),
+    ("researcher_score-period",
+     lambda led, k: led.researcher_score(k.researcher, "P", ODD), ValueError),
+    ("researcher_rows-period",
+     lambda led, k: led.researcher_rows(k.researcher, ODD), ValueError),
+]
+
+
 class TestCorpusDriven:
     def setup_method(self):
         self.corpus = synth_corpus(GenConfig(seed=4, n_universities=8, n_sds=4,
@@ -261,7 +353,6 @@ class TestCorpusDriven:
             assert m.pct_changed == pytest.approx(changed / len(both))
 
     def test_drilldown_against_direct_recomputation(self):
-        from bibliorank.rankshift import sds_rank_list
         uda = self.corpus.taxonomy.uda_list[0]
         univ = min(u for u, s in self.corpus.units()
                    if self.corpus.taxonomy.sds_to_uda[s] == uda)
@@ -282,12 +373,14 @@ class TestCorpusDriven:
         for sds, row in rows.items():
             assert row["flags"] == classify_shifts(row["P"], row["FP"], row["AQ"])
 
-    @pytest.mark.parametrize("fn", [sds_drilldown])
-    def test_drilldown_rejects_unknown_scope(self, fn):
+    @pytest.mark.parametrize("call, error", [case[1:] for case in UNKNOWN_NAMES],
+                             ids=[case[0] for case in UNKNOWN_NAMES])
+    def test_unknown_name_is_rejected(self, call, error):
         uda = self.corpus.taxonomy.uda_list[0]
-        univ = min(u for u, s in self.corpus.units()
-                   if self.corpus.taxonomy.sds_to_uda[s] == uda)
-        with pytest.raises(UnknownUniversity):
-            fn(self.ledger, "NOPE", uda, "FSS")
-        with pytest.raises(UnknownUDA):
-            fn(self.ledger, univ, "NOPE", "FSS")
+        univ, sds = min((u, s) for u, s in self.corpus.units()
+                        if self.corpus.taxonomy.sds_to_uda[s] == uda)
+        known = Known(univ, sds, uda, self.corpus.researchers[0].researcher_id,
+                      self.corpus.early)
+        with pytest.raises(error, match=f"^{MESSAGES[error]}$"):
+            call(self.ledger, known)
+
