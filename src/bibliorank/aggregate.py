@@ -120,6 +120,7 @@ def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period
         sds_codes = corpus.taxonomy.sds_list
     else:
         sds_codes = corpus.taxonomy.sds_in_uda(scope)
+    corpus.check_period(period)
     # sds -> (researcher_id, presence) of its researchers active in the period
     active = {}
     for r in corpus.researchers:

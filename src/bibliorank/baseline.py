@@ -112,13 +112,16 @@ def load_external_baselines(path) -> BaselineTable:
 
 
 def standardize_citations(pub: Publication, baselines: BaselineTable,
-                          basis: str = "median", fallback_events=None) -> float:
+                          basis: str = "median", fallback_events=None,
+                          fallbacks=None) -> float:
     """Citation count divided by the stratum baseline.
 
     A zero baseline with zero citations yields 0; a zero baseline with
     citations falls back to the category's smallest positive baseline (1.0 if
     none exists). Fallback firings are appended to `fallback_events` when a
-    list is passed, so reports can flag them.
+    list is passed, so reports can flag them. A dict passed as `fallbacks`
+    keeps each category's fallback divisor for later calls with the same
+    table and basis, so each is found once.
     """
     if basis not in ("median", "mean"):
         raise ValueError(f"basis must be 'median' or 'mean', got {basis!r}")
@@ -130,7 +133,12 @@ def standardize_citations(pub: Publication, baselines: BaselineTable,
         return pub.citations / divisor
     if pub.citations == 0:
         return 0.0
-    fallback = baselines.smallest_positive(pub.subject_category, basis)
+    if fallbacks is None:
+        fallbacks = {}
+    fallback = fallbacks.get(pub.subject_category)
+    if fallback is None:
+        fallback = fallbacks[pub.subject_category] = baselines.smallest_positive(
+            pub.subject_category, basis)
     if fallback_events is not None:
         fallback_events.append((pub.pub_id, pub.subject_category, pub.year))
     return pub.citations / fallback

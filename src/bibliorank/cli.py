@@ -101,8 +101,9 @@ def _parse_scheme(text: str) -> ShareScheme:
                             f"first,last,middle ({exc})") from None
 
 
-def _load_inputs(args) -> UnitLedger:
-    """The one ledger a command reads, over the validated corpus."""
+def _load_inputs(args, scope=None) -> UnitLedger:
+    """The one ledger a command reads, over the validated corpus; `scope`,
+    when given, names the SDS codes the command reads as `scope(corpus, args)`."""
     scheme = _parse_scheme(args.scheme)
     if not math.isfinite(args.min_staff):
         raise InvalidConfig(f"--min-staff {args.min_staff}: expected a finite "
@@ -116,7 +117,8 @@ def _load_inputs(args) -> UnitLedger:
     baselines = build_baselines(corpus)
     if args.baselines:
         baselines = baselines.merge(load_external_baselines(Path(args.baselines)))
-    return UnitLedger(corpus, scheme, baselines, args.basis, args.staff_mode)
+    return UnitLedger(corpus, scheme, baselines, args.basis, args.staff_mode,
+                      sds_scope=None if scope is None else scope(corpus, args))
 
 
 def cmd_ingest(args) -> int:
@@ -130,10 +132,11 @@ def cmd_ingest(args) -> int:
     return 1 if violations else 0
 
 
-def report(tables, args) -> int:
+def report(tables, args, scope=None) -> int:
     """A scoring command: build every table of `tables(ledger, args)`, then
-    write them, so that a failing table leaves no output."""
-    built = tables(_load_inputs(args), args)
+    write them, so that a failing table leaves no output. `scope` limits the
+    ledger to the SDS codes the tables read (see _load_inputs)."""
+    built = tables(_load_inputs(args, scope), args)
     emit = Emitter(Path(args.out), args.format,
                    _corpus_hash(Path(args.input)), _config_hash(args))
     for name, (columns, rows) in built.items():
@@ -260,6 +263,13 @@ def compare_tables(ledger, args) -> dict:
     }
 
 
+def drilldown_scope(corpus, args) -> list:
+    """The SDS codes a drilldown reads: those of its UDA. The university is
+    checked first, as sds_drilldown checks it."""
+    corpus.check_names(args.university)
+    return corpus.taxonomy.sds_in_uda(args.uda)
+
+
 def drilldown_tables(ledger, args) -> dict:
     # one drilldown per indicator, shared by both reports
     drilldowns = {ind: sds_drilldown(ledger, args.university, args.uda, ind,
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--university", required=True)
     p.add_argument("--uda", required=True)
     p.add_argument("--indicator", choices=INDICATORS, default="FSS")
-    p.set_defaults(func=partial(report, drilldown_tables))
+    p.set_defaults(func=partial(report, drilldown_tables, scope=drilldown_scope))
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus fileset",
                        argument_default=argparse.SUPPRESS)
@@ -372,5 +382,17 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The program's entry point (`python -m bibliorank.cli`, the `bibliorank`
+    script): main, then exit with its status. Every object still alive then
+    lives until the process ends, so the collector is frozen first: the
+    interpreter's collections at exit skip those objects instead of scanning
+    them all once more. An in-process caller of main keeps its collector."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

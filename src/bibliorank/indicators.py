@@ -107,10 +107,17 @@ class _Tally:
 
 
 class _ByPeriod(dict):
-    """period -> tallies; a period outside the corpus raises ValueError."""
+    """period -> tallies of every corpus period; another period fails the
+    corpus's period check."""
+    __slots__ = ("corpus",)
+
+    def __init__(self, corpus: Corpus):
+        super().__init__()
+        self.corpus = corpus
 
     def __missing__(self, period):
-        raise ValueError(f"unknown period {period.label!r}")
+        self.corpus.check_period(period)
+        raise KeyError(period)  # not reached: the ledger holds every corpus period
 
 
 def _describe(unit) -> str:
@@ -127,36 +134,59 @@ class UnitLedger:
     read: of the CLI commands only `indicators` reads researchers. No value
     changes after that, so one ledger serves every indicator, period, rollup
     and rank list of a command.
+
+    `sds_scope`, when given, limits the ledger to the researchers of those
+    SDS codes, for a caller that reads nothing else (`drilldown` reads one
+    UDA). Baselines still come from every publication and a share from the
+    publication's whole byline, so every value in scope equals the
+    whole-corpus ledger's; only publications with an author in scope are
+    standardized, so `fallback_events` lists only theirs. A scoped ledger
+    asked about an SDS or a researcher outside its scope raises ValueError.
     """
 
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
                  baselines: BaselineTable | None = None, basis: str = "median",
-                 staff_mode: str = "prorata"):
+                 staff_mode: str = "prorata", *, sds_scope=None):
         self.corpus = corpus
         self.scheme = scheme
         self.baselines = build_baselines(corpus) if baselines is None else baselines
         self.basis = basis
         self.staff_mode = staff_mode
+        researchers, units = corpus.researchers, corpus.units()
+        if sds_scope is not None:
+            for sds in sds_scope:
+                corpus.check_names(sds=sds)
+            sds_scope = frozenset(sds_scope)
+            researchers = [r for r in researchers if r.sds in sds_scope]
+            units = [unit for unit in units if unit[1] in sds_scope]
+        self.sds_scope = sds_scope  # None: every SDS
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
         self._sds_universities = {}
-        for u, s in corpus.units():
+        for u, s in units:
             self._sds_universities.setdefault(s, []).append(u)
         periods = corpus.periods
 
         # per researcher: its life-science flag and its tally in each period
         tallies = {r.researcher_id: (corpus.taxonomy.is_life_science(r.sds),
                                      [_Tally([presence(r, p, staff_mode)]) for p in periods])
-                   for r in corpus.researchers}
+                   for r in researchers}
 
         # stratum -> positive divisor; standardize_citations takes the rest (and
-        # an unknown basis), so its errors and fallback_events keep their order
+        # an unknown basis), so its errors and fallback_events keep their order,
+        # and finds each category's fallback divisor once, in `fallbacks`
         divisors = {key: d for key, entry in self.baselines.entries.items()
                     if basis in ("median", "mean") and (d := getattr(entry, basis)) > 0}
+        fallbacks = {}
         # authorships_by_pub runs in corpus.authorships order, so the term
         # lists and fallback_events keep that order
+        groups = corpus.authorships_by_pub.items()
+        if sds_scope is not None:
+            # a publication without an author in scope adds no term
+            pids = {a[0] for a in corpus.authorships if a[1] in tallies}
+            groups = [(pid, group) for pid, group in groups if pid in pids]
         year_periods = {}  # year -> indexes of the periods containing it
-        for pid, group in corpus.authorships_by_pub.items():
+        for pid, group in groups:
             pub = corpus.publication_by_id[pid]
             _, year, category, citations, n = pub
             in_periods = year_periods.get(year)
@@ -167,13 +197,16 @@ class UnitLedger:
                 continue
             divisor = divisors.get((category, year))
             std = self._std[pid] = (citations / divisor if divisor else standardize_citations(
-                pub, self.baselines, basis, self.fallback_events))
+                pub, self.baselines, basis, self.fallback_events, fallbacks))
             # only a life-science author on a byline of several universities
-            # has a weighted share
+            # has a weighted share; every author of the group counts for that
             bylines = n > 1 and len(group) > 1 and {a[3] for a in group}
             weighted = bylines and len(bylines) > 1
             for a in group:
-                life, mine = tallies[a[1]]
+                entry = tallies.get(a[1])
+                if entry is None:
+                    continue  # an author outside the scope
+                life, mine = entry
                 share = (fractional_share(a, pub, scheme, life, known_bylines=bylines)
                          if weighted and life else 1.0 / n)
                 impact = share * std
@@ -185,26 +218,35 @@ class UnitLedger:
 
         # each unit's terms are its members' terms, and each sum is taken
         # over all of them at once
-        self._researchers = _ByPeriod()
-        self._units = _ByPeriod()
+        self._researchers = _ByPeriod(corpus)
+        self._units = _ByPeriod(corpus)
         for i, p in enumerate(periods):
             mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
-            units = self._units[p] = {unit: _Tally() for unit in corpus.units()}
-            for r in corpus.researchers:
+            unit_tallies = self._units[p] = {unit: _Tally() for unit in units}
+            for r in researchers:
                 tally = mine[r.researcher_id]
-                unit = units[(r.university_id, r.sds)]
+                unit = unit_tallies[(r.university_id, r.sds)]
                 unit.presence.extend(tally.presence)
                 unit.pids.extend(tally.pids)
                 unit.shares.extend(tally.shares)
                 unit.impacts.extend(tally.impacts)
-            for tally in units.values():
+            for tally in unit_tallies.values():
                 tally.finish(self._std, p.length_years)
+
+    def _check_scope(self, sds_codes) -> None:
+        """A scoped ledger has no tally of an SDS outside its scope, not even
+        an empty one: asking for one raises."""
+        if self.sds_scope is not None:
+            for sds in sds_codes:
+                if sds not in self.sds_scope:
+                    raise ValueError(f"SDS {sds} is outside the ledger's scope")
 
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
         tally = self._units[period].get((university_id, sds))
         if tally is None:
             # a unit with researchers names a known university and SDS
             self.corpus.check_names(university_id, sds)
+            self._check_scope((sds,))
             tally = _Tally().finish(self._std, period.length_years)
         return tally
 
@@ -225,15 +267,23 @@ class UnitLedger:
         return self._unit(university_id, sds, period).staff
 
     def uda_staff(self, university_id: str, uda: str, period: Period) -> float:
+        """Headcount of a university over the SDS codes of a UDA."""
+        return self.staff_over(university_id, self.corpus.taxonomy.sds_in_uda(uda), period)
+
+    def staff_over(self, university_id: str, sds_codes, period: Period) -> float:
+        """Headcount of a university over several SDS codes: one fsum over
+        every presence term of their units at once."""
         self.corpus.check_names(university_id)
+        self._check_scope(sds_codes)
         units = self._units[period]
-        return math.fsum(x for sds in self.corpus.taxonomy.sds_in_uda(uda)
+        return math.fsum(x for sds in sds_codes
                          if (university_id, sds) in units
                          for x in units[(university_id, sds)].presence)
 
     def staffed_universities(self, sds: str, period: Period) -> list:
         """Sorted universities whose unit in the SDS has positive staff."""
         self.corpus.check_names(sds=sds)
+        self._check_scope((sds,))
         units = self._units[period]
         return [u for u in self._sds_universities.get(sds, ())
                 if units[(u, sds)].staff > 0]
@@ -246,6 +296,9 @@ class UnitLedger:
     def _researcher(self, researcher_id: str, period: Period) -> _Tally:
         tally = self._researchers[period].get(researcher_id)
         if tally is None:
+            if self.sds_scope is not None:  # a known researcher outside the scope?
+                self._check_scope(r.sds for r in self.corpus.researchers
+                                  if r.researcher_id == researcher_id)
             raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
         if tally.values is None:
             tally.finish(self._std, period.length_years)

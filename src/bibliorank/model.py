@@ -127,6 +127,11 @@ class Corpus:
         if university_id is not None and university_id not in self._university_set:
             raise UnknownUniversity(f"university {university_id} is not in the corpus")
 
+    def check_period(self, period) -> None:
+        """The one check that a period is one of the corpus's two."""
+        if period not in self.periods:
+            raise ValueError(f"unknown period {period.label!r}")
+
     def unit_researchers(self, university_id, sds):
         return self._unit_researchers.get((university_id, sds), [])
 
@@ -149,6 +154,7 @@ def staff(corpus: Corpus, university_id: str, sds: str, period: Period,
           staff_mode: str = "prorata") -> float:
     """Headcount of a (university, SDS) unit in a period, fractional under prorata."""
     corpus.check_names(university_id, sds)
+    corpus.check_period(period)
     return math.fsum(
         presence(r, period, staff_mode)
         for r in corpus.unit_researchers(university_id, sds)

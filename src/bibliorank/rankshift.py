@@ -144,9 +144,10 @@ def transition_matrix(assign_early: QuintileAssignment,
 def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
                   min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a UDA by their rolled-up indicator score."""
-    rolled = uda_scores(ledger, uda, indicator, period,
-                        uda_unit_scores(ledger, uda, indicator, period))
-    scores = {u: (score.value, ledger.uda_staff(u, uda, period))
+    unit_scores = uda_unit_scores(ledger, uda, indicator, period)
+    rolled = uda_scores(ledger, uda, indicator, period, unit_scores)
+    sds_codes = list(unit_scores)  # the UDA's, looked up once
+    scores = {u: (score.value, ledger.staff_over(u, sds_codes, period))
               for u, score in rolled.items()}
     return rank_list(scores, uda, indicator, period.label, min_staff)
 

@@ -384,8 +384,8 @@ class TestOnePassScoring:
         original_init = indicators.UnitLedger.__init__
 
         def counting_init(self, *args, **kwargs):
-            builds.append(1)
             original_init(self, *args, **kwargs)
+            builds.append(self.sds_scope)
 
         monkeypatch.setattr(indicators.UnitLedger, "__init__", counting_init)
         scored = []
@@ -408,6 +408,9 @@ class TestOnePassScoring:
             assert main([*command, "--input", str(demo), "--out",
                          str(tmp_path / command[0]), "--min-staff", "1"]) == 0
             assert len(builds) == 1, command
+            # only drilldown's ledger is limited, to the SDS codes of its UDA
+            assert builds[0] == (frozenset(["SDS001", "SDS002", "SDS003"])
+                                 if command is drilldown else None), command
             assert scored, command
             assert max(Counter(scored).values()) == 1, command
 
@@ -459,6 +462,56 @@ class TestCollector:
         finally:
             gc.enable()
         assert seen == ([False] if argv[0] == "ingest" else [])
+
+
+class TestProgram:
+    """`python -m bibliorank.cli` and the `bibliorank` script run cli.run,
+    which exits as an in-process main returns and freezes the collector."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["rank", "--min-staff", "1"], 0),
+        (["drilldown", "--university", "UNI001", "--uda", "NOPE"], 1),
+    ], ids=["rank", "drilldown_unknown_uda"])
+    def test_child_exits_as_main_returns(self, demo, tmp_path, capsys, argv, status):
+        child, here = tmp_path / "child", tmp_path / "main"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibliorank.cli", *argv, "--input", str(demo),
+             "--out", str(child)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert main([*argv, "--input", str(demo), "--out", str(here)]) == status
+        captured = capsys.readouterr()
+        assert proc.returncode == status
+        assert proc.stderr == captured.err.encode()
+        assert proc.stdout == captured.out.encode()
+        assert child.exists() == here.exists() == (status == 0)
+        if status == 0:
+            assert sorted(p.name for p in child.iterdir()) == ["quintiles.csv",
+                                                               "rank_lists.csv"]
+            for p in child.iterdir():
+                assert p.read_bytes() == (here / p.name).read_bytes(), p.name
+
+    @pytest.mark.parametrize("argv, status", [
+        (["ingest", "--input", "DEMO"], 0),
+        (["ingest", "--input", "MISSING"], 1),
+        (["--help"], 0),
+    ], ids=["success", "error", "help"])
+    def test_run_freezes_the_collector_after_main(self, demo, tmp_path, capsys,
+                                                  monkeypatch, argv, status):
+        events = []
+        real_main = cli.main
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or real_main())
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        paths = {"DEMO": str(demo), "MISSING": str(tmp_path / "missing")}
+        monkeypatch.setattr(sys, "argv", ["bibliorank"] + [paths.get(a, a) for a in argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == status
+        assert events == ["main", "freeze"]
+
+    def test_the_script_entry_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())
+        assert project["project"]["scripts"] == {"bibliorank": "bibliorank.cli:run"}
 
 
 @pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "dataclasses",

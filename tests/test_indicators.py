@@ -1,18 +1,23 @@
+import argparse
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.baseline import (BaselineEntry, BaselineTable, build_baselines,
                                  standardize_citations)
-from bibliorank.errors import (DanglingReference, MissingBaseline, NoPublications,
-                               ZeroStaff)
+from bibliorank.cli import drilldown_tables
+from bibliorank.errors import (BiblioRankError, DanglingReference, MissingBaseline,
+                               NoPublications, UnknownSDS, ZeroStaff)
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
-from bibliorank.model import Period, presence
+from bibliorank.model import Authorship, Corpus, Period, presence, validate
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
 from conftest import A, EARLY, LATE, P, R, make_corpus, make_taxonomy
+from test_cli_digests import SEED, SHAPES
 
 ONE_YEAR = Period("Y", 2001, 2001)
 
@@ -360,3 +365,130 @@ class TestLedger:
             UnitLedger(corpus, ShareScheme(), baselines)
         with pytest.raises(ValueError, match="basis must be"):
             UnitLedger(corpus, ShareScheme(), build_baselines(corpus), basis="n_pubs")
+
+    def test_each_category_falls_back_once(self, monkeypatch):
+        """The ledger finds a category's fallback divisor once, however many
+        of its publications fall back, and scores them as the walk does."""
+        # CAT_Z/2001 and CAT_V/2001 have median 0; CAT_V has no positive year
+        pubs = [P(f"z{i}", 2001, "CAT_Z", c) for i, c in enumerate((0, 0, 0, 5, 6))]
+        pubs += [P(f"v{i}", 2001, "CAT_V", c) for i, c in enumerate((0, 0, 0, 3, 7))]
+        pubs += [P("z9", 2002, "CAT_Z", 4)]
+        corpus = make_corpus([R("r1")], pubs, [A(p.pub_id, "r1") for p in pubs])
+        baselines = build_baselines(corpus)
+        events, expected = [], {}
+        for pid in corpus.authorships_by_pub:
+            expected[pid] = standardize_citations(corpus.publication_by_id[pid],
+                                                  baselines, "median", events)
+        calls = Counter()
+        original = BaselineTable.smallest_positive
+
+        def spy(table, category, basis):
+            calls[category] += 1
+            return original(table, category, basis)
+
+        monkeypatch.setattr(BaselineTable, "smallest_positive", spy)
+        ledger = UnitLedger(corpus, ShareScheme(), baselines)
+        assert calls == {"CAT_V": 1, "CAT_Z": 1}
+        assert ledger.fallback_events == events == [
+            ("v3", "CAT_V", 2001), ("v4", "CAT_V", 2001),
+            ("z3", "CAT_Z", 2001), ("z4", "CAT_Z", 2001)]
+        assert ledger._std == expected
+
+
+def _outcome(call):
+    """A call's value, or the class and message of the package error it raises."""
+    try:
+        return call()
+    except BiblioRankError as exc:
+        return type(exc), str(exc)
+
+
+def cross_scope(corpus):
+    """The corpus with one more author on each publication that has a free
+    byline position: a researcher of another UDA and university. The
+    generator draws coauthors from one unit only, so without this no byline
+    spans two UDAs."""
+    tax = corpus.taxonomy
+    researchers = {r.researcher_id: r for r in corpus.researchers}
+    added = []
+    for i, (pid, group) in enumerate(corpus.authorships_by_pub.items()):
+        taken = {a.author_position for a in group}
+        free = [p for p in range(1, corpus.publication_by_id[pid].n_authors_total + 1)
+                if p not in taken]
+        if not free:
+            continue
+        author = researchers[group[0].researcher_id]
+        others = [r for r in corpus.researchers
+                  if tax.sds_to_uda[r.sds] != tax.sds_to_uda[author.sds]
+                  and r.university_id != author.university_id]
+        mate = others[i % len(others)]
+        added.append(Authorship(pid, mate.researcher_id, free[-1], mate.university_id))
+    out = Corpus(tax, corpus.researchers, corpus.publications,
+                 corpus.authorships + tuple(added), corpus.periods)
+    assert added and not validate(out)
+    return out
+
+
+class TestScopedLedger:
+    """A ledger over one UDA's SDS codes reads as the whole-corpus ledger
+    does within them, and refuses every other SDS."""
+
+    @pytest.mark.parametrize("shape", ["drilldown", "life_science"])
+    @pytest.mark.parametrize("across", [False, True], ids=["generated", "cross_scope"])
+    def test_scope_changes_no_value(self, shape, across):
+        corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES[shape]))
+        if across:
+            corpus = cross_scope(corpus)
+        full = UnitLedger(corpus)
+        decided_outside = 0
+        for uda in corpus.taxonomy.uda_list:
+            codes = corpus.taxonomy.sds_in_uda(uda)
+            scoped = UnitLedger(corpus, sds_scope=codes)
+            for u in corpus.universities:
+                args = argparse.Namespace(university=u, uda=uda, indicator="FSS",
+                                          min_staff=1.0)
+                assert drilldown_tables(scoped, args) == drilldown_tables(full, args)
+                for sds in codes:
+                    for period in corpus.periods:
+                        assert scoped.staff(u, sds, period) == full.staff(u, sds, period)
+                        for ind in ("P", "FP", "AQ", "FSS"):
+                            assert (_outcome(lambda: scoped.unit_score(u, sds, ind, period))
+                                    == _outcome(lambda: full.unit_score(u, sds, ind, period)))
+            in_scope = {r.researcher_id for r in corpus.researchers if r.sds in codes}
+            pids = {a.pub_id for a in corpus.authorships if a.researcher_id in in_scope}
+            assert scoped.fallback_events == [e for e in full.fallback_events
+                                              if e[0] in pids]
+            # a life-science author in scope whose byline has one university
+            # in scope and several in all: authors outside the scope make
+            # the byline weights apply
+            for pid in pids:
+                group = corpus.authorships_by_pub[pid]
+                mine = [a for a in group if a.researcher_id in in_scope]
+                decided_outside += (
+                    len({a.byline_university_id for a in mine}) == 1
+                    < len({a.byline_university_id for a in group})
+                    and any(corpus.taxonomy.is_life_science(sds) for sds in codes))
+        assert bool(decided_outside) == across
+
+    def test_an_sds_outside_the_scope_raises(self):
+        corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES["drilldown"]))
+        uda, other = corpus.taxonomy.uda_list[:2]
+        ledger = UnitLedger(corpus, sds_scope=corpus.taxonomy.sds_in_uda(uda))
+        sds = corpus.taxonomy.sds_in_uda(other)[0]
+        univ = corpus.universities[0]
+        researcher = next(r.researcher_id for r in corpus.researchers if r.sds == sds)
+        period = corpus.early
+        # the whole-corpus ledger has a staffed unit there
+        assert UnitLedger(corpus).staff(univ, sds, period) > 0
+        for call in (lambda: ledger.unit_score(univ, sds, "FSS", period),
+                     lambda: ledger.staff(univ, sds, period),
+                     lambda: ledger.staffed_universities(sds, period),
+                     lambda: ledger.uda_staff(univ, other, period),
+                     lambda: ledger.researcher_score(researcher, "P", period)):
+            with pytest.raises(ValueError,
+                               match=f"^SDS {sds} is outside the ledger's scope$"):
+                call()
+        with pytest.raises(UnknownSDS):
+            ledger.unit_score(univ, "NOPE", "FSS", period)
+        with pytest.raises(UnknownSDS):
+            UnitLedger(corpus, sds_scope=["NOPE"])

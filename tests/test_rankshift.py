@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.aggregate import (national_weighted_average, sds_unit_scores,
-                                  uda_score, uda_unit_scores)
+                                  uda_score, uda_scores, uda_unit_scores)
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
                                UnknownResearcher, UnknownSDS, UnknownUDA,
                                UnknownUniversity)
 from bibliorank.indicators import (ShareScheme, UnitLedger, researcher_indicator,
                                    unit_indicator)
-from bibliorank.model import Period, staff
+from bibliorank.model import Period, Taxonomy, staff
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (COMPARED, QuintileAssignment, RankList,
                                   ShiftTable, assign_quintiles, classify_shifts,
@@ -301,6 +301,12 @@ UNKNOWN_NAMES = [
      lambda led, k: led.researcher_score(k.researcher, "P", ODD), ValueError),
     ("researcher_rows-period",
      lambda led, k: led.researcher_rows(k.researcher, ODD), ValueError),
+    ("national_weighted_average-period",
+     lambda led, k: national_weighted_average(led, "FSS", ODD), ValueError),
+    ("national_weighted_average-scoped-period",
+     lambda led, k: national_weighted_average(led, "FSS", ODD, k.uda), ValueError),
+    ("model.staff-period",
+     lambda led, k: staff(led.corpus, k.univ, k.sds, ODD), ValueError),
 ]
 
 
@@ -351,6 +357,28 @@ class TestCorpusDriven:
             changed = sum(1 for u in both
                           if assigns[0].entries[u] != assigns[1].entries[u])
             assert m.pct_changed == pytest.approx(changed / len(both))
+
+    def test_uda_rank_list_looks_the_uda_up_once(self, monkeypatch):
+        """One sds_in_uda call per rank list, and the staff threshold reads
+        the same uda_staff as before."""
+        expected, excluded = {}, 0
+        for uda in self.corpus.taxonomy.uda_list:
+            for period in self.corpus.periods:
+                rolled = uda_scores(self.ledger, uda, "FSS", period,
+                                    uda_unit_scores(self.ledger, uda, "FSS", period))
+                want = expected[(uda, period)] = rank_list(
+                    {u: (s.value, self.ledger.uda_staff(u, uda, period))
+                     for u, s in rolled.items()}, uda, "FSS", period.label, 3.5)
+                excluded += len(rolled) - len(want.entries)
+        assert excluded  # so the staff values decide the lists
+        calls = []
+        original = Taxonomy.sds_in_uda
+        monkeypatch.setattr(Taxonomy, "sds_in_uda",
+                            lambda tax, uda: calls.append(uda) or original(tax, uda))
+        for (uda, period), want in expected.items():
+            calls.clear()
+            assert uda_rank_list(self.ledger, uda, "FSS", period, 3.5) == want
+            assert calls == [uda]
 
     def test_drilldown_against_direct_recomputation(self):
         uda = self.corpus.taxonomy.uda_list[0]
