@@ -3,6 +3,12 @@
 Citation counts come from a negative binomial, which is skewed enough that
 low-mean strata regularly land a zero median and exercise the standardization
 fallback path.
+
+A fileset is a function of the config and of the numpy release: the kind,
+arguments and order of every draw from the generator are part of the output,
+so reordering, batching or replacing a draw changes the bytes written. A
+replacement is safe only where numpy gives the same value from the same
+stream state and leaves the same state behind (one author's position, below).
 """
 from __future__ import annotations
 
@@ -49,18 +55,14 @@ class GenConfig:
                      "turnover_rate", "partial_year_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidConfig(f"{name} must lie in [0, 1]")
-        if self.pubs_per_researcher_year <= 0 or self.citation_mean < 0:
-            raise InvalidConfig("rates must be positive")
-        if self.citation_dispersion <= 0:
-            raise InvalidConfig("citation_dispersion must be positive")
-
-
-def _citations(rng, cfg: GenConfig) -> int:
-    d = cfg.citation_dispersion
-    if cfg.citation_mean == 0:
-        return 0
-    p = d / (d + cfg.citation_mean)
-    return int(rng.negative_binomial(d, p))
+        for name, zero_ok in (("pubs_per_researcher_year", False),
+                              ("citation_mean", True),
+                              ("citation_dispersion", False),
+                              ("coauthor_mean", True)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+                raise InvalidConfig(
+                    f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 
 def make_corpus(config: GenConfig) -> Corpus:
@@ -120,32 +122,43 @@ def make_corpus(config: GenConfig) -> Corpus:
         for y in r.active_years:
             by_unit_year.setdefault((r.university_id, r.sds, y), []).append(r)
 
+    poisson, random, integers = rng.poisson, rng.random, rng.integers
+    # the negative binomial with this dispersion and mean citation_mean
+    dispersion = config.citation_dispersion
+    p_success = dispersion / (dispersion + config.citation_mean)
     publications = []
     authorships = []
     pid = 0
     for r in researchers:
-        uda = sds_to_uda[r.sds]
+        author_id, univ, sds = r.researcher_id, r.university_id, r.sds
+        unit_categories = categories[sds_to_uda[sds]]
         for year in sorted(r.active_years):
-            for _ in range(int(rng.poisson(config.pubs_per_researcher_year))):
+            n_pubs = int(poisson(config.pubs_per_researcher_year))
+            if not n_pubs:
+                continue
+            mates = [m.researcher_id for m in by_unit_year[(univ, sds, year)]
+                     if m.researcher_id != author_id]
+            for _ in range(n_pubs):
                 pid += 1
                 pub_id = f"PUB{pid:06d}"
-                n_total = 1 + int(rng.poisson(config.coauthor_mean))
-                pub_authors = [r]
-                mates = [m for m in by_unit_year[(r.university_id, r.sds, year)]
-                         if m.researcher_id != r.researcher_id]
-                if mates and rng.random() < config.coauthorship_rate:
-                    pub_authors.append(mates[int(rng.integers(0, len(mates)))])
+                n_total = 1 + int(poisson(config.coauthor_mean))
+                mate = None
+                if mates and random() < config.coauthorship_rate:
+                    mate = mates[int(integers(0, len(mates)))]
                     n_total = max(n_total, 2)
-                category = categories[uda][int(rng.integers(0, 2))]
-                publications.append(Publication(
-                    pub_id=pub_id, year=year, subject_category=category,
-                    citations=_citations(rng, config), n_authors_total=n_total))
-                positions = rng.choice(n_total, size=len(pub_authors), replace=False)
-                for author, pos in zip(pub_authors, positions):
-                    authorships.append(Authorship(
-                        pub_id=pub_id, researcher_id=author.researcher_id,
-                        author_position=int(pos) + 1,
-                        byline_university_id=author.university_id))
+                category = unit_categories[int(integers(0, 2))]
+                citations = (int(rng.negative_binomial(dispersion, p_success))
+                             if config.citation_mean else 0)
+                publications.append(Publication(pub_id, year, category, citations, n_total))
+                # a coauthor is drawn from the same unit, so shares its university
+                if mate is None:
+                    # as choice(n_total, size=1, replace=False): same value, same state after
+                    authorships.append(
+                        Authorship(pub_id, author_id, int(integers(0, n_total)) + 1, univ))
+                else:
+                    first, second = rng.choice(n_total, size=2, replace=False)
+                    authorships.append(Authorship(pub_id, author_id, int(first) + 1, univ))
+                    authorships.append(Authorship(pub_id, mate, int(second) + 1, univ))
 
     return Corpus(taxonomy, researchers, publications, authorships, (early, late))
 

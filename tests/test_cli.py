@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import gc
 import json
@@ -14,9 +15,11 @@ from bibliorank import cli, indicators
 from bibliorank.cli import main
 from bibliorank.errors import BiblioRankError
 from bibliorank.loader import write_corpus
-from bibliorank.synthgen import GenConfig, generate
+from bibliorank.synthgen import GenConfig, generate, make_corpus as synth_corpus
 
 from conftest import A, P, R, make_corpus, make_taxonomy
+from test_cli_digests import SEED, SHAPES
+from test_indicators import cross_scope
 
 SRC = str(Path(indicators.__file__).resolve().parents[1])
 
@@ -119,6 +122,35 @@ class TestDeterminism:
         assert provenance(tmp_path / "b" / "copy.csv", "out_b") == first
         (tmp_path / "a" / "baselines.csv").write_text(body.replace("2.5", "3.5"))
         assert provenance(tmp_path / "a" / "baselines.csv", "out_c") != first
+
+
+def unit_values(out_dir: Path) -> dict:
+    """unit_scores.csv below its provenance line, keyed by unit, indicator and period."""
+    with open(out_dir / "unit_scores.csv", newline="", encoding="utf-8") as fh:
+        next(fh)
+        return {(row["university_id"], row["sds"], row["indicator"], row["period"]):
+                row["value"] for row in csv.DictReader(fh)}
+
+
+class TestSchemeShares:
+    """--scheme weighs byline positions only on a life-science publication
+    whose bylines name two universities. The generator draws coauthors from
+    one unit, so this corpus adds one author from another university."""
+
+    def test_scheme_moves_fp_and_fss_only(self, tmp_path):
+        corpus = cross_scope(synth_corpus(GenConfig(seed=SEED, **SHAPES["life_science"])))
+        write_corpus(corpus, tmp_path / "corpus")
+        values = {}
+        for scheme in ("2,2,1", "3,1,1"):
+            out = tmp_path / scheme
+            assert main(["indicators", "--input", str(tmp_path / "corpus"),
+                         "--out", str(out), "--scheme", scheme]) == 0
+            values[scheme] = unit_values(out)
+        default, weighted = values["2,2,1"], values["3,1,1"]
+        assert default.keys() == weighted.keys()
+        # every SDS of the shape is a life science
+        moved = {key[2] for key in default if default[key] != weighted[key]}
+        assert moved == {"FP", "FSS"}
 
 
 class TestBadInput:
@@ -330,6 +362,11 @@ class TestSynthErrors:
 
     def test_negative_seed(self, tmp_path, capsys):
         self.run_synth(["--seed", "-1"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("option", ["--pubs-per-researcher-year", "--citation-mean"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate(self, tmp_path, capsys, option, value):
+        self.run_synth([option, value], tmp_path, capsys)
 
     def test_without_numpy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delitem(sys.modules, "bibliorank.synthgen")

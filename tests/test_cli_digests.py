@@ -22,7 +22,9 @@ DIGESTS = Path(__file__).parent / "fixtures" / "cli_digests.json"
 
 SEED = 1
 # the three benchmark workload shapes and one where every SDS is a life
-# science, so the byline weights of --scheme decide the shares
+# science. Its bylines still name one university each, and a one-university
+# byline is shared equally, so --scheme does not change its reports; the
+# weighted path runs in test_cli.py::TestSchemeShares
 SHAPES = {
     "national": dict(n_universities=20, n_sds=6, staff_min=2, staff_max=3,
                      unit_presence=1.0),

@@ -1,13 +1,33 @@
 import filecmp
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.errors import InvalidConfig, TooLarge
 from bibliorank.loader import load_corpus
 from bibliorank.model import validate
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, generate, make_corpus
+
+from test_cli_digests import SHAPES
+
+SYNTH_DIGESTS = Path(__file__).parent / "fixtures" / "synth_digests.json"
+# the CLI digest shapes, the default config and the edges of each draw
+DIGEST_SHAPES = {
+    **SHAPES,
+    "default": {},
+    "citation_mean_0": dict(citation_mean=0.0),
+    "coauthorship_rate_0": dict(coauthorship_rate=0.0),
+    "coauthorship_rate_1": dict(coauthorship_rate=1.0),
+    "coauthor_mean_0": dict(coauthor_mean=0.0),
+    "single_staff": dict(staff_min=1, staff_max=1, turnover_rate=0.0),
+    "full_turnover": dict(turnover_rate=1.0, partial_year_rate=1.0),
+}
 
 
 class TestGenerate:
@@ -55,12 +75,66 @@ class TestGenerate:
             make_corpus(GenConfig(turnover_rate=1.5))
         with pytest.raises(InvalidConfig):
             make_corpus(GenConfig(staff_min=3, staff_max=2))
+        for field, bad in (("pubs_per_researcher_year", (0.0, -1.0)),
+                           ("citation_mean", (-1.0,)),
+                           ("citation_dispersion", (0.0, -1.0)),
+                           ("coauthor_mean", (-1.0,))):
+            for value in bad + (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(InvalidConfig, match=field):
+                    make_corpus(GenConfig(**{field: value}))
 
     def test_low_citation_mean_hits_zero_medians(self):
         from bibliorank.baseline import build_baselines
         corpus = make_corpus(GenConfig(seed=0, citation_mean=0.2))
         table = build_baselines(corpus)
         assert any(e.median == 0 for e in table.entries.values())
+
+
+def fileset_digest(directory: Path) -> str:
+    """One SHA-256 over a fileset, as `synth_digests.json` describes it."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+class TestFilesetDigests:
+    """Every (shape, seed) fileset equals the one stored in
+    `fixtures/synth_digests.json`, recorded before the generator's draws were
+    made cheaper. numpy does not promise one `Generator` stream across
+    releases, so the stored digests hold for the numpy they name."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        return json.loads(SYNTH_DIGESTS.read_text(encoding="utf-8"))
+
+    def test_every_shape_is_stored(self, stored):
+        assert stored["shapes"] == DIGEST_SHAPES
+        assert stored["seeds"] == list(range(10))
+        assert all(len(d) == 10 for d in stored["digests"].values())
+
+    @pytest.mark.parametrize("shape", list(DIGEST_SHAPES))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fileset(self, stored, tmp_path, shape, seed):
+        generate(GenConfig(seed=seed, **DIGEST_SHAPES[shape]), tmp_path)
+        assert fileset_digest(tmp_path) == stored["digests"][shape][seed], (
+            f"digests recorded with numpy {stored['numpy']}; "
+            f"this run has numpy {np.__version__}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(1, 12), warm=st.integers(0, 3))
+def test_one_position_draw_matches_choice(seed, n, warm):
+    """A lone author's position is drawn with integers(0, n) in place of
+    choice(n, size=1, replace=False): numpy gives the same value and leaves the
+    generator in the same state, whether or not a 32-bit half is buffered."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(warm):
+        assert a.integers(0, 2) == b.integers(0, 2)
+    assert int(a.choice(n, size=1, replace=False)[0]) == int(b.integers(0, n))
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 2**40) == b.integers(0, 2**40)
+    assert a.random() == b.random()
 
 
 class TestOracleGuard:
