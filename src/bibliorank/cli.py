@@ -360,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     for option, kind in (("seed", int), ("n-universities", int), ("n-sds", int),
                          ("sds-per-uda", int), ("staff-min", int), ("staff-max", int),
                          ("pubs-per-researcher-year", float), ("citation-mean", float),
+                         ("unit-presence", float), ("coauthorship-rate", float),
                          ("turnover-rate", float), ("life-science-fraction", float)):
         p.add_argument(f"--{option}", type=kind)
     p.add_argument("--out", default="synth_out")

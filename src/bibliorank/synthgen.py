@@ -8,7 +8,29 @@ A fileset is a function of the config and of the numpy release: the kind,
 arguments and order of every draw from the generator are part of the output,
 so reordering, batching or replacing a draw changes the bytes written. A
 replacement is safe only where numpy gives the same value from the same
-stream state and leaves the same state behind (one author's position, below).
+stream state and leaves the same state behind. numpy's `choice` without
+replacement takes Floyd's algorithm (Bentley & Floyd, CACM 1987) unless the
+population exceeds 10,000 and the sample a fiftieth of it, which a sample of
+one or two never does, and each Floyd step is one bounded draw by Lemire's
+method (Lemire, ACM TOMACS 2019). So three draws are made by cheaper calls
+that numpy answers with the same values and state:
+
+- a lone author's position, `choice(n, size=1, replace=False)`, is
+  `integers(0, n)`, Floyd's single step;
+- a coauthored byline's two positions, `choice(n, size=2, replace=False)`,
+  are numpy's own Floyd steps, `integers(0, n - 1)` and then `integers(0, n)`
+  (which becomes `n - 1` if it repeats the first), followed by its shuffle's
+  one swap, made when the bounded draw `[0, 2)` is 0 (`_two_positions`);
+- a subject category, `integers(0, 2)`, is `random(None, float32) >= 0.5`.
+
+A bounded draw over `[0, 2)` by Lemire's method is the top bit of one 32-bit
+draw, and a `float32` from `random` is the top 24 bits of one 32-bit draw
+over 2**24, so it is at least 0.5 exactly when that top bit is set. Both
+consume one 32-bit draw, from the same half-word buffer. Over two positions,
+Floyd's first step has one value to choose from and draws nothing, and
+neither does `integers(0, 1)`.
+`tests/test_synthgen.py` checks each replacement against the call it stands
+for, value and state after.
 """
 from __future__ import annotations
 
@@ -63,6 +85,41 @@ class GenConfig:
             if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
                 raise InvalidConfig(
                     f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+        # numpy refuses a rate too large for its draw. With size=0 it checks
+        # the arguments and draws nothing, so a throwaway generator answers
+        # before the seeded one makes its first draw.
+        probe = np.random.default_rng(0)
+        for name in ("pubs_per_researcher_year", "coauthor_mean"):
+            try:
+                probe.poisson(getattr(self, name), size=0)
+            except ValueError as exc:
+                raise InvalidConfig(f"{name} {getattr(self, name)} is too large "
+                                    f"for numpy's Poisson draw: {exc}") from None
+        try:
+            probe.negative_binomial(self.citation_dispersion, _citation_p(self), size=0)
+        except ValueError as exc:
+            raise InvalidConfig(
+                f"citation_mean {self.citation_mean} at citation_dispersion "
+                f"{self.citation_dispersion} is out of range for numpy's "
+                f"negative binomial draw: {exc}") from None
+
+
+def _citation_p(config: GenConfig) -> float:
+    """The negative binomial's p, for mean citation_mean at citation_dispersion."""
+    return config.citation_dispersion / (config.citation_dispersion + config.citation_mean)
+
+
+def _two_positions(integers, random, n: int) -> tuple[int, int]:
+    """`choice(n, size=2, replace=False)` as numpy makes it for n >= 2, from
+    the bound `integers` and `random` of one generator: same values, and the
+    generator left in the same state."""
+    first = int(integers(0, n - 1))
+    second = int(integers(0, n))
+    if second == first:
+        second = n - 1
+    if random(None, np.float32) < 0.5:
+        return second, first
+    return first, second
 
 
 def make_corpus(config: GenConfig) -> Corpus:
@@ -123,9 +180,7 @@ def make_corpus(config: GenConfig) -> Corpus:
             by_unit_year.setdefault((r.university_id, r.sds, y), []).append(r)
 
     poisson, random, integers = rng.poisson, rng.random, rng.integers
-    # the negative binomial with this dispersion and mean citation_mean
-    dispersion = config.citation_dispersion
-    p_success = dispersion / (dispersion + config.citation_mean)
+    dispersion, p_success = config.citation_dispersion, _citation_p(config)
     publications = []
     authorships = []
     pid = 0
@@ -146,7 +201,8 @@ def make_corpus(config: GenConfig) -> Corpus:
                 if mates and random() < config.coauthorship_rate:
                     mate = mates[int(integers(0, len(mates)))]
                     n_total = max(n_total, 2)
-                category = unit_categories[int(integers(0, 2))]
+                # as integers(0, 2): the top bit of one 32-bit draw
+                category = unit_categories[random(None, np.float32) >= 0.5]
                 citations = (int(rng.negative_binomial(dispersion, p_success))
                              if config.citation_mean else 0)
                 publications.append(Publication(pub_id, year, category, citations, n_total))
@@ -156,9 +212,9 @@ def make_corpus(config: GenConfig) -> Corpus:
                     authorships.append(
                         Authorship(pub_id, author_id, int(integers(0, n_total)) + 1, univ))
                 else:
-                    first, second = rng.choice(n_total, size=2, replace=False)
-                    authorships.append(Authorship(pub_id, author_id, int(first) + 1, univ))
-                    authorships.append(Authorship(pub_id, mate, int(second) + 1, univ))
+                    first, second = _two_positions(integers, random, n_total)
+                    authorships.append(Authorship(pub_id, author_id, first + 1, univ))
+                    authorships.append(Authorship(pub_id, mate, second + 1, univ))
 
     return Corpus(taxonomy, researchers, publications, authorships, (early, late))
 

@@ -75,6 +75,15 @@ class TestCommands:
         assert counts["n_researchers"] > 0
         assert main(["ingest", "--input", str(tmp_path / "s")]) == 0
 
+    def test_synth_writes_a_benchmark_corpus(self, tmp_path):
+        """Every generator setting of the `dense` shape has a synth option."""
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in SHAPES["dense"].items()]
+        assert main(["synth", "--seed", "1", *argv, "--out", str(tmp_path / "cli")]) == 0
+        generate(GenConfig(seed=1, **SHAPES["dense"]), tmp_path / "lib")
+        cli_files, lib_files = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                                for d in ("cli", "lib"))
+        assert len(lib_files) == 6 and cli_files == lib_files
+
 
 class TestFormats:
     def test_json_format(self, demo, tmp_path):
@@ -366,6 +375,13 @@ class TestSynthErrors:
     @pytest.mark.parametrize("option", ["--pubs-per-researcher-year", "--citation-mean"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_rate(self, tmp_path, capsys, option, value):
+        self.run_synth([option, value], tmp_path, capsys)
+
+    # numpy's draws refuse these rates; a finite rate below its limit may ask
+    # for a corpus of any size, and nothing bounds that
+    @pytest.mark.parametrize("option", ["--pubs-per-researcher-year", "--citation-mean"])
+    @pytest.mark.parametrize("value", ["1e19", "1e300"])
+    def test_rate_beyond_numpy(self, tmp_path, capsys, option, value):
         self.run_synth([option, value], tmp_path, capsys)
 
     def test_without_numpy(self, tmp_path, capsys, monkeypatch):

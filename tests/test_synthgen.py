@@ -12,7 +12,7 @@ from bibliorank.errors import InvalidConfig, TooLarge
 from bibliorank.loader import load_corpus
 from bibliorank.model import validate
 from bibliorank.oracle import Oracle
-from bibliorank.synthgen import GenConfig, generate, make_corpus
+from bibliorank.synthgen import GenConfig, _two_positions, generate, make_corpus
 
 from test_cli_digests import SHAPES
 
@@ -25,6 +25,7 @@ DIGEST_SHAPES = {
     "coauthorship_rate_0": dict(coauthorship_rate=0.0),
     "coauthorship_rate_1": dict(coauthorship_rate=1.0),
     "coauthor_mean_0": dict(coauthor_mean=0.0),
+    "coauthor_mean_8": dict(coauthor_mean=8.0, coauthorship_rate=1.0),
     "single_staff": dict(staff_min=1, staff_max=1, turnover_rate=0.0),
     "full_turnover": dict(turnover_rate=1.0, partial_year_rate=1.0),
 }
@@ -75,10 +76,10 @@ class TestGenerate:
             make_corpus(GenConfig(turnover_rate=1.5))
         with pytest.raises(InvalidConfig):
             make_corpus(GenConfig(staff_min=3, staff_max=2))
-        for field, bad in (("pubs_per_researcher_year", (0.0, -1.0)),
-                           ("citation_mean", (-1.0,)),
+        for field, bad in (("pubs_per_researcher_year", (0.0, -1.0, 1e19, 1e300)),
+                           ("citation_mean", (-1.0, 1e19, 1e300)),
                            ("citation_dispersion", (0.0, -1.0)),
-                           ("coauthor_mean", (-1.0,))):
+                           ("coauthor_mean", (-1.0, 1e19, 1e300))):
             for value in bad + (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(InvalidConfig, match=field):
                     make_corpus(GenConfig(**{field: value}))
@@ -122,19 +123,52 @@ class TestFilesetDigests:
             f"this run has numpy {np.__version__}")
 
 
+def warmed_pair(seed: int, warm: int):
+    """Two generators in one state, after `warm` 32-bit draws: an odd number
+    leaves a 32-bit half buffered."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(warm):
+        assert a.integers(0, 2) == b.integers(0, 2)
+    return a, b
+
+
+def assert_same_stream(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 2**40) == b.integers(0, 2**40)
+    assert a.random() == b.random()
+    assert a.random(None, np.float32) == b.random(None, np.float32)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**63), n=st.integers(1, 12), warm=st.integers(0, 3))
 def test_one_position_draw_matches_choice(seed, n, warm):
     """A lone author's position is drawn with integers(0, n) in place of
     choice(n, size=1, replace=False): numpy gives the same value and leaves the
     generator in the same state, whether or not a 32-bit half is buffered."""
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(warm):
-        assert a.integers(0, 2) == b.integers(0, 2)
+    a, b = warmed_pair(seed, warm)
     assert int(a.choice(n, size=1, replace=False)[0]) == int(b.integers(0, n))
-    assert a.bit_generator.state == b.bit_generator.state
-    assert a.integers(0, 2**40) == b.integers(0, 2**40)
-    assert a.random() == b.random()
+    assert_same_stream(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(2, 64), warm=st.integers(0, 3))
+def test_two_position_draw_matches_choice(seed, n, warm):
+    """A coauthored byline's two positions come from Floyd's steps and one
+    shuffle swap in place of choice(n, size=2, replace=False)."""
+    a, b = warmed_pair(seed, warm)
+    expected = tuple(int(v) for v in a.choice(n, size=2, replace=False))
+    assert _two_positions(b.integers, b.random, n) == expected
+    assert_same_stream(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), warm=st.integers(0, 3))
+def test_category_coin_matches_two_way_integer(seed, warm):
+    """A subject category is drawn with random(None, float32) >= 0.5 in place
+    of integers(0, 2): both read the top bit of one 32-bit draw."""
+    a, b = warmed_pair(seed, warm)
+    assert int(a.integers(0, 2)) == int(b.random(None, np.float32) >= 0.5)
+    assert_same_stream(a, b)
 
 
 class TestOracleGuard:
