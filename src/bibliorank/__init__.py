@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .aggregate import (UdaScore, national_weighted_average, percent_variation,
-                        rescale_sds, uda_score, uda_scores, uda_unit_scores)
+from .aggregate import (UdaRollup, UdaScore, national_weighted_average,
+                        percent_variation, rescale_sds, uda_score, uda_scores)
 from .baseline import (BaselineEntry, BaselineTable, build_baselines,
                        load_external_baselines, standardize_citations)
 from .indicators import (IndicatorScore, ShareScheme, UnitLedger,

@@ -4,10 +4,9 @@ SDS-level unit scores are divided by the national staff-weighted mean of the
 SDS, so 1.0 always reads as "national average". UDA scores are staff-weighted
 convex combinations of those rescaled values.
 
-Scores are read from the command's UnitLedger. uda_scores is one pass over
-the sds_unit_scores maps it is given: they list the staffed units, so they
-alone decide which units a rollup counts, and a command scores each SDS once.
-uda_score looks one university up in that rollup.
+Scores are read from the command's UnitLedger. uda_scores rolls a UDA up for
+one period and all four indicators from each staffed unit's tally, and the
+ledger keeps the rollup, so a command's rank lists and reports share it.
 """
 from __future__ import annotations
 
@@ -16,12 +15,16 @@ from collections import namedtuple
 
 from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
                      ZeroBase, ZeroStaff)
-from .indicators import UnitLedger, unit_indicator
+from .indicators import INDICATORS, UnitLedger, check_indicator, unit_indicator
 from .model import Period, presence
 
 
 UdaScore = namedtuple("UdaScore",
                       "university_id uda indicator period value covered_staff")
+
+# staff: the eligibility staff, one fsum over every presence of the university
+# in the UDA; scores: indicator -> UdaScore, whose covered_staff adds unit staffs
+UdaRollup = namedtuple("UdaRollup", "staff scores")
 
 
 def sds_unit_scores(ledger: UnitLedger, sds: str, indicator: str,
@@ -41,72 +44,74 @@ def sds_unit_scores(ledger: UnitLedger, sds: str, indicator: str,
 def rescale_sds(scores: dict) -> dict:
     """Divide each unit value by the SDS's national staff-weighted mean.
 
-    Input maps unit -> IndicatorScore (None = absent). Absent units are
-    dropped; the weighted mean runs over every unit with a defined score,
-    including any below a reporting threshold.
+    Input maps unit -> (value, staff), value None where the score is absent.
+    Absent units are dropped; the weighted mean runs over every unit with a
+    defined score, including any below a reporting threshold.
     """
-    defined = {u: s for u, s in scores.items() if s is not None}
+    defined = {u: vs for u, vs in scores.items() if vs[0] is not None}
     if not defined:
         raise AllAbsent("no unit has a defined score in this stratum")
-    weight_total = math.fsum(s.staff for s in defined.values())
+    weight_total = math.fsum(s for _, s in defined.values())
     if weight_total > 0:
-        mean = math.fsum(s.staff * s.value for s in defined.values()) / weight_total
+        mean = math.fsum(s * v for v, s in defined.values()) / weight_total
     else:
-        mean = math.fsum(s.value for s in defined.values()) / len(defined)
+        mean = math.fsum(v for v, _ in defined.values()) / len(defined)
     if mean == 0:
         return {u: 0.0 for u in defined}
-    return {u: s.value / mean for u, s in defined.items()}
+    return {u: v / mean for u, (v, _) in defined.items()}
 
 
-def uda_unit_scores(ledger: UnitLedger, uda: str, indicator: str,
-                    period: Period) -> dict:
-    """sds -> sds_unit_scores for every SDS of the UDA."""
-    return {sds: sds_unit_scores(ledger, sds, indicator, period)
-            for sds in ledger.corpus.taxonomy.sds_in_uda(uda)}
+def uda_scores(ledger: UnitLedger, uda: str, period: Period) -> dict:
+    """university_id -> UdaRollup, sorted, of every university with a staffed
+    unit in the UDA; rolled up on the ledger's first read of (uda, period)."""
+    rollups = ledger.uda_rollups
+    if (uda, period) not in rollups:
+        rollups[(uda, period)] = _roll_up(ledger, uda, period)
+    return rollups[(uda, period)]
 
 
-def uda_scores(ledger: UnitLedger, uda: str, indicator: str, period: Period,
-               unit_scores: dict) -> dict:
-    """university_id -> UdaScore for every university of the UDA that has one.
-
-    `unit_scores` is the UDA's uda_unit_scores, which the caller may already
-    hold for its unit table. Its maps list the staffed units, so they decide
-    which units count: each SDS is rescaled once and each unit it lists adds
-    (staff, rescaled value or None) to its university.
-    """
-    contributions = {}
-    for sds, scores in unit_scores.items():
-        try:
-            rescaled = rescale_sds(scores)
-        except AllAbsent:
-            rescaled = {}
-        for u, _ in scores:
-            contributions.setdefault(u, []).append(
-                (ledger.staff(u, sds, period), rescaled.get((u, sds))))
+def _roll_up(ledger: UnitLedger, uda: str, period: Period) -> dict:
+    # university -> (tally, indicator -> rescaled value or None) per staffed unit
+    units = {}
+    for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
+        tallies = ledger.staffed_universities(sds, period)
+        rescaled = {}
+        for ind in INDICATORS:
+            try:
+                rescaled[ind] = rescale_sds(
+                    {u: (t.values[ind], t.staff) for u, t in tallies.items()})
+            except AllAbsent:
+                rescaled[ind] = {}
+        for u, tally in tallies.items():
+            units.setdefault(u, []).append(
+                (tally, {ind: rescaled[ind].get(u) for ind in INDICATORS}))
     out = {}
-    for u, pairs in sorted(contributions.items()):
-        # absent SDS scores are dropped and the weights renormalized
-        scored = [(w, v) for w, v in pairs if v is not None]
-        if scored:
-            value = (math.fsum(w * v for w, v in scored)
-                     / math.fsum(w for w, _ in scored))
-            out[u] = UdaScore(u, uda, indicator, period.label, value,
-                              math.fsum(w for w, _ in pairs))
+    for u, mine in sorted(units.items()):
+        covered = math.fsum(t.staff for t, _ in mine)
+        scores = {}
+        for ind in INDICATORS:
+            # absent SDS scores are dropped and the weights renormalized
+            scored = [(t.staff, r[ind]) for t, r in mine if r[ind] is not None]
+            if scored:
+                value = (math.fsum(w * v for w, v in scored)
+                         / math.fsum(w for w, _ in scored))
+                scores[ind] = UdaScore(u, uda, ind, period.label, value, covered)
+        out[u] = UdaRollup(math.fsum(x for t, _ in mine for x in t.presence), scores)
     return out
 
 
 def uda_score(ledger: UnitLedger, university_id: str, uda: str, indicator: str,
               period: Period) -> UdaScore:
-    """One university's entry of uda_scores."""
+    """One university's UdaScore for one indicator, from uda_scores."""
     ledger.corpus.check_names(university_id)
-    unit_scores = uda_unit_scores(ledger, uda, indicator, period)
-    score = uda_scores(ledger, uda, indicator, period, unit_scores).get(university_id)
-    if score is not None:
-        return score
-    if any((university_id, sds) in scores for sds, scores in unit_scores.items()):
+    rollup = uda_scores(ledger, uda, period).get(university_id)
+    check_indicator(indicator)
+    if rollup is None:
+        raise NoStaffInUda(f"{university_id} has no staff in UDA {uda}")
+    if indicator not in rollup.scores:
         raise NoStaffInUda(
             f"{university_id} has no scored SDS in UDA {uda} for {indicator}")
-    raise NoStaffInUda(f"{university_id} has no staff in UDA {uda}")
+    return rollup.scores[indicator]
 
 
 def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period,

@@ -65,7 +65,7 @@ class Emitter:
             return "n.a."
         if isinstance(v, float):
             return f"{v:.3f}"
-        return str(v)
+        return str(v).replace("|", "\\|")  # a bare | would end the cell
 
     def write(self, name: str, columns: list, rows: list) -> Path:
         path = self.out_dir / f"{name}.{ 'md' if self.fmt == 'markdown' else self.fmt}"
@@ -78,8 +78,8 @@ class Emitter:
             path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
         elif self.fmt == "markdown":
-            lines = [header, "", "| " + " | ".join(columns) + " |",
-                     "| " + " | ".join("---" for _ in columns) + " |"]
+            lines = [header, "", "| " + " | ".join(map(self._markdown_cell, columns))
+                     + " |", "| " + " | ".join("---" for _ in columns) + " |"]
             for r in rows:
                 lines.append("| " + " | ".join(map(self._markdown_cell, r)) + " |")
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -146,15 +146,11 @@ def report(tables, args, scope=None) -> int:
 
 def indicator_tables(ledger, args) -> dict:
     corpus = ledger.corpus
-    # (sds, indicator, period) -> sds_unit_scores, for the table and the rollup
-    unit_scores = {}
     unit_rows = []
     for s in corpus.taxonomy.sds_list:
         for period in corpus.periods:
             for ind in INDICATORS:
-                scores = unit_scores[(s, ind, period)] = sds_unit_scores(
-                    ledger, s, ind, period)
-                for (u, _), sc in sorted(scores.items()):
+                for (u, _), sc in sorted(sds_unit_scores(ledger, s, ind, period).items()):
                     unit_rows.append([u, s, ind, period.label,
                                       None if sc is None else sc.value,
                                       None if sc is None else sc.n_pubs,
@@ -169,18 +165,11 @@ def indicator_tables(ledger, args) -> dict:
 
     uda_rows = []
     for uda in corpus.taxonomy.uda_list:
-        sds_codes = corpus.taxonomy.sds_in_uda(uda)
-        rolled = {(period, ind): uda_scores(
-                      ledger, uda, ind, period,
-                      {s: unit_scores[(s, ind, period)] for s in sds_codes})
-                  for period in corpus.periods for ind in INDICATORS}
+        rolled = {period: uda_scores(ledger, uda, period) for period in corpus.periods}
         for u in sorted(set().union(*rolled.values())):
             for period in corpus.periods:
-                for ind in INDICATORS:
-                    sc = rolled[(period, ind)].get(u)
-                    if sc is not None:
-                        uda_rows.append([u, uda, ind, period.label, sc.value,
-                                         sc.covered_staff])
+                if u in rolled[period]:  # a UdaScore is its report row
+                    uda_rows.extend(rolled[period][u].scores.values())
     return {
         "unit_scores": (["university_id", "sds", "indicator", "period", "value",
                          "n_pubs", "staff"], unit_rows),

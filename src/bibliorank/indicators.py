@@ -40,6 +40,11 @@ class ShareScheme(namedtuple("ShareScheme", "first_weight last_weight middle_wei
         return self
 
 
+def check_indicator(indicator: str) -> None:
+    if indicator not in INDICATORS:
+        raise ValueError(f"unknown indicator {indicator!r}")
+
+
 # unit: (university_id, sds) or researcher_id
 IndicatorScore = namedtuple("IndicatorScore", "unit indicator period value n_pubs staff")
 
@@ -133,7 +138,8 @@ class UnitLedger:
     when the ledger is built, and each researcher's the first time it is
     read: of the CLI commands only `indicators` reads researchers. No value
     changes after that, so one ledger serves every indicator, period, rollup
-    and rank list of a command.
+    and rank list of a command. Each (UDA, period) rollup is kept in
+    `uda_rollups` from its first read (aggregate.uda_scores).
 
     `sds_scope`, when given, limits the ledger to the researchers of those
     SDS codes, for a caller that reads nothing else (`drilldown` reads one
@@ -162,6 +168,7 @@ class UnitLedger:
         self.sds_scope = sds_scope  # None: every SDS
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
+        self.uda_rollups = {}      # (uda, period) -> aggregate.uda_scores, on first read
         self._sds_universities = {}
         for u, s in units:
             self._sds_universities.setdefault(s, []).append(u)
@@ -233,26 +240,23 @@ class UnitLedger:
             for tally in unit_tallies.values():
                 tally.finish(self._std, p.length_years)
 
-    def _check_scope(self, sds_codes) -> None:
+    def _check_scope(self, sds: str) -> None:
         """A scoped ledger has no tally of an SDS outside its scope, not even
         an empty one: asking for one raises."""
-        if self.sds_scope is not None:
-            for sds in sds_codes:
-                if sds not in self.sds_scope:
-                    raise ValueError(f"SDS {sds} is outside the ledger's scope")
+        if self.sds_scope is not None and sds not in self.sds_scope:
+            raise ValueError(f"SDS {sds} is outside the ledger's scope")
 
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
         tally = self._units[period].get((university_id, sds))
         if tally is None:
             # a unit with researchers names a known university and SDS
             self.corpus.check_names(university_id, sds)
-            self._check_scope((sds,))
+            self._check_scope(sds)
             tally = _Tally().finish(self._std, period.length_years)
         return tally
 
     def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
-        if indicator not in INDICATORS:
-            raise ValueError(f"unknown indicator {indicator!r}")
+        check_indicator(indicator)
         value = tally.values[indicator]
         if value is None:
             if indicator == "AQ":
@@ -266,27 +270,14 @@ class UnitLedger:
         """Headcount of a unit in a period, fractional under prorata."""
         return self._unit(university_id, sds, period).staff
 
-    def uda_staff(self, university_id: str, uda: str, period: Period) -> float:
-        """Headcount of a university over the SDS codes of a UDA."""
-        return self.staff_over(university_id, self.corpus.taxonomy.sds_in_uda(uda), period)
-
-    def staff_over(self, university_id: str, sds_codes, period: Period) -> float:
-        """Headcount of a university over several SDS codes: one fsum over
-        every presence term of their units at once."""
-        self.corpus.check_names(university_id)
-        self._check_scope(sds_codes)
-        units = self._units[period]
-        return math.fsum(x for sds in sds_codes
-                         if (university_id, sds) in units
-                         for x in units[(university_id, sds)].presence)
-
-    def staffed_universities(self, sds: str, period: Period) -> list:
-        """Sorted universities whose unit in the SDS has positive staff."""
+    def staffed_universities(self, sds: str, period: Period) -> dict:
+        """university_id -> the ledger's own finished unit tally (read only),
+        sorted, of every unit in the SDS with positive staff."""
         self.corpus.check_names(sds=sds)
-        self._check_scope((sds,))
+        self._check_scope(sds)
         units = self._units[period]
-        return [u for u in self._sds_universities.get(sds, ())
-                if units[(u, sds)].staff > 0]
+        return {u: tally for u in self._sds_universities.get(sds, ())
+                if (tally := units[(u, sds)]).staff > 0}
 
     def unit_score(self, university_id: str, sds: str, indicator: str,
                    period: Period) -> IndicatorScore:
@@ -296,9 +287,9 @@ class UnitLedger:
     def _researcher(self, researcher_id: str, period: Period) -> _Tally:
         tally = self._researchers[period].get(researcher_id)
         if tally is None:
-            if self.sds_scope is not None:  # a known researcher outside the scope?
-                self._check_scope(r.sds for r in self.corpus.researchers
-                                  if r.researcher_id == researcher_id)
+            for r in self.corpus.researchers:  # a known researcher outside the scope?
+                if r.researcher_id == researcher_id:
+                    self._check_scope(r.sds)
             raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
         if tally.values is None:
             tally.finish(self._std, period.length_years)

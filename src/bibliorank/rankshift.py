@@ -10,10 +10,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate
 
-from .aggregate import sds_unit_scores, uda_scores, uda_unit_scores
+from .aggregate import sds_unit_scores, uda_scores
 from .baseline import median
 from .errors import EmptyIntersection, NoEligibleUniversities
-from .indicators import UnitLedger
+from .indicators import UnitLedger, check_indicator
 from .model import Period
 
 DEFAULT_MIN_STAFF = 6.0
@@ -144,11 +144,10 @@ def transition_matrix(assign_early: QuintileAssignment,
 def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
                   min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a UDA by their rolled-up indicator score."""
-    unit_scores = uda_unit_scores(ledger, uda, indicator, period)
-    rolled = uda_scores(ledger, uda, indicator, period, unit_scores)
-    sds_codes = list(unit_scores)  # the UDA's, looked up once
-    scores = {u: (score.value, ledger.staff_over(u, sds_codes, period))
-              for u, score in rolled.items()}
+    rollup = uda_scores(ledger, uda, period)
+    check_indicator(indicator)
+    scores = {u: (r.scores[indicator].value, r.staff)
+              for u, r in rollup.items() if indicator in r.scores}
     return rank_list(scores, uda, indicator, period.label, min_staff)
 
 

@@ -46,6 +46,12 @@ from .loader import write_corpus
 from .model import Authorship, Corpus, Period, Publication, Researcher, Taxonomy
 
 
+# The corpus is built in memory, so check refuses a config that allows more
+# researchers, or expects more publications, than this. The fixture shape
+# (60 universities x 90 SDS, staff up to 6) allows 64,800 and 622,080.
+MAX_RECORDS = 5_000_000
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
@@ -85,16 +91,25 @@ class GenConfig:
             if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
                 raise InvalidConfig(
                     f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
-        # numpy refuses a rate too large for its draw. With size=0 it checks
-        # the arguments and draws nothing, so a throwaway generator answers
+        # every seat's holder may leave and be replaced once
+        researchers = self.n_universities * self.n_sds * self.staff_max * 2
+        years = Period(*self.early).length_years + Period(*self.late).length_years
+        publications = researchers * years * self.pubs_per_researcher_year
+        if max(researchers, publications) > MAX_RECORDS:
+            raise InvalidConfig(
+                f"n_universities x n_sds x staff_max x 2 = {researchers} researchers, "
+                f"x {years} years x pubs_per_researcher_year = {publications:.0f} "
+                f"expected publications: the generator's limit is {MAX_RECORDS} of each")
+        # numpy refuses a rate too large for its draw (a publication rate that
+        # large is over MAX_RECORDS already). With size=0 it checks the
+        # arguments and draws nothing, so a throwaway generator answers
         # before the seeded one makes its first draw.
         probe = np.random.default_rng(0)
-        for name in ("pubs_per_researcher_year", "coauthor_mean"):
-            try:
-                probe.poisson(getattr(self, name), size=0)
-            except ValueError as exc:
-                raise InvalidConfig(f"{name} {getattr(self, name)} is too large "
-                                    f"for numpy's Poisson draw: {exc}") from None
+        try:
+            probe.poisson(self.coauthor_mean, size=0)
+        except ValueError as exc:
+            raise InvalidConfig(f"coauthor_mean {self.coauthor_mean} is too large "
+                                f"for numpy's Poisson draw: {exc}") from None
         try:
             probe.negative_binomial(self.citation_dispersion, _citation_p(self), size=0)
         except ValueError as exc:

@@ -2,11 +2,11 @@ import pytest
 
 from bibliorank.aggregate import (national_weighted_average, percent_variation,
                                   rescale_sds, sds_unit_scores, uda_score,
-                                  uda_scores, uda_unit_scores)
+                                  uda_scores)
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (AllAbsent, EmptyScope, NoStaffInUda, UnknownUDA,
                                UnknownUniversity, ZeroBase)
-from bibliorank.indicators import IndicatorScore, ShareScheme, UnitLedger
+from bibliorank.indicators import ShareScheme, UnitLedger
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import uda_rank_list
 
@@ -14,7 +14,7 @@ from conftest import A, EARLY, LATE, P, R, make_corpus, make_taxonomy, read_fixt
 
 
 def score(unit, value, staff):
-    return IndicatorScore(unit, "P", "E", value, 0, staff)
+    return (value, staff)
 
 
 class TestRescale:
@@ -49,20 +49,20 @@ class TestRescale:
     def test_absent_units_dropped(self):
         out = rescale_sds({
             ("U1", "S1"): score(("U1", "S1"), 2.0, 1.0),
-            ("U2", "S1"): None,
+            ("U2", "S1"): score(("U2", "S1"), None, 1.0),
         })
         assert ("U2", "S1") not in out
 
     def test_all_absent(self):
         with pytest.raises(AllAbsent):
-            rescale_sds({("U1", "S1"): None})
+            rescale_sds({("U1", "S1"): score(("U1", "S1"), None, 1.0)})
 
     def test_weighted_mean_is_one(self):
         scores = {("U%d" % i, "S1"): score(("U%d" % i, "S1"), float(i), i + 0.5)
                   for i in range(1, 8)}
         out = rescale_sds(scores)
-        num = sum(scores[u].staff * out[u] for u in out)
-        den = sum(scores[u].staff for u in out)
+        num = sum(scores[u][1] * out[u] for u in out)
+        den = sum(scores[u][1] for u in out)
         assert num / den == pytest.approx(1.0, abs=1e-9)
 
 
@@ -101,7 +101,8 @@ class TestUdaScore:
         corpus = make_corpus([R("r1")], [P("p1"), ], [A("p1", "r1")], tax)
         ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
         sc = uda_score(ledger, "U1", "A", "P", EARLY)
-        rescaled = rescale_sds(sds_unit_scores(ledger, "S1", "P", EARLY))
+        rescaled = rescale_sds({unit: (s.value, s.staff) for unit, s
+                                in sds_unit_scores(ledger, "S1", "P", EARLY).items()})
         assert sc.value == pytest.approx(rescaled[("U1", "S1")])
 
     def test_hand_weighted_mean(self):
@@ -160,10 +161,9 @@ class TestUdaScore:
         corpus = make_corpus(researchers, [P("p1"), P("p2")],
                              [A("p1", "a3"), A("p2", "b3")], tax)
         ledger = UnitLedger(corpus, self.scheme, build_baselines(corpus))
-        rolled = uda_scores(ledger, "A", "P", EARLY,
-                            uda_unit_scores(ledger, "A", "P", EARLY))
+        rolled = uda_scores(ledger, "A", EARLY)
         # covered_staff adds the per-SDS staff sums
-        assert rolled["U1"].covered_staff == 3.9999999999999996
+        assert rolled["U1"].scores["P"].covered_staff == 3.9999999999999996
         # uda_rank_list sums every presence at once and ranks U1 at 4 ...
         ranked = uda_rank_list(ledger, "A", "P", EARLY, min_staff=4.0)
         assert [e.university_id for e in ranked.entries] == ["U1"]

@@ -3,6 +3,7 @@ import filecmp
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from bibliorank import cli, indicators
+from bibliorank import aggregate, cli, indicators
 from bibliorank.cli import main
 from bibliorank.errors import BiblioRankError
 from bibliorank.loader import write_corpus
+from bibliorank.model import Corpus, Taxonomy
 from bibliorank.synthgen import GenConfig, generate, make_corpus as synth_corpus
 
 from conftest import A, P, R, make_corpus, make_taxonomy
@@ -99,6 +101,39 @@ class TestFormats:
         text = (tmp_path / "university_shift_table.md").read_text()
         assert text.splitlines()[0].startswith("# corpus=")
         assert "|" in text
+
+    def test_markdown_escapes_a_pipe_in_an_id(self, tmp_path):
+        """A university, SDS or UDA id holding `|` keeps every row of every
+        markdown report at the header's cell count."""
+        corpus = synth_corpus(GenConfig(seed=3, n_universities=6, n_sds=4, sds_per_uda=2))
+        tax = corpus.taxonomy
+
+        def bar(name):
+            return name[:3] + "|" + name[3:]
+
+        corpus = Corpus(
+            Taxonomy({bar(s): bar(u) for s, u in tax.sds_to_uda.items()},
+                     frozenset(map(bar, tax.life_science_sds))),
+            [r._replace(sds=bar(r.sds), university_id=bar(r.university_id))
+             for r in corpus.researchers],
+            corpus.publications,
+            [a._replace(byline_university_id=bar(a.byline_university_id))
+             for a in corpus.authorships],
+            corpus.periods)
+        write_corpus(corpus, tmp_path / "bars")
+        out = tmp_path / "out"
+        for command in ("indicators", "rank", "compare"):
+            assert main([command, "--input", str(tmp_path / "bars"), "--out", str(out),
+                         "--min-staff", "1", "--format", "markdown"]) == 0
+        reports = sorted(out.glob("*.md"))
+        assert len(reports) == 9
+        escaped = 0
+        for path in reports:
+            rows = path.read_text(encoding="utf-8").splitlines()[2:]
+            widths = {len(re.split(r"(?<!\\)\|", row)) for row in rows}
+            assert len(widths) == 1, path.name
+            escaped += sum("\\|" in row for row in rows)
+        assert escaped
 
     def test_csv_null_cells_empty(self, demo, tmp_path):
         assert main(["compare", "--input", str(demo), "--out", str(tmp_path),
@@ -377,11 +412,23 @@ class TestSynthErrors:
     def test_non_finite_rate(self, tmp_path, capsys, option, value):
         self.run_synth([option, value], tmp_path, capsys)
 
-    # numpy's draws refuse these rates; a finite rate below its limit may ask
-    # for a corpus of any size, and nothing bounds that
+    # numpy's draws refuse these rates
     @pytest.mark.parametrize("option", ["--pubs-per-researcher-year", "--citation-mean"])
     @pytest.mark.parametrize("value", ["1e19", "1e300"])
     def test_rate_beyond_numpy(self, tmp_path, capsys, option, value):
+        self.run_synth([option, value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("option, value", [("--pubs-per-researcher-year", "1e9"),
+                                               ("--n-universities", "1000000000")])
+    def test_corpus_beyond_the_size_limit(self, tmp_path, capsys, monkeypatch,
+                                          option, value):
+        from bibliorank import synthgen
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("the generator began to build the corpus")
+
+        # the taxonomy is built before anything whose size the config sets
+        monkeypatch.setattr(synthgen, "Taxonomy", no_corpus)
         self.run_synth([option, value], tmp_path, capsys)
 
     def test_without_numpy(self, tmp_path, capsys, monkeypatch):
@@ -431,8 +478,9 @@ class TestOnePassScoring:
     def test_one_ledger_per_command_and_no_rescoring(self, demo, tmp_path,
                                                      monkeypatch):
         """Each command builds one ledger and computes each unit score at
-        most once: the UDA rollup reads the unit table's scores, the shift
-        table the rank lists', and the indicator comparison the drilldown's."""
+        most once: the shift table reads the rank lists', and the indicator
+        comparison the drilldown's. The UDA rollups read the unit tallies, so
+        `rank` and `compare` compute no unit score."""
         builds = []
         original_init = indicators.UnitLedger.__init__
 
@@ -464,8 +512,32 @@ class TestOnePassScoring:
             # only drilldown's ledger is limited, to the SDS codes of its UDA
             assert builds[0] == (frozenset(["SDS001", "SDS002", "SDS003"])
                                  if command is drilldown else None), command
+            if command[0] in ("rank", "compare"):
+                assert not scored, command
+                continue
             assert scored, command
             assert max(Counter(scored).values()) == 1, command
+
+    @pytest.mark.parametrize("tables", ["indicator_tables", "rank_tables",
+                                        "compare_tables"])
+    def test_one_rollup_per_uda_and_period(self, demo, monkeypatch, tables):
+        """A command rolls each (UDA, period) up once, for all four indicators."""
+        rolled = []
+        original = aggregate._roll_up
+
+        def counting(ledger, uda, period):
+            rolled.append((uda, period.label))
+            return original(ledger, uda, period)
+
+        monkeypatch.setattr(aggregate, "_roll_up", counting)
+        args = cli.build_parser().parse_args(
+            ["compare", "--input", str(demo), "--min-staff", "1"])
+        ledger = cli._load_inputs(args)
+        getattr(cli, tables)(ledger, args)
+        corpus = ledger.corpus
+        assert len(rolled) == len(corpus.taxonomy.uda_list) * 2
+        assert sorted(rolled) == sorted((uda, p.label) for uda in corpus.taxonomy.uda_list
+                                        for p in corpus.periods)
 
     @pytest.mark.parametrize("indicator", ["P", "FP", "AQ"])
     def test_drilldown_agrees_with_its_comparison_column(self, demo, tmp_path,

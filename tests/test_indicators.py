@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibliorank.aggregate import uda_scores
 from bibliorank.baseline import (BaselineEntry, BaselineTable, build_baselines,
                                  standardize_citations)
 from bibliorank.cli import drilldown_tables
@@ -483,7 +484,7 @@ class TestScopedLedger:
         for call in (lambda: ledger.unit_score(univ, sds, "FSS", period),
                      lambda: ledger.staff(univ, sds, period),
                      lambda: ledger.staffed_universities(sds, period),
-                     lambda: ledger.uda_staff(univ, other, period),
+                     lambda: uda_scores(ledger, other, period),
                      lambda: ledger.researcher_score(researcher, "P", period)):
             with pytest.raises(ValueError,
                                match=f"^SDS {sds} is outside the ledger's scope$"):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter, namedtuple
 
 import pytest
@@ -5,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.aggregate import (national_weighted_average, sds_unit_scores,
-                                  uda_score, uda_scores, uda_unit_scores)
+                                  uda_score, uda_scores)
 from bibliorank.baseline import build_baselines
 from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
-                               UnknownResearcher, UnknownSDS, UnknownUDA,
+                               NoStaffInUda, UnknownResearcher, UnknownSDS, UnknownUDA,
                                UnknownUniversity)
 from bibliorank.indicators import (ShareScheme, UnitLedger, researcher_indicator,
                                    unit_indicator)
-from bibliorank.model import Period, Taxonomy, staff
+from bibliorank.model import Period, Taxonomy, presence, staff
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import (COMPARED, QuintileAssignment, RankList,
                                   ShiftTable, assign_quintiles, classify_shifts,
@@ -234,8 +235,8 @@ def _unit_indicator(ledger, k, univ=None, sds=None):
 
 # (id, call(ledger, known), error): each call names exactly one unknown name
 UNKNOWN_NAMES = [
-    ("uda_unit_scores-uda",
-     lambda led, k: uda_unit_scores(led, "NOPE", "FSS", k.period), UnknownUDA),
+    ("uda_scores-uda",
+     lambda led, k: uda_scores(led, "NOPE", k.period), UnknownUDA),
     ("uda_rank_list-uda",
      lambda led, k: uda_rank_list(led, "NOPE", "FSS", k.period), UnknownUDA),
     ("period_rankings-uda",
@@ -246,14 +247,10 @@ UNKNOWN_NAMES = [
      lambda led, k: sds_drilldown(led, k.univ, "NOPE", "FSS"), UnknownUDA),
     ("national_weighted_average-uda",
      lambda led, k: national_weighted_average(led, "FSS", k.period, "NOPE"), UnknownUDA),
-    ("uda_staff-uda",
-     lambda led, k: led.uda_staff(k.univ, "NOPE", k.period), UnknownUDA),
     ("uda_score-university",
      lambda led, k: uda_score(led, "NOPE", k.uda, "FSS", k.period), UnknownUniversity),
     ("sds_drilldown-university",
      lambda led, k: sds_drilldown(led, "NOPE", k.uda, "FSS"), UnknownUniversity),
-    ("uda_staff-university",
-     lambda led, k: led.uda_staff("NOPE", k.uda, k.period), UnknownUniversity),
     ("unit_score-university",
      lambda led, k: led.unit_score("NOPE", k.sds, "FSS", k.period), UnknownUniversity),
     ("ledger.staff-university",
@@ -289,8 +286,8 @@ UNKNOWN_NAMES = [
      lambda led, k: led.unit_score(k.univ, k.sds, "FSS", ODD), ValueError),
     ("ledger.staff-period",
      lambda led, k: led.staff(k.univ, k.sds, ODD), ValueError),
-    ("uda_staff-period",
-     lambda led, k: led.uda_staff(k.univ, k.uda, ODD), ValueError),
+    ("uda_scores-period",
+     lambda led, k: uda_scores(led, k.uda, ODD), ValueError),
     ("staffed_universities-period",
      lambda led, k: led.staffed_universities(k.sds, ODD), ValueError),
     ("sds_unit_scores-period",
@@ -359,26 +356,38 @@ class TestCorpusDriven:
             assert m.pct_changed == pytest.approx(changed / len(both))
 
     def test_uda_rank_list_looks_the_uda_up_once(self, monkeypatch):
-        """One sds_in_uda call per rank list, and the staff threshold reads
-        the same uda_staff as before."""
+        """One sds_in_uda call per UDA and period, for the rank lists of all
+        four indicators, and the staff threshold reads one fsum over every
+        presence of the university in the UDA."""
         expected, excluded = {}, 0
         for uda in self.corpus.taxonomy.uda_list:
+            codes = self.corpus.taxonomy.sds_in_uda(uda)
             for period in self.corpus.periods:
-                rolled = uda_scores(self.ledger, uda, "FSS", period,
-                                    uda_unit_scores(self.ledger, uda, "FSS", period))
-                want = expected[(uda, period)] = rank_list(
-                    {u: (s.value, self.ledger.uda_staff(u, uda, period))
-                     for u, s in rolled.items()}, uda, "FSS", period.label, 3.5)
-                excluded += len(rolled) - len(want.entries)
+                for ind in ("P", "FP", "AQ", "FSS"):
+                    values = {}
+                    for u in self.corpus.universities:
+                        try:
+                            values[u] = uda_score(self.ledger, u, uda, ind, period).value
+                        except NoStaffInUda:
+                            continue
+                    staffs = {u: math.fsum(presence(r, period, "prorata")
+                                           for r in self.corpus.researchers
+                                           if r.university_id == u and r.sds in codes)
+                              for u in values}
+                    want = expected[(uda, ind, period)] = rank_list(
+                        {u: (v, staffs[u]) for u, v in values.items()},
+                        uda, ind, period.label, 3.5)
+                    excluded += len(values) - len(want.entries)
         assert excluded  # so the staff values decide the lists
+        ledger = UnitLedger(self.corpus, self.scheme, self.baselines)
         calls = []
         original = Taxonomy.sds_in_uda
         monkeypatch.setattr(Taxonomy, "sds_in_uda",
                             lambda tax, uda: calls.append(uda) or original(tax, uda))
-        for (uda, period), want in expected.items():
-            calls.clear()
-            assert uda_rank_list(self.ledger, uda, "FSS", period, 3.5) == want
-            assert calls == [uda]
+        for (uda, ind, period), want in expected.items():
+            assert uda_rank_list(ledger, uda, ind, period, 3.5) == want
+        assert calls == [uda for uda in self.corpus.taxonomy.uda_list
+                         for _ in self.corpus.periods]
 
     def test_drilldown_against_direct_recomputation(self):
         uda = self.corpus.taxonomy.uda_list[0]

@@ -76,6 +76,11 @@ class TestGenerate:
             make_corpus(GenConfig(turnover_rate=1.5))
         with pytest.raises(InvalidConfig):
             make_corpus(GenConfig(staff_min=3, staff_max=2))
+        for field, config in (("n_universities", GenConfig(n_universities=10**9)),
+                              ("pubs_per_researcher_year",
+                               GenConfig(pubs_per_researcher_year=1e9))):
+            with pytest.raises(InvalidConfig, match=field):
+                make_corpus(config)
         for field, bad in (("pubs_per_researcher_year", (0.0, -1.0, 1e19, 1e300)),
                            ("citation_mean", (-1.0, 1e19, 1e300)),
                            ("citation_dispersion", (0.0, -1.0)),
