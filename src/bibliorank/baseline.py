@@ -111,34 +111,34 @@ def load_external_baselines(path) -> BaselineTable:
     return BaselineTable(entries)
 
 
-def standardize_citations(pub: Publication, baselines: BaselineTable,
-                          basis: str = "median", fallback_events=None,
-                          fallbacks=None) -> float:
-    """Citation count divided by the stratum baseline.
-
-    A zero baseline with zero citations yields 0; a zero baseline with
-    citations falls back to the category's smallest positive baseline (1.0 if
-    none exists). Fallback firings are appended to `fallback_events` when a
-    list is passed, so reports can flag them. A dict passed as `fallbacks`
-    keeps each category's fallback divisor for later calls with the same
-    table and basis, so each is found once.
-    """
+def stratum_divisor(baselines: BaselineTable, subject_category: str, year: int,
+                    basis: str, fallbacks: dict) -> tuple:
+    """(divisor, fell_back) of a (subject category, year) stratum, the one
+    standardization rule: its positive `basis` baseline, else its category's
+    smallest positive baseline (1.0 if none), which the caller-owned
+    `fallbacks` (category -> divisor) keeps, so each is found once."""
     if basis not in ("median", "mean"):
         raise ValueError(f"basis must be 'median' or 'mean', got {basis!r}")
-    entry = baselines.get(pub.subject_category, pub.year)
+    entry = baselines.get(subject_category, year)
     if entry is None:
-        raise MissingBaseline(f"no baseline for ({pub.subject_category}, {pub.year})")
+        raise MissingBaseline(f"no baseline for ({subject_category}, {year})")
     divisor = getattr(entry, basis)
     if divisor > 0:
-        return pub.citations / divisor
-    if pub.citations == 0:
-        return 0.0
-    if fallbacks is None:
-        fallbacks = {}
-    fallback = fallbacks.get(pub.subject_category)
+        return divisor, False
+    fallback = fallbacks.get(subject_category)
     if fallback is None:
-        fallback = fallbacks[pub.subject_category] = baselines.smallest_positive(
-            pub.subject_category, basis)
-    if fallback_events is not None:
+        fallback = fallbacks[subject_category] = baselines.smallest_positive(
+            subject_category, basis)
+    return fallback, True
+
+
+def standardize_citations(pub: Publication, baselines: BaselineTable,
+                          basis: str = "median", fallback_events=None) -> float:
+    """Citation count divided by its stratum's divisor (stratum_divisor). A
+    publication with citations that falls back is appended to
+    `fallback_events` when a list is passed, so reports can flag it."""
+    divisor, fell_back = stratum_divisor(baselines, pub.subject_category, pub.year,
+                                         basis, {})
+    if fell_back and pub.citations and fallback_events is not None:
         fallback_events.append((pub.pub_id, pub.subject_category, pub.year))
-    return pub.citations / fallback
+    return pub.citations / divisor

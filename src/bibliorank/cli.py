@@ -41,8 +41,7 @@ def _corpus_hash(input_dir: Path) -> str:
 
 def _config_hash(args: argparse.Namespace) -> str:
     skip = {"func", "out", "input"}
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in skip and not callable(v)}
+    payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     if payload.get("baselines"):
         # the file's content, not its path, is part of the configuration
         payload["baselines"] = hashlib.sha256(

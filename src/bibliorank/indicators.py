@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .baseline import BaselineTable, build_baselines, standardize_citations
+from .baseline import BaselineTable, build_baselines, stratum_divisor
 from .errors import NoPublications, UnknownResearcher, ZeroStaff
 from .model import Authorship, Corpus, Period, Publication, presence
 
@@ -179,12 +179,9 @@ class UnitLedger:
                                      [_Tally([presence(r, p, staff_mode)]) for p in periods])
                    for r in researchers}
 
-        # stratum -> positive divisor; standardize_citations takes the rest (and
-        # an unknown basis), so its errors and fallback_events keep their order,
-        # and finds each category's fallback divisor once, in `fallbacks`
-        divisors = {key: d for key, entry in self.baselines.entries.items()
-                    if basis in ("median", "mean") and (d := getattr(entry, basis)) > 0}
-        fallbacks = {}
+        # stratum -> (divisor, fell_back), found once (stratum_divisor); its
+        # errors come at the stratum's first publication in a period
+        strata, fallbacks = {}, {}
         # authorships_by_pub runs in corpus.authorships order, so the term
         # lists and fallback_events keep that order
         groups = corpus.authorships_by_pub.items()
@@ -202,9 +199,14 @@ class UnitLedger:
                     i for i, p in enumerate(periods) if p.contains(year)]
             if not in_periods:
                 continue
-            divisor = divisors.get((category, year))
-            std = self._std[pid] = (citations / divisor if divisor else standardize_citations(
-                pub, self.baselines, basis, self.fallback_events, fallbacks))
+            stratum = strata.get((category, year))
+            if stratum is None:
+                stratum = strata[category, year] = stratum_divisor(
+                    self.baselines, category, year, basis, fallbacks)
+            divisor, fell_back = stratum
+            std = self._std[pid] = citations / divisor
+            if fell_back and citations:
+                self.fallback_events.append((pid, category, year))
             # only a life-science author on a byline of several universities
             # has a weighted share; every author of the group counts for that
             bylines = n > 1 and len(group) > 1 and {a[3] for a in group}
@@ -265,10 +267,6 @@ class UnitLedger:
             raise ZeroStaff(f"{_describe(unit)} has no staff in {period.label}")
         return IndicatorScore(unit, indicator, period.label, value, tally.n_pubs,
                               tally.staff)
-
-    def staff(self, university_id: str, sds: str, period: Period) -> float:
-        """Headcount of a unit in a period, fractional under prorata."""
-        return self._unit(university_id, sds, period).staff
 
     def staffed_universities(self, sds: str, period: Period) -> dict:
         """university_id -> the ledger's own finished unit tally (read only),
@@ -332,6 +330,7 @@ def unit_indicator(corpus: Corpus, university_id: str, sds: str, indicator: str,
     return ledger.unit_score(university_id, sds, indicator, period)
 
 
+# kept for perfbench's `indicators.researcher_indicator` span (ROADMAP item 1)
 def researcher_indicator(corpus: Corpus, researcher_id: str, indicator: str,
                          period: Period, scheme: ShareScheme, baselines: BaselineTable,
                          basis: str = "median", staff_mode: str = "prorata", *,

@@ -107,10 +107,7 @@ class Corpus:
                 f"authorship references unknown researcher_id {min(unknown)}")
         self._university_set = {r.university_id for r in self.researchers}
         self.universities = sorted(self._university_set)
-        self._unit_researchers = {}
-        for r in self.researchers:
-            self._unit_researchers.setdefault((r.university_id, r.sds), []).append(r)
-        self._units = tuple(sorted(self._unit_researchers))
+        self._units = tuple(sorted({(r.university_id, r.sds) for r in self.researchers}))
 
     @property
     def early(self) -> Period:
@@ -132,9 +129,6 @@ class Corpus:
         if period not in self.periods:
             raise ValueError(f"unknown period {period.label!r}")
 
-    def unit_researchers(self, university_id, sds):
-        return self._unit_researchers.get((university_id, sds), [])
-
     def units(self):
         """Every (university_id, sds) with researchers, sorted."""
         return self._units
@@ -150,15 +144,14 @@ def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata"
     return overlap / period.length_years
 
 
+# kept for perfbench's `model.staff.calls`, and test_perfbench imports it (ROADMAP item 1)
 def staff(corpus: Corpus, university_id: str, sds: str, period: Period,
           staff_mode: str = "prorata") -> float:
     """Headcount of a (university, SDS) unit in a period, fractional under prorata."""
     corpus.check_names(university_id, sds)
     corpus.check_period(period)
-    return math.fsum(
-        presence(r, period, staff_mode)
-        for r in corpus.unit_researchers(university_id, sds)
-    )
+    return math.fsum(presence(r, period, staff_mode) for r in corpus.researchers
+                     if r.university_id == university_id and r.sds == sds)
 
 
 def validate(corpus: Corpus) -> tuple:

@@ -13,7 +13,7 @@ from bibliorank.errors import (BiblioRankError, DanglingReference, MissingBaseli
                                NoPublications, UnknownSDS, ZeroStaff)
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
-from bibliorank.model import Authorship, Corpus, Period, presence, validate
+from bibliorank.model import Authorship, Corpus, Period, presence, staff, validate
 from bibliorank.oracle import Oracle
 from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
@@ -451,7 +451,8 @@ class TestScopedLedger:
                 assert drilldown_tables(scoped, args) == drilldown_tables(full, args)
                 for sds in codes:
                     for period in corpus.periods:
-                        assert scoped.staff(u, sds, period) == full.staff(u, sds, period)
+                        assert (_outcome(lambda: scoped.unit_score(u, sds, "P", period).staff)
+                                == _outcome(lambda: full.unit_score(u, sds, "P", period).staff))
                         for ind in ("P", "FP", "AQ", "FSS"):
                             assert (_outcome(lambda: scoped.unit_score(u, sds, ind, period))
                                     == _outcome(lambda: full.unit_score(u, sds, ind, period)))
@@ -480,9 +481,9 @@ class TestScopedLedger:
         researcher = next(r.researcher_id for r in corpus.researchers if r.sds == sds)
         period = corpus.early
         # the whole-corpus ledger has a staffed unit there
-        assert UnitLedger(corpus).staff(univ, sds, period) > 0
+        assert UnitLedger(corpus).unit_score(univ, sds, "P", period).staff > 0
         for call in (lambda: ledger.unit_score(univ, sds, "FSS", period),
-                     lambda: ledger.staff(univ, sds, period),
+                     lambda: ledger.unit_score(univ, sds, "P", period).staff,
                      lambda: ledger.staffed_universities(sds, period),
                      lambda: uda_scores(ledger, other, period),
                      lambda: ledger.researcher_score(researcher, "P", period)):
@@ -493,3 +494,17 @@ class TestScopedLedger:
             ledger.unit_score(univ, "NOPE", "FSS", period)
         with pytest.raises(UnknownSDS):
             UnitLedger(corpus, sds_scope=["NOPE"])
+
+
+@pytest.mark.parametrize("shape", ["national", "drilldown"])
+@pytest.mark.parametrize("staff_mode", ["prorata", "headcount"])
+def test_model_staff_is_the_ledgers_unit_staff(shape, staff_mode):
+    corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES[shape]))
+    ledger = UnitLedger(corpus, staff_mode=staff_mode)
+    for period in corpus.periods:
+        staffed = {(u, sds): tally.staff for sds in corpus.taxonomy.sds_list
+                   for u, tally in ledger.staffed_universities(sds, period).items()}
+        assert staffed.keys() <= set(corpus.units())
+        for unit in corpus.units():
+            want = staffed.get(unit, 0.0)
+            assert staff(corpus, *unit, period, staff_mode) == want, unit

@@ -254,7 +254,7 @@ UNKNOWN_NAMES = [
     ("unit_score-university",
      lambda led, k: led.unit_score("NOPE", k.sds, "FSS", k.period), UnknownUniversity),
     ("ledger.staff-university",
-     lambda led, k: led.staff("NOPE", k.sds, k.period), UnknownUniversity),
+     lambda led, k: led.unit_score("NOPE", k.sds, "P", k.period).staff, UnknownUniversity),
     ("model.staff-university",
      lambda led, k: staff(led.corpus, "NOPE", k.sds, k.period), UnknownUniversity),
     ("unit_indicator-university",
@@ -270,7 +270,7 @@ UNKNOWN_NAMES = [
     ("unit_score-sds",
      lambda led, k: led.unit_score(k.univ, "NOPE", "FSS", k.period), UnknownSDS),
     ("ledger.staff-sds",
-     lambda led, k: led.staff(k.univ, "NOPE", k.period), UnknownSDS),
+     lambda led, k: led.unit_score(k.univ, "NOPE", "P", k.period).staff, UnknownSDS),
     ("model.staff-sds",
      lambda led, k: staff(led.corpus, k.univ, "NOPE", k.period), UnknownSDS),
     ("unit_indicator-sds",
@@ -285,7 +285,7 @@ UNKNOWN_NAMES = [
     ("unit_score-period",
      lambda led, k: led.unit_score(k.univ, k.sds, "FSS", ODD), ValueError),
     ("ledger.staff-period",
-     lambda led, k: led.staff(k.univ, k.sds, ODD), ValueError),
+     lambda led, k: led.unit_score(k.univ, k.sds, "P", ODD).staff, ValueError),
     ("uda_scores-period",
      lambda led, k: uda_scores(led, k.uda, ODD), ValueError),
     ("staffed_universities-period",
