@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
-                     ZeroBase, ZeroStaff)
+from .errors import AllAbsent, EmptyScope, NoPublications, NoStaffInUda, ZeroBase
 from .indicators import INDICATORS, UnitLedger, check_indicator, unit_indicator
-from .model import Period, presence
+from .model import Period
 
 
 UdaScore = namedtuple("UdaScore",
@@ -118,34 +117,20 @@ def national_weighted_average(ledger: UnitLedger, indicator: str, period: Period
                               scope: str | None = None) -> float:
     """Staff-share weighted average of per-SDS mean researcher-level scores.
 
-    `scope` restricts to one UDA; None covers every SDS in the taxonomy.
+    `scope` restricts to one UDA; None covers every SDS in the taxonomy. An
+    SDS's mean runs over its staffed researchers with a defined score, and
+    its weight is the staff of all of them.
     """
-    corpus = ledger.corpus
-    if scope is None:
-        sds_codes = corpus.taxonomy.sds_list
-    else:
-        sds_codes = corpus.taxonomy.sds_in_uda(scope)
-    corpus.check_period(period)
-    # sds -> (researcher_id, presence) of its researchers active in the period
-    active = {}
-    for r in corpus.researchers:
-        weight = presence(r, period, ledger.staff_mode)
-        if weight > 0:
-            active.setdefault(r.sds, []).append((r.researcher_id, weight))
+    taxonomy = ledger.corpus.taxonomy
+    sds_codes = taxonomy.sds_list if scope is None else taxonomy.sds_in_uda(scope)
+    check_indicator(indicator)
     per_sds = []
     for sds in sds_codes:
-        members = active.get(sds, ())
-        values = []
-        for researcher_id, _ in members:
-            try:
-                values.append(ledger.researcher_score(researcher_id, indicator,
-                                                      period).value)
-            except (ZeroStaff, NoPublications):
-                continue
-        if not values:
-            continue
-        sds_staff = math.fsum(w for _, w in members)
-        per_sds.append((sds_staff, math.fsum(values) / len(values)))
+        tallies = ledger.staffed_researchers(sds, period).values()
+        values = [v for t in tallies if (v := t.values[indicator]) is not None]
+        if values:
+            per_sds.append((math.fsum(t.staff for t in tallies),
+                            math.fsum(values) / len(values)))
     if not per_sds:
         raise EmptyScope(f"no staffed SDS in scope {scope!r} for {period.label}")
     total_staff = math.fsum(w for w, _ in per_sds)

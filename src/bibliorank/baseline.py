@@ -111,14 +111,18 @@ def load_external_baselines(path) -> BaselineTable:
     return BaselineTable(entries)
 
 
+def check_basis(basis: str) -> None:
+    if basis not in ("median", "mean"):
+        raise ValueError(f"basis must be 'median' or 'mean', got {basis!r}")
+
+
 def stratum_divisor(baselines: BaselineTable, subject_category: str, year: int,
                     basis: str, fallbacks: dict) -> tuple:
     """(divisor, fell_back) of a (subject category, year) stratum, the one
     standardization rule: its positive `basis` baseline, else its category's
     smallest positive baseline (1.0 if none), which the caller-owned
     `fallbacks` (category -> divisor) keeps, so each is found once."""
-    if basis not in ("median", "mean"):
-        raise ValueError(f"basis must be 'median' or 'mean', got {basis!r}")
+    check_basis(basis)
     entry = baselines.get(subject_category, year)
     if entry is None:
         raise MissingBaseline(f"no baseline for ({subject_category}, {year})")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .baseline import BaselineTable, build_baselines, stratum_divisor
+from .baseline import BaselineTable, build_baselines, check_basis, stratum_divisor
 from .errors import NoPublications, UnknownResearcher, ZeroStaff
 from .model import Authorship, Corpus, Period, Publication, presence
 
@@ -95,8 +95,10 @@ class _Tally:
         self.values = None              # set by finish
 
     def finish(self, std: dict, years: int) -> "_Tally":
-        """Take each sum once; `std` maps pub_id to its standardized citation
-        score and `years` is the length of the period."""
+        """Take each sum once, at the first call; `std` maps pub_id to its
+        standardized citation score and `years` is the length of the period."""
+        if self.values is not None:
+            return self
         pubs = set(self.pids)
         staff = self.staff = math.fsum(self.presence)
         n_pubs = self.n_pubs = len(pubs)
@@ -109,20 +111,6 @@ class _Tally:
             "FSS": math.fsum(self.impacts) / per_year if staffed else None,
         }
         return self
-
-
-class _ByPeriod(dict):
-    """period -> tallies of every corpus period; another period fails the
-    corpus's period check."""
-    __slots__ = ("corpus",)
-
-    def __init__(self, corpus: Corpus):
-        super().__init__()
-        self.corpus = corpus
-
-    def __missing__(self, period):
-        self.corpus.check_period(period)
-        raise KeyError(period)  # not reached: the ledger holds every corpus period
 
 
 def _describe(unit) -> str:
@@ -153,6 +141,10 @@ class UnitLedger:
     def __init__(self, corpus: Corpus, scheme: ShareScheme = ShareScheme(),
                  baselines: BaselineTable | None = None, basis: str = "median",
                  staff_mode: str = "prorata", *, sds_scope=None):
+        check_basis(basis)
+        if staff_mode not in ("prorata", "headcount"):
+            raise ValueError("staff_mode must be 'prorata' or 'headcount', "
+                             f"got {staff_mode!r}")
         self.corpus = corpus
         self.scheme = scheme
         self.baselines = build_baselines(corpus) if baselines is None else baselines
@@ -169,9 +161,11 @@ class UnitLedger:
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
         self.uda_rollups = {}      # (uda, period) -> aggregate.uda_scores, on first read
-        self._sds_universities = {}
+        self._sds_universities, self._sds_researchers = {}, {}
         for u, s in units:
             self._sds_universities.setdefault(s, []).append(u)
+        for r in researchers:
+            self._sds_researchers.setdefault(r.sds, []).append(r.researcher_id)
         periods = corpus.periods
 
         # per researcher: its life-science flag and its tally in each period
@@ -227,8 +221,7 @@ class UnitLedger:
 
         # each unit's terms are its members' terms, and each sum is taken
         # over all of them at once
-        self._researchers = _ByPeriod(corpus)
-        self._units = _ByPeriod(corpus)
+        self._researchers, self._units = {}, {}  # period -> id or unit -> tally
         for i, p in enumerate(periods):
             mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
             unit_tallies = self._units[p] = {unit: _Tally() for unit in units}
@@ -248,8 +241,17 @@ class UnitLedger:
         if self.sds_scope is not None and sds not in self.sds_scope:
             raise ValueError(f"SDS {sds} is outside the ledger's scope")
 
+    def _tallies(self, by_period: dict, period: Period, sds: str | None = None) -> dict:
+        """The period's tallies in `by_period` (self._units or self._researchers),
+        once the SDS, when given, and the period pass their checks."""
+        if sds is not None:
+            self.corpus.check_names(sds=sds)
+            self._check_scope(sds)
+        self.corpus.check_period(period)
+        return by_period[period]
+
     def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
-        tally = self._units[period].get((university_id, sds))
+        tally = self._tallies(self._units, period).get((university_id, sds))
         if tally is None:
             # a unit with researchers names a known university and SDS
             self.corpus.check_names(university_id, sds)
@@ -271,11 +273,17 @@ class UnitLedger:
     def staffed_universities(self, sds: str, period: Period) -> dict:
         """university_id -> the ledger's own finished unit tally (read only),
         sorted, of every unit in the SDS with positive staff."""
-        self.corpus.check_names(sds=sds)
-        self._check_scope(sds)
-        units = self._units[period]
+        units = self._tallies(self._units, period, sds)
         return {u: tally for u in self._sds_universities.get(sds, ())
                 if (tally := units[(u, sds)]).staff > 0}
+
+    def staffed_researchers(self, sds: str, period: Period) -> dict:
+        """researcher_id -> the ledger's own researcher tally (read only),
+        sorted, of every researcher of the SDS with positive staff; each is
+        finished on its first read."""
+        mine, years = self._tallies(self._researchers, period, sds), period.length_years
+        return {rid: tally for rid in self._sds_researchers.get(sds, ())
+                if (tally := mine[rid].finish(self._std, years)).staff > 0}
 
     def unit_score(self, university_id: str, sds: str, indicator: str,
                    period: Period) -> IndicatorScore:
@@ -283,15 +291,13 @@ class UnitLedger:
                            self._unit(university_id, sds, period), indicator, period)
 
     def _researcher(self, researcher_id: str, period: Period) -> _Tally:
-        tally = self._researchers[period].get(researcher_id)
+        tally = self._tallies(self._researchers, period).get(researcher_id)
         if tally is None:
             for r in self.corpus.researchers:  # a known researcher outside the scope?
                 if r.researcher_id == researcher_id:
                     self._check_scope(r.sds)
             raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
-        if tally.values is None:
-            tally.finish(self._std, period.length_years)
-        return tally
+        return tally.finish(self._std, period.length_years)
 
     def researcher_score(self, researcher_id: str, indicator: str,
                          period: Period) -> IndicatorScore:

@@ -10,7 +10,9 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate
 
-from .aggregate import sds_unit_scores, uda_scores
+# sds_unit_scores is unused here, but perfbench's tracer test needs it in this
+# module until ROADMAP item 1: test_tracer_patches_every_importing_namespace…
+from .aggregate import sds_unit_scores, uda_scores  # noqa: F401
 from .baseline import median
 from .errors import EmptyIntersection, NoEligibleUniversities
 from .indicators import UnitLedger, check_indicator
@@ -154,10 +156,10 @@ def uda_rank_list(ledger: UnitLedger, uda: str, indicator: str, period: Period,
 def sds_rank_list(ledger: UnitLedger, sds: str, indicator: str, period: Period,
                   min_staff: float = DEFAULT_MIN_STAFF) -> RankList:
     """Rank universities within a single SDS by the raw unit score."""
-    scores = {u: (s.value, s.staff)
-              for (u, _), s in sds_unit_scores(ledger, sds, indicator, period).items()
-              if s is not None}
-    return rank_list(scores, sds, indicator, period.label, min_staff)
+    tallies = ledger.staffed_universities(sds, period)
+    check_indicator(indicator)
+    return rank_list({u: (t.values[indicator], t.staff) for u, t in tallies.items()},
+                     sds, indicator, period.label, min_staff)
 
 
 # ranks: RankList; quintiles: its QuintileAssignment

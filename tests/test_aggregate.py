@@ -1,16 +1,21 @@
+import math
+
 import pytest
 
 from bibliorank.aggregate import (national_weighted_average, percent_variation,
                                   rescale_sds, sds_unit_scores, uda_score,
                                   uda_scores)
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import (AllAbsent, EmptyScope, NoStaffInUda, UnknownUDA,
-                               UnknownUniversity, ZeroBase)
-from bibliorank.indicators import ShareScheme, UnitLedger
+from bibliorank.errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
+                               UnknownUDA, UnknownUniversity, ZeroBase)
+from bibliorank.indicators import INDICATORS, ShareScheme, UnitLedger
+from bibliorank.model import presence
 from bibliorank.oracle import Oracle
 from bibliorank.rankshift import uda_rank_list
+from bibliorank.synthgen import GenConfig, make_corpus as synth_corpus
 
 from conftest import A, EARLY, LATE, P, R, make_corpus, make_taxonomy, read_fixture
+from test_cli_digests import SEED, SHAPES
 
 
 def score(unit, value, staff):
@@ -225,6 +230,46 @@ class TestNationalWeightedAverage:
                 UnitLedger(corpus, ShareScheme(), build_baselines(make_corpus(
                     [R("r1")], [P("p1")], [A("p1", "r1")],
                     make_taxonomy({"S1": "A"})))), "P", LATE)
+
+
+def naive_national_average(ledger, indicator, period, scope):
+    """national_weighted_average from its definition: per SDS, the mean
+    researcher score over its researchers present in the period, weighted by
+    the sum of their presences."""
+    corpus = ledger.corpus
+    codes = (corpus.taxonomy.sds_list if scope is None
+             else corpus.taxonomy.sds_in_uda(scope))
+    per_sds = []
+    for sds in codes:
+        members = [(r, w) for r in corpus.researchers if r.sds == sds
+                   and (w := presence(r, period, ledger.staff_mode)) > 0]
+        values = []
+        for r, _ in members:
+            try:
+                values.append(ledger.researcher_score(r.researcher_id, indicator,
+                                                      period).value)
+            except NoPublications:
+                continue
+        if values:
+            per_sds.append((math.fsum(w for _, w in members),
+                            math.fsum(values) / len(values)))
+    return (math.fsum(w * m for w, m in per_sds)
+            / math.fsum(w for w, _ in per_sds))
+
+
+@pytest.mark.parametrize("shape", ["national", "life_science"])
+@pytest.mark.parametrize("staff_mode", ["prorata", "headcount"])
+def test_national_weighted_average_is_its_naive_formula(shape, staff_mode):
+    corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES[shape]))
+    ledger = UnitLedger(corpus, staff_mode=staff_mode)
+    checked = 0
+    for scope in [None, *corpus.taxonomy.uda_list]:
+        for period in corpus.periods:
+            for ind in INDICATORS:
+                want = naive_national_average(ledger, ind, period, scope)
+                assert national_weighted_average(ledger, ind, period, scope) == want
+                checked += 1
+    assert checked == (1 + len(corpus.taxonomy.uda_list)) * 2 * 4
 
 
 class TestPercentVariation:

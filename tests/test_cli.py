@@ -512,7 +512,7 @@ class TestOnePassScoring:
             # only drilldown's ledger is limited, to the SDS codes of its UDA
             assert builds[0] == (frozenset(["SDS001", "SDS002", "SDS003"])
                                  if command is drilldown else None), command
-            if command[0] in ("rank", "compare"):
+            if command[0] in ("rank", "compare", "drilldown"):
                 assert not scored, command
                 continue
             assert scored, command

@@ -367,6 +367,37 @@ class TestLedger:
         with pytest.raises(ValueError, match="basis must be"):
             UnitLedger(corpus, ShareScheme(), build_baselines(corpus), basis="n_pubs")
 
+    def test_a_misspelled_option_raises(self):
+        """An unknown staff mode is not read as prorata, and an unknown basis
+        fails even when no publication is standardized."""
+        corpus = synth_corpus(GenConfig(seed=3, n_universities=2, n_sds=2))
+        with pytest.raises(ValueError, match="^staff_mode must be 'prorata' or "
+                                             "'headcount', got 'headcont'$"):
+            UnitLedger(corpus, staff_mode="headcont")
+        with pytest.raises(ValueError,
+                           match="^basis must be 'median' or 'mean', got 'medain'$"):
+            UnitLedger(corpus, basis="medain", sds_scope=[])
+
+    @pytest.mark.parametrize("staff_mode", ["prorata", "headcount"])
+    def test_staffed_researchers_are_the_researchers_on_staff(self, staff_mode):
+        corpus = synth_corpus(GenConfig(seed=5, n_universities=3, n_sds=3))
+        ledger = UnitLedger(corpus, staff_mode=staff_mode)
+        for sds in corpus.taxonomy.sds_list:
+            for period in corpus.periods:
+                staffed = ledger.staffed_researchers(sds, period)
+                present = {r.researcher_id: w for r in corpus.researchers
+                           if r.sds == sds and (w := presence(r, period, staff_mode)) > 0}
+                assert list(staffed) == sorted(present)
+                for rid, tally in staffed.items():
+                    assert tally.staff == present[rid]
+                    for ind in ("P", "FP", "AQ", "FSS"):
+                        try:
+                            sc = ledger.researcher_score(rid, ind, period)
+                        except NoPublications:
+                            assert tally.values[ind] is None
+                            continue
+                        assert (tally.values[ind], tally.n_pubs) == (sc.value, sc.n_pubs)
+
     def test_each_category_falls_back_once(self, monkeypatch):
         """The ledger finds a category's fallback divisor once, however many
         of its publications fall back, and scores them as the walk does."""
@@ -471,6 +502,26 @@ class TestScopedLedger:
                     < len({a.byline_university_id for a in group})
                     and any(corpus.taxonomy.is_life_science(sds) for sds in codes))
         assert bool(decided_outside) == across
+
+    def test_staffed_researchers_in_scope_are_the_whole_ledgers(self):
+        corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES["drilldown"]))
+        full = UnitLedger(corpus)
+
+        def read(ledger, sds, period):
+            return {rid: (t.staff, t.n_pubs, t.values)
+                    for rid, t in ledger.staffed_researchers(sds, period).items()}
+
+        for uda in corpus.taxonomy.uda_list:
+            codes = corpus.taxonomy.sds_in_uda(uda)
+            scoped = UnitLedger(corpus, sds_scope=codes)
+            for sds in corpus.taxonomy.sds_list:
+                for period in corpus.periods:
+                    if sds in codes:
+                        assert read(scoped, sds, period) == read(full, sds, period)
+                        continue
+                    with pytest.raises(ValueError,
+                                       match=f"^SDS {sds} is outside the ledger's scope$"):
+                        scoped.staffed_researchers(sds, period)
 
     def test_an_sds_outside_the_scope_raises(self):
         corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES["drilldown"]))

@@ -267,6 +267,8 @@ UNKNOWN_NAMES = [
      lambda led, k: period_rankings(sds_rank_list, led, "NOPE", "FSS"), UnknownSDS),
     ("staffed_universities-sds",
      lambda led, k: led.staffed_universities("NOPE", k.period), UnknownSDS),
+    ("staffed_researchers-sds",
+     lambda led, k: led.staffed_researchers("NOPE", k.period), UnknownSDS),
     ("unit_score-sds",
      lambda led, k: led.unit_score(k.univ, "NOPE", "FSS", k.period), UnknownSDS),
     ("ledger.staff-sds",
@@ -290,6 +292,8 @@ UNKNOWN_NAMES = [
      lambda led, k: uda_scores(led, k.uda, ODD), ValueError),
     ("staffed_universities-period",
      lambda led, k: led.staffed_universities(k.sds, ODD), ValueError),
+    ("staffed_researchers-period",
+     lambda led, k: led.staffed_researchers(k.sds, ODD), ValueError),
     ("sds_unit_scores-period",
      lambda led, k: sds_unit_scores(led, k.sds, "FSS", ODD), ValueError),
     ("uda_rank_list-period",
@@ -399,6 +403,28 @@ class TestCorpusDriven:
                 self.ledger, sds, "FSS", period, min_staff=1.0))
                 for period in self.corpus.periods]
             assert shift == (assigns[0].entries[univ] - assigns[1].entries[univ])
+
+    @pytest.mark.parametrize("min_staff", [1.0, 3.5])
+    def test_sds_rank_list_ranks_the_sds_unit_scores(self, min_staff):
+        """Each SDS rank list ranks the values and staffs of sds_unit_scores,
+        and refuses exactly when that list has no eligible university."""
+        refused = 0
+        for sds in self.corpus.taxonomy.sds_list:
+            for period in self.corpus.periods:
+                for ind in ("P", "FP", "AQ", "FSS"):
+                    scores = {u: (s.value, s.staff) for (u, _), s
+                              in sds_unit_scores(self.ledger, sds, ind, period).items()
+                              if s is not None}
+                    try:
+                        want = rank_list(scores, sds, ind, period.label, min_staff)
+                    except NoEligibleUniversities:
+                        refused += 1
+                        with pytest.raises(NoEligibleUniversities):
+                            sds_rank_list(self.ledger, sds, ind, period, min_staff)
+                        continue
+                    assert sds_rank_list(self.ledger, sds, ind, period,
+                                         min_staff) == want
+        assert bool(refused) == (min_staff > 1.0)
 
     def test_indicator_comparison_flags(self):
         uda = self.corpus.taxonomy.uda_list[0]
