@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import not_
 from pathlib import Path
 
-from .errors import (DuplicateKey, MissingBaseline, MissingFile, NegativeValue,
-                     SchemaError)
-from .loader import read_csv
+from .errors import DuplicateKey, MissingBaseline, MissingFile, NegativeValue
+from .loader import _File
 from .model import Corpus, Publication
 
 
@@ -71,44 +71,33 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
 def load_external_baselines(path) -> BaselineTable:
     """Load a benchmark table; its entries override corpus-derived ones on merge.
 
-    A file that is not UTF-8 or not readable as CSV, a row that lacks a cell or
-    holds a value that is not a number, and a baseline that is not finite are
-    each a SchemaError; a stratum listed twice is a DuplicateKey at its second
-    row.
+    It is read as a corpus file is (CSV, or a JSON array for a .json path).
+    A cell that is not a number, a baseline that is not finite and an n_pubs
+    below 1 are each a SchemaError, a negative baseline a NegativeValue, and
+    a stratum listed twice a DuplicateKey at its second row.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"baseline file {path} not found")
-    required = ("subject_category", "year", "median", "mean", "n_pubs")
-    header, rows = read_csv(path)
-    if header is None or any(c not in header for c in required):
-        raise SchemaError(f"expected columns {required}", path=path)
-    column = {name: i for i, name in enumerate(header)}  # a repeated name: the last
-    cols = [column[c] for c in required]
-    entries = {}
-    for i, row in enumerate(rows, start=2):
-        missing = [c for c, j in zip(required, cols) if j >= len(row)]
-        if missing:
-            raise SchemaError(f"missing columns {missing}", path=path, row=i)
-        category, year, median, mean, n_pubs = (row[j] for j in cols)
-        try:
-            year = int(year)
-            median = float(median)
-            mean = float(mean)
-            n_pubs = int(n_pubs)
-        except ValueError as exc:
-            raise SchemaError(str(exc), path=path, row=i)
-        if (category, year) in entries:
-            raise DuplicateKey(f"{path}: duplicate stratum ({category}, {year}) at row {i}")
-        if not (math.isfinite(median) and math.isfinite(mean)):
-            raise SchemaError("median and mean must be finite", path=path, row=i)
-        if median < 0 or mean < 0:
-            raise NegativeValue(f"{path}: negative baseline at row {i}")
-        if n_pubs < 1:
-            raise SchemaError("n_pubs must be positive", path=path, row=i)
-        entries[(category, year)] = BaselineEntry(
-            median=median, mean=mean, n_pubs=n_pubs, source="external")
-    return BaselineTable(entries)
+    f = _File(path, ("subject_category", "year", "median", "mean", "n_pubs"))
+    categories, years, medians, means, n_pubs = f.columns
+    years = f.ints(years, "year")
+    medians = f.floats(medians, "median")
+    means = f.floats(means, "mean")
+    n_pubs = f.ints(n_pubs, "n_pubs")
+    keys = list(zip(f.text(categories), years))
+    f.unique(keys, lambda i: DuplicateKey(
+        f"{path}: duplicate stratum ({keys[i][0]}, {keys[i][1]}) at row {f.first + i}"))
+    finite = [math.isfinite(m) and math.isfinite(a) for m, a in zip(medians, means)]
+    f.note(not all(finite), finite, not_, lambda i: "median and mean must be finite")
+    negative = [m < 0 or a < 0 for m, a in zip(medians, means)]
+    f.note(any(negative), negative, bool,
+           lambda i: NegativeValue(f"{path}: negative baseline at row {f.first + i}"))
+    f.note(any(n < 1 for n in n_pubs), n_pubs, lambda n: n < 1,
+           lambda i: "n_pubs must be positive")
+    f.raise_first()
+    return BaselineTable({key: BaselineEntry(m, a, n, "external")
+                          for key, m, a, n in zip(keys, medians, means, n_pubs)})
 
 
 def check_basis(basis: str) -> None:

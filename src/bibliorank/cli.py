@@ -292,7 +292,7 @@ def cmd_synth(args) -> int:
 def _add_common(p):
     p.add_argument("--input", required=True, help="directory with the corpus fileset")
     p.add_argument("--baselines", default=None,
-                   help="external baseline CSV overriding corpus-derived strata")
+                   help="external baseline table (CSV or JSON); overrides corpus strata")
     p.add_argument("--basis", choices=("median", "mean"), default="median")
     p.add_argument("--min-staff", dest="min_staff", type=float,
                    default=DEFAULT_MIN_STAFF)

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .baseline import BaselineTable, build_baselines, check_basis, stratum_divisor
 from .errors import NoPublications, UnknownResearcher, ZeroStaff
-from .model import Authorship, Corpus, Period, Publication, presence
+from .model import Authorship, Corpus, Period, Publication, check_staff_mode, presence
 
 INDICATORS = ("P", "FP", "AQ", "FSS")
 
@@ -142,9 +142,7 @@ class UnitLedger:
                  baselines: BaselineTable | None = None, basis: str = "median",
                  staff_mode: str = "prorata", *, sds_scope=None):
         check_basis(basis)
-        if staff_mode not in ("prorata", "headcount"):
-            raise ValueError("staff_mode must be 'prorata' or 'headcount', "
-                             f"got {staff_mode!r}")
+        check_staff_mode(staff_mode)
         self.corpus = corpus
         self.scheme = scheme
         self.baselines = build_baselines(corpus) if baselines is None else baselines

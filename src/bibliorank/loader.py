@@ -31,13 +31,21 @@ def find_file(input_dir: Path, stem: str) -> Path:
     raise MissingFile(f"{stem}.csv (or .json) not found in {input_dir}")
 
 
-def read_csv(path: Path) -> tuple:
-    """(header, rows) of a UTF-8 CSV file, header None if the file is empty.
+def _read_rows(path: Path, required: tuple) -> list:
+    """The `required` fields of every row, as one tuple per field, in that order.
 
-    Blank lines are skipped. A file that is not UTF-8 or not readable as CSV
-    is a SchemaError; a CSV error names its row as csv.DictReader counts rows
-    (the header is row 1, blank lines are not counted).
+    Both formats must carry exactly the documented field names. A CSV file is
+    read as UTF-8, blank lines skipped, transposed once and read by position
+    with the semantics of csv.DictReader: a repeated header name takes its
+    last column, extra cells are ignored, and a row that lacks a required cell
+    (short, or the column absent from the header) is a SchemaError at that
+    row, numbered as csv.DictReader counts rows (the header is row 1). With no
+    row, a header that lacks a column fails at row 1. A file that is not
+    UTF-8, CSV or JSON is a SchemaError too. Each check runs over whole
+    columns; rows are walked one by one only to number a failing row.
     """
+    if path.suffix == ".json":
+        return _json_columns(path, required)
     header, rows = None, []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -50,32 +58,15 @@ def read_csv(path: Path) -> tuple:
     except csv.Error as exc:
         raise SchemaError(f"not valid CSV ({exc})", path=path,
                           row=1 if header is None else len(rows) + 2) from None
-    return header, rows
-
-
-def _read_rows(path: Path, required: tuple) -> list:
-    """The `required` fields of every row, as one tuple per field, in that order.
-
-    Both formats must carry exactly the documented field names. A CSV file is
-    read by read_csv, transposed once and read by position with the semantics
-    of csv.DictReader: a repeated header name takes its last column, extra
-    cells are ignored, and a row that lacks a required cell (short, or the
-    column absent from the header) is a SchemaError at that row. A JSON file
-    that is not UTF-8 or not JSON is a SchemaError too. Each check runs over
-    whole columns; rows are walked one by one only to number a failing row.
-    """
-    if path.suffix == ".json":
-        return _json_columns(path, required)
-    header, rows = read_csv(path)
     if header is None:
         raise SchemaError("missing header row", path=path)
-    if not rows:
-        return [()] * len(required)
     column = {name: i for i, name in enumerate(header)}
     cols = [column.get(c) for c in required]
-    columns = list(zip(*rows))  # as many columns as the shortest row has cells
+    # as many columns as the shortest row has cells; with no row, the header
+    # stands in for one, so a column it lacks fails at its own row, row 1
+    columns = list(zip(*rows)) or [()] * len(header)
     if None in cols or max(cols) >= len(columns):
-        for i, row in enumerate(rows, start=2):
+        for i, row in enumerate(rows or [header], start=2 if rows else 1):
             missing = [c for c, j in zip(required, cols) if j is None or j >= len(row)]
             if missing:
                 raise SchemaError(f"missing columns {missing}", path=path, row=i)
@@ -108,15 +99,15 @@ def _json_columns(path: Path, required: tuple) -> list:
 
 
 class _File:
-    """One file's columns, and the first failing row of each column check.
-    Checks are noted in the order a row-by-row pass makes them, so the first
-    noted failure of the earliest row (raise_first) is that pass's error."""
+    """One input table's columns, and the first failing row of each column
+    check. Checks are noted in the order a row-by-row pass makes them, so the
+    first noted failure of the earliest row (raise_first) is that pass's error."""
 
-    def __init__(self, input_dir: Path, stem: str):
-        self.path = find_file(input_dir, stem)
-        self.json = self.path.suffix == ".json"
+    def __init__(self, path: Path, required: tuple):
+        self.path = path
+        self.json = path.suffix == ".json"
         self.first = 1 if self.json else 2  # as _read_rows counts
-        self.columns = _read_rows(self.path, FILESET[stem])
+        self.columns = _read_rows(path, required)
         self.failures = []
 
     def text(self, values) -> tuple:
@@ -152,6 +143,20 @@ class _File:
             self.note(ints and min(ints) < minimum, ints, lambda v: v < minimum,
                       lambda i: f"{name}={ints[i]} below minimum {minimum}")
         return ints
+
+    def floats(self, values, name: str) -> list:
+        """The column as floats, up to its first value that is not a number: one
+        float() refuses (with its message), or a JSON bool, as in _int_table."""
+        def error(v):
+            if v.__class__ not in (str, int, float):
+                return f"{name}={v!r} is not a number"
+            try:
+                float(v)
+            except (ValueError, OverflowError) as exc:
+                return str(exc)
+        errors = list(map(error, values))
+        i = self.note(any(errors), errors, bool, errors.__getitem__)
+        return list(map(float, values[:i]))
 
     def years(self, values) -> list:
         """active_years as frozensets: a JSON list, or text separated by ';'."""
@@ -204,7 +209,7 @@ def load_corpus(input_dir) -> Corpus:
     if not input_dir.is_dir():
         raise MissingFile(f"input directory {input_dir} does not exist")
 
-    f = _File(input_dir, "taxonomy")
+    f = _File(find_file(input_dir, "taxonomy"), FILESET["taxonomy"])
     sds, udas, life = f.columns
     sds = f.text(sds)
     f.unique(sds, lambda i: DuplicateKey(f"taxonomy: SDS {sds[i]} listed twice"))
@@ -215,7 +220,7 @@ def load_corpus(input_dir) -> Corpus:
     sds_to_uda = dict(zip(sds, f.text(udas)))
     taxonomy = Taxonomy(sds_to_uda, frozenset(compress(sds, life)))
 
-    f = _File(input_dir, "periods")
+    f = _File(find_file(input_dir, "periods"), FILESET["periods"])
     labels, starts, ends = f.columns
     labels = f.text(labels)
     f.unique(labels, lambda i: DuplicateKey(f"periods: duplicate label {labels[i]}"))
@@ -228,7 +233,7 @@ def load_corpus(input_dir) -> Corpus:
     if len(periods) != 2:
         raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=f.path)
 
-    f = _File(input_dir, "researchers")
+    f = _File(find_file(input_dir, "researchers"), FILESET["researchers"])
     rids, res_sds, universities, active = f.columns
     rids, res_sds = f.text(rids), f.text(res_sds)
     f.unique(rids, lambda i: DuplicateKey(f"researchers: duplicate researcher_id {rids[i]}"))
@@ -238,7 +243,7 @@ def load_corpus(input_dir) -> Corpus:
     f.raise_first()
     researchers = _records(Researcher, rids, res_sds, f.text(universities), active)
 
-    f = _File(input_dir, "publications")
+    f = _File(find_file(input_dir, "publications"), FILESET["publications"])
     pids, years, categories, citations, n_authors = f.columns
     pids = f.text(pids)
     f.unique(pids, lambda i: DuplicateKey(f"publications: duplicate pub_id {pids[i]}"))
@@ -249,7 +254,7 @@ def load_corpus(input_dir) -> Corpus:
     publications = _records(Publication, pids, years, f.text(categories),
                             citations, n_authors)
 
-    f = _File(input_dir, "authorships")
+    f = _File(find_file(input_dir, "authorships"), FILESET["authorships"])
     a_pids, a_rids, positions, bylines = f.columns
     a_pids, a_rids = f.text(a_pids), f.text(a_rids)
     f.known(a_pids, set(pids), lambda i: DanglingReference(

@@ -134,8 +134,14 @@ class Corpus:
         return self._units
 
 
+def check_staff_mode(staff_mode: str) -> None:
+    if staff_mode not in ("prorata", "headcount"):
+        raise ValueError(f"staff_mode must be 'prorata' or 'headcount', got {staff_mode!r}")
+
+
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:
     """Fraction of the period the researcher counts for (pro-rata by active years)."""
+    check_staff_mode(staff_mode)
     overlap = len(set(period.years).intersection(researcher.active_years))
     if overlap == 0:
         return 0.0

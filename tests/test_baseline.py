@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from bibliorank.baseline import (build_baselines, load_external_baselines, median,
                                  standardize_citations)
-from bibliorank.errors import DuplicateKey, MissingBaseline, NegativeValue, SchemaError
+from bibliorank.errors import (DuplicateKey, MissingBaseline, MissingFile, NegativeValue,
+                               SchemaError)
 
 from conftest import P, R, A, make_corpus
 
@@ -108,6 +110,96 @@ class TestExternal:
         with pytest.raises(SchemaError) as exc:
             load_external_baselines(f)
         assert str(exc.value) == f"{f}: {error}"
+
+
+    @pytest.mark.parametrize("body, error", [
+        (b"CAT_A,2002,x,1.0,5\nCAT_B,2003\n",
+         "missing columns ['median', 'mean', 'n_pubs'] (row 3)"),
+        (b"CAT_A,x,1.0,1.0,5\n", "year='x' is not an integer (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,2.5\n", "n_pubs='2.5' is not an integer (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,5\nCAT_A,y,x,1.0,5\n", "year='y' is not an integer (row 3)"),
+        (b"CAT_A,2002,x,y,z\n", "could not convert string to float: 'x' (row 2)"),
+        (b"CAT_A,2002,1.0,y,z\n", "could not convert string to float: 'y' (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,z\nCAT_A,2003,nan,1.0,5\n",
+         "n_pubs='z' is not an integer (row 2)"),
+        (b"CAT_A,2002,-inf,1.0,0\n", "median and mean must be finite (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,0\n", "n_pubs must be positive (row 2)"),
+    ], ids=["missing_cells_before_values", "year_not_an_integer", "n_pubs_not_an_integer",
+            "earliest_row_first", "median_before_mean", "mean_before_n_pubs",
+            "cell_before_a_later_row", "finite_before_n_pubs", "n_pubs_below_1"])
+    def test_one_error_per_file_as_a_row_by_row_pass(self, tmp_path, body, error):
+        """The corpus reader's order: missing cells over the whole file first,
+        then the earliest failing row, the first failing check within it."""
+        f = tmp_path / "baselines.csv"
+        f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)
+        with pytest.raises(SchemaError) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: {error}"
+
+    @pytest.mark.parametrize("body, error", [
+        (b"CAT_A,2002,1.0,1.0,5\nCAT_A,2002,nan,-1,0\n", DuplicateKey),
+        (b"CAT_A,2002,-1.0,1.0,0\n", NegativeValue),
+    ], ids=["duplicate_before_finite", "negative_before_n_pubs"])
+    def test_key_and_sign_errors_keep_their_place(self, tmp_path, body, error):
+        f = tmp_path / "baselines.csv"
+        f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)
+        with pytest.raises(error):
+            load_external_baselines(f)
+
+    @pytest.mark.parametrize("text, error", [
+        ("category,year\n", "missing columns ['subject_category', 'median', 'mean', "
+                             "'n_pubs'] (row 1)"),
+        ("category,year\nCAT_A,2002\n", "missing columns ['subject_category', "
+                                         "'median', 'mean', 'n_pubs'] (row 2)"),
+        ("", "missing header row"),
+    ], ids=["header_only", "with_a_row", "empty_file"])
+    def test_header_lacking_a_column_fails_at_its_row(self, tmp_path, text, error):
+        f = tmp_path / "baselines.csv"
+        f.write_text(text)
+        with pytest.raises(SchemaError) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: {error}"
+
+    def test_a_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile, match="baseline file .* not found"):
+            load_external_baselines(tmp_path / "baselines.csv")
+
+    def test_json_array_is_the_same_table_as_its_csv(self, tmp_path):
+        rows = [("CAT_A", 2002, 2.0, 3.1, 500), ("CAT_B", 2002, 0.0, 0.5, 2),
+                ("CAT_A", 2003, 1.5, 1.25, 7)]
+        (tmp_path / "b.csv").write_text("subject_category,year,median,mean,n_pubs\n"
+                                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        (tmp_path / "b.json").write_text(json.dumps(
+            [dict(zip(("subject_category", "year", "median", "mean", "n_pubs"), r))
+             for r in rows]))
+        table = load_external_baselines(tmp_path / "b.csv")
+        assert load_external_baselines(tmp_path / "b.json").entries == table.entries
+        assert table.get("CAT_B", 2002) == (0.0, 0.5, 2, "external")
+
+    @pytest.mark.parametrize("median, error", [
+        ("true", "median=True is not a number (row 2)"),
+        ("[1]", "median=[1] is not a number (row 2)"),
+        ('"x"', "could not convert string to float: 'x' (row 2)"),
+        ("1" + "0" * 400, "int too large to convert to float (row 2)"),
+        ("null", "missing columns ['median'] (row 2)"),
+    ], ids=["bool", "list", "text", "huge_int", "null"])
+    def test_json_cell_that_is_not_a_number(self, tmp_path, median, error):
+        f = tmp_path / "baselines.json"
+        f.write_text('[{"subject_category": "CAT_A", "year": 2002, "median": 1, '
+                     '"mean": 1, "n_pubs": 5}, {"subject_category": "CAT_A", '
+                     f'"year": 2003, "median": {median}, "mean": 1, "n_pubs": 5}}]')
+        with pytest.raises(SchemaError) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: {error}"
+
+    def test_json_duplicate_counts_rows_from_1(self, tmp_path):
+        f = tmp_path / "baselines.json"
+        row = {"subject_category": "CAT_A", "year": 2002, "median": 1, "mean": 1,
+               "n_pubs": 5}
+        f.write_text(json.dumps([row, row]))
+        with pytest.raises(DuplicateKey) as exc:
+            load_external_baselines(f)
+        assert str(exc.value) == f"{f}: duplicate stratum (CAT_A, 2002) at row 2"
 
 
 class TestStandardize:

@@ -21,6 +21,7 @@ from bibliorank.synthgen import GenConfig, generate, make_corpus as synth_corpus
 
 from conftest import A, P, R, make_corpus, make_taxonomy
 from test_cli_digests import SEED, SHAPES
+from test_corpus import write_fileset
 from test_indicators import cross_scope
 
 SRC = str(Path(indicators.__file__).resolve().parents[1])
@@ -240,6 +241,48 @@ class TestBadInput:
         assert json.loads(lines[0])["error"] == error
         assert str(bad) in json.loads(lines[0])["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "rank"])
+    def test_header_only_file_lacking_columns(self, tmp_path, capsys, command):
+        (tmp_path / "corpus").mkdir()
+        corpus = write_fileset(tmp_path / "corpus",
+                               {"publications.csv": "pub_id,yr\n",
+                                "authorships.csv": "pubid,researcher\n"})
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus)]
+        if command == "rank":
+            argv += ["--out", str(out), "--min-staff", "0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "SchemaError",
+            "message": f"{corpus / 'publications.csv'}: missing columns ['year', "
+                       "'subject_category', 'citations', 'n_authors_total'] (row 1)"}
+        assert not out.exists()
+
+    def test_json_baselines(self, demo, tmp_path):
+        """A .json baseline table is read as the corpus reader reads a JSON
+        file, and scores as its CSV form does."""
+        columns = ("subject_category", "year", "median", "mean", "n_pubs")
+        with open(demo / "publications.csv", newline="") as fh:
+            pubs = list(csv.DictReader(fh))
+        rows = [(pubs[0]["subject_category"], int(pubs[0]["year"]), 0.5, 0.75, 3),
+                (pubs[-1]["subject_category"], int(pubs[-1]["year"]), 2.0, 2.5, 9)]
+        (tmp_path / "b.csv").write_text(",".join(columns) + "\n" + "".join(
+            ",".join(map(str, r)) + "\n" for r in rows))
+        (tmp_path / "b.json").write_text(json.dumps([dict(zip(columns, r)) for r in rows]))
+        bodies = []
+        for name in ("b.csv", "b.json", None):
+            out = tmp_path / f"out_{name}"
+            argv = ["indicators", "--input", str(demo), "--out", str(out), "--min-staff", "1"]
+            if name:
+                argv += ["--baselines", str(tmp_path / name)]
+            assert main(argv) == 0
+            bodies.append((out / "unit_scores.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1] != bodies[2]
 
     @pytest.mark.parametrize("flag, value, error", [
         ("--university", "UNI999", "UnknownUniversity"),

@@ -347,6 +347,9 @@ def dictreader_rows(path, required):
         if reader.fieldnames is None:
             raise SchemaError("missing header row", path=path)
         rows = list(reader)
+    missing = [c for c in required if c not in reader.fieldnames]
+    if not rows and missing:
+        raise SchemaError(f"missing columns {missing}", path=path, row=1)
     for i, row in enumerate(rows, start=2):
         missing = [c for c in required if c not in row or row[c] is None]
         if missing:
@@ -375,11 +378,13 @@ class TestReadRows:
         ("a,b,c\n\n1,2,3\n\n\n4,5\n", "missing columns ['c'] (row 3)"),
         ("a,b,c\n1,2,3\n4\n", "missing columns ['b', 'c'] (row 3)"),
         ("a,c\n\n1,3\n", "missing columns ['b'] (row 2)"),
+        ("a,c\n\n", "missing columns ['b'] (row 1)"),
         ("a,b,c,a\n1,2,3\n", "missing columns ['a'] (row 2)"),
         ("\ufeffa,b,c\n1,2,3\n", "missing columns ['a'] (row 2)"),
         ("", "missing header row"),
     ], ids=["blank_lines_not_counted", "short_row", "column_absent_from_header",
-            "repeated_name_takes_the_last_cell", "bom_prefixed_header", "empty_file"])
+            "column_absent_from_header_empty_body", "repeated_name_takes_the_last_cell",
+            "bom_prefixed_header", "empty_file"])
     def test_schema_error_names_the_row(self, tmp_path, text, error):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
@@ -388,15 +393,32 @@ class TestReadRows:
         assert str(exc.value) == f"{path}: {error}"
 
     @pytest.mark.parametrize("text, rows", [
-        ("a,c\n\n", []),
         ("a,b,c,a\n1,2,3,4\n", [("4", "2", "3")]),
         ("a,b,c\n1,2,3,4,5\n", [("1", "2", "3")]),
-    ], ids=["column_absent_from_header_empty_body", "repeated_name_takes_the_last_cell",
-            "extra_cells_ignored"])
+    ], ids=["repeated_name_takes_the_last_cell", "extra_cells_ignored"])
     def test_rows_in_required_order(self, tmp_path, text, rows):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
         assert list(zip(*_read_rows(path, ("a", "b", "c")))) == rows
+
+    def test_header_only_file_lacking_columns_fails_at_row_1(self, tmp_path):
+        """With no row to fail at, the header fails, so a mistyped header is not
+        read as an empty file."""
+        write_fileset(tmp_path, {"publications.csv": "pub_id,yr\n",
+                                 "authorships.csv": "pubid,researcher\n"})
+        with pytest.raises(SchemaError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'publications.csv'}: missing columns ['year', "
+            "'subject_category', 'citations', 'n_authors_total'] (row 1)")
+        assert exc.value.row == 1
+        write_fileset(tmp_path, {"publications.csv": ",".join(PUB_COLUMNS) + "\n",
+                                 "authorships.csv": "pubid,researcher\n"})
+        with pytest.raises(SchemaError, match=r"authorships.csv: missing columns "
+                                              r"\['pub_id', 'researcher_id', "
+                                              r"'author_position', "
+                                              r"'byline_university_id'\] \(row 1\)$"):
+            load_corpus(tmp_path)
 
     def test_loader_reports_the_row_after_blank_lines(self, tmp_path):
         write_fileset(tmp_path, {"publications.csv": ",".join(PUB_COLUMNS) + "\n\n"

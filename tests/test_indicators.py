@@ -559,3 +559,24 @@ def test_model_staff_is_the_ledgers_unit_staff(shape, staff_mode):
         for unit in corpus.units():
             want = staffed.get(unit, 0.0)
             assert staff(corpus, *unit, period, staff_mode) == want, unit
+
+
+@pytest.mark.parametrize("mode", ["headcont", "bogus", "Prorata", ""])
+def test_every_staff_reader_refuses_a_misspelled_mode(mode):
+    """presence, staff and a ledger with no researcher name a bad staff mode
+    instead of reading it as prorata, also for a researcher with no active
+    year in the period."""
+    corpus = synth_corpus(GenConfig(seed=3))
+    unit = corpus.units()[0]
+    assert staff(corpus, *unit, corpus.early, "headcount") == 2.0
+    assert staff(corpus, *unit, corpus.early, "prorata") == 1.6666666666666665
+    message = f"^staff_mode must be 'prorata' or 'headcount', got '{mode}'$"
+    with pytest.raises(ValueError, match=message):
+        staff(corpus, *unit, corpus.early, mode)
+    absent = R("r0", years=())
+    assert presence(absent, corpus.early, "headcount") == 0.0
+    for researcher in (corpus.researchers[0], absent):
+        with pytest.raises(ValueError, match=message):
+            presence(researcher, corpus.early, mode)
+    with pytest.raises(ValueError, match=message):
+        UnitLedger(corpus, staff_mode=mode, sds_scope=[])

@@ -1,11 +1,20 @@
 """Metamorphic relations: what the paper's definitions imply for a changed
 corpus, checked against the program itself with no reference values."""
-import pytest
+import re
+from dataclasses import replace
+from itertools import count
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bibliorank import cli
 from bibliorank.aggregate import national_weighted_average, uda_scores
 from bibliorank.errors import NoEligibleUniversities
 from bibliorank.indicators import INDICATORS, UnitLedger
-from bibliorank.model import Corpus
+from bibliorank.loader import write_corpus
+from bibliorank.model import Authorship, Corpus, Publication
 from bibliorank.rankshift import sds_rank_list, uda_rank_list
 from bibliorank.synthgen import GenConfig, make_corpus
 
@@ -85,3 +94,128 @@ def test_twins_keep_every_value_and_double_every_rank(seed, config, staff_mode):
                                   min_staff) == want
                     ranked_entries += len(want)
         assert ranked_entries  # so the rank relation is not vacuous
+
+
+TABLES = {"indicators": cli.indicator_tables, "rank": cli.rank_tables,
+          "compare": cli.compare_tables, "drilldown": cli.drilldown_tables}
+
+
+def every_table(corpus: Corpus, staff_mode: str, min_staff: str) -> dict:
+    """The tables each scoring command builds from one ledger, keyed by the
+    command, and a drilldown's by its university and UDA too."""
+    ledger = UnitLedger(corpus, staff_mode=staff_mode)
+    argv = ["--input", "-", "--min-staff", min_staff, "--staff-mode", staff_mode]
+    parser = cli.build_parser()
+    out = {(command,): TABLES[command](ledger, parser.parse_args([command, *argv]))
+           for command in ("indicators", "rank", "compare")}
+    for u in corpus.universities:
+        for uda in corpus.taxonomy.uda_list:
+            args = parser.parse_args(["drilldown", *argv, "--university", u, "--uda", uda])
+            out[("drilldown", u, uda)] = cli.drilldown_tables(ledger, args)
+    return out
+
+
+def with_irrelevant_publications(corpus: Corpus, picks) -> Corpus:
+    """The corpus plus one zero-citation publication per (researcher index,
+    category index, after) pick, authored by that researcher alone and dated
+    in its own year outside both periods, before them or `after` them."""
+    taken = {p.year for p in corpus.publications}
+    taken.update(corpus.early.years, corpus.late.years)
+    free = {False: (y for y in count(corpus.early.start_year, -1) if y not in taken),
+            True: (y for y in count(corpus.late.end_year) if y not in taken)}
+    categories = sorted({p.subject_category for p in corpus.publications})
+    pubs, authorships = [], []
+    for i, (r_index, c_index, after) in enumerate(picks):
+        r = corpus.researchers[r_index % len(corpus.researchers)]
+        pid = f"IRRELEVANT{i}"
+        pubs.append(Publication(pid, next(free[after]),
+                                categories[c_index % len(categories)], 0, 1))
+        authorships.append(Authorship(pid, r.researcher_id, 1, r.university_id))
+    return Corpus(corpus.taxonomy, corpus.researchers, corpus.publications + tuple(pubs),
+                  corpus.authorships + tuple(authorships), corpus.periods)
+
+
+SMALL_CONFIGS = st.builds(
+    GenConfig, seed=st.integers(0, 2**16), n_universities=st.integers(2, 6),
+    n_sds=st.integers(1, 5), sds_per_uda=st.integers(1, 3),
+    staff_max=st.integers(1, 4), coauthorship_rate=st.sampled_from([0.0, 0.25, 0.8]),
+    life_science_fraction=st.sampled_from([0.0, 0.3, 1.0]))
+PICKS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans()),
+                 min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=SMALL_CONFIGS, picks=PICKS,
+       staff_mode=st.sampled_from(["prorata", "headcount"]),
+       min_staff=st.sampled_from(["0", "1", "2"]))
+def test_publications_outside_both_periods_change_no_table(config, picks, staff_mode,
+                                                           min_staff):
+    """A zero-citation publication in a year no other publication has is its
+    own stratum, with baseline 0, so it moves no other stratum's divisor or
+    its category's fallback; it falls in neither period, so no score sees it."""
+    corpus = make_corpus(config)
+    assume(corpus.researchers and corpus.publications)
+    padded = with_irrelevant_publications(corpus, picks)
+    assert len(padded.publications) == len(corpus.publications) + len(picks)
+    assert (every_table(padded, staff_mode, min_staff)
+            == every_table(corpus, staff_mode, min_staff))
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=SMALL_CONFIGS, min_staff=st.sampled_from(["0", "1", "2"]))
+def test_staff_modes_agree_when_everyone_is_present_throughout(config, min_staff):
+    """With no turnover and no partial years, every researcher is active in
+    every year of both periods, so a prorata presence is 1.0, a headcount's."""
+    corpus = make_corpus(replace(config, turnover_rate=0.0, partial_year_rate=0.0))
+    every_year = set(corpus.early.years) | set(corpus.late.years)
+    assert all(r.active_years == every_year for r in corpus.researchers)
+    assert (every_table(corpus, "headcount", min_staff)
+            == every_table(corpus, "prorata", min_staff))
+
+
+def report_files(out: Path) -> dict:
+    """file name -> (provenance line, body) of every report in `out`."""
+    return {p.name: tuple(p.read_text(encoding="utf-8").split("\n", 1))
+            for p in sorted(out.iterdir())}
+
+
+def run_commands(corpus_dir: Path, out: Path, *options) -> dict:
+    """report_files of indicators, rank, compare and one drilldown."""
+    common = ["--input", str(corpus_dir), "--out", str(out), "--min-staff", "1", *options]
+    for argv in (["indicators"], ["rank"], ["compare"],
+                 ["drilldown", "--university", "UNI001", "--uda", "UDA01"]):
+        assert cli.main([*argv, *common]) == 0
+    return report_files(out)
+
+
+def test_cli_reports_ignore_publications_outside_both_periods(tmp_path):
+    """Only the provenance line's corpus hash moves."""
+    corpus = make_corpus(GenConfig(seed=4))
+    write_corpus(corpus, tmp_path / "corpus")
+    write_corpus(with_irrelevant_publications(corpus, [(0, 0, False), (7, 3, True),
+                                                       (11, 1, True)]),
+                 tmp_path / "padded")
+    before = run_commands(tmp_path / "corpus", tmp_path / "out")
+    after = run_commands(tmp_path / "padded", tmp_path / "padded_out")
+    assert len(before) == 11 and before.keys() == after.keys()
+    corpus_hash = re.compile(r"corpus=\w+ ")
+    for name, (provenance, body) in before.items():
+        assert after[name][1] == body, name
+        assert after[name][0] != provenance
+        assert corpus_hash.sub("", after[name][0]) == corpus_hash.sub("", provenance)
+
+
+def test_cli_staff_modes_agree_when_everyone_is_present_throughout(tmp_path):
+    """Only the provenance line's config hash moves."""
+    write_corpus(make_corpus(GenConfig(seed=4, turnover_rate=0.0, partial_year_rate=0.0)),
+                 tmp_path / "corpus")
+    prorata = run_commands(tmp_path / "corpus", tmp_path / "prorata",
+                           "--staff-mode", "prorata")
+    headcount = run_commands(tmp_path / "corpus", tmp_path / "headcount",
+                             "--staff-mode", "headcount")
+    assert len(prorata) == 11 and prorata.keys() == headcount.keys()
+    config_hash = re.compile(r"config=\w+ ")
+    for name, (provenance, body) in prorata.items():
+        assert headcount[name][1] == body, name
+        assert headcount[name][0] != provenance
+        assert config_hash.sub("", headcount[name][0]) == config_hash.sub("", provenance)
