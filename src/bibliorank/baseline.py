@@ -15,6 +15,7 @@ from .loader import _File
 from .model import Corpus, Publication
 
 
+BASES = ("median", "mean")  # the standardization bases; the first is the default
 # source: "corpus_derived" or "external"
 BaselineEntry = namedtuple("BaselineEntry", "median mean n_pubs source")
 
@@ -101,8 +102,8 @@ def load_external_baselines(path) -> BaselineTable:
 
 
 def check_basis(basis: str) -> None:
-    if basis not in ("median", "mean"):
-        raise ValueError(f"basis must be 'median' or 'mean', got {basis!r}")
+    if basis not in BASES:
+        raise ValueError(f"basis must be {' or '.join(map(repr, BASES))}, got {basis!r}")
 
 
 def stratum_divisor(baselines: BaselineTable, subject_category: str, year: int,

@@ -20,12 +20,12 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import sds_unit_scores, uda_scores
-from .baseline import build_baselines, load_external_baselines
+from .baseline import BASES, build_baselines, load_external_baselines
 from .errors import (BiblioRankError, EmptyIntersection, InvalidConfig,
                      InvalidCorpus)
 from .indicators import INDICATORS, ShareScheme, UnitLedger
 from .loader import FILE_STEMS, find_file, load_corpus
-from .model import validate
+from .model import STAFF_MODES, validate
 from .rankshift import (COMPARED, DEFAULT_MIN_STAFF, compare_drilldowns,
                         period_rankings, sds_drilldown, shift_stats,
                         transition_matrix, uda_rank_list, university_shift_table)
@@ -155,12 +155,18 @@ def indicator_tables(ledger, args) -> dict:
                                       None if sc is None else sc.n_pubs,
                                       None if sc is None else sc.staff])
 
-    researcher_rows = []
+    staffed = {(s, period): ledger.staffed_researchers(s, period)
+               for s in corpus.taxonomy.sds_list for period in corpus.periods}
+    person_rows = []  # an undefined value (AQ without publications) reads None, 0, None
     for r in corpus.researchers:
         for period in corpus.periods:
-            for ind, value, n_pubs, staff in ledger.researcher_rows(r.researcher_id, period):
-                researcher_rows.append([r.researcher_id, ind, period.label, value,
-                                        n_pubs, staff])
+            tally = staffed[r.sds, period].get(r.researcher_id)
+            if tally is None:
+                continue  # not on staff in the period
+            for ind in INDICATORS:
+                value = tally.values[ind]
+                cells = (0, None) if value is None else (tally.n_pubs, tally.staff)
+                person_rows.append([r.researcher_id, ind, period.label, value, *cells])
 
     uda_rows = []
     for uda in corpus.taxonomy.uda_list:
@@ -173,7 +179,7 @@ def indicator_tables(ledger, args) -> dict:
         "unit_scores": (["university_id", "sds", "indicator", "period", "value",
                          "n_pubs", "staff"], unit_rows),
         "researcher_scores": (["researcher_id", "indicator", "period", "value",
-                               "n_pubs", "staff"], researcher_rows),
+                               "n_pubs", "staff"], person_rows),
         "uda_scores": (["university_id", "uda", "indicator", "period", "value",
                         "covered_staff"], uda_rows),
     }
@@ -293,12 +299,12 @@ def _add_common(p):
     p.add_argument("--input", required=True, help="directory with the corpus fileset")
     p.add_argument("--baselines", default=None,
                    help="external baseline table (CSV or JSON); overrides corpus strata")
-    p.add_argument("--basis", choices=("median", "mean"), default="median")
+    p.add_argument("--basis", choices=BASES, default=BASES[0])
     p.add_argument("--min-staff", dest="min_staff", type=float,
                    default=DEFAULT_MIN_STAFF)
-    p.add_argument("--staff-mode", dest="staff_mode",
-                   choices=("prorata", "headcount"), default="prorata")
-    p.add_argument("--scheme", default="2,2,1",
+    p.add_argument("--staff-mode", dest="staff_mode", choices=STAFF_MODES,
+                   default=STAFF_MODES[0])
+    p.add_argument("--scheme", default=",".join(f"{w:g}" for w in ShareScheme()),
                    help="life-science share weights: first,last,middle")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     p.add_argument("--out", default="out")

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .baseline import BaselineTable, build_baselines, check_basis, stratum_divisor
 from .errors import NoPublications, UnknownResearcher, ZeroStaff
 from .model import Authorship, Corpus, Period, Publication, check_staff_mode, presence
 
 INDICATORS = ("P", "FP", "AQ", "FSS")
+_RESEARCHER = itemgetter(1)  # an authorship's researcher_id
 
 
 class ShareScheme(namedtuple("ShareScheme", "first_weight last_weight middle_weight",
@@ -149,21 +151,17 @@ class UnitLedger:
         self.basis = basis
         self.staff_mode = staff_mode
         researchers, units = corpus.researchers, corpus.units()
+        codes = corpus.taxonomy.sds_list  # the SDS codes in scope
         if sds_scope is not None:
             for sds in sds_scope:
                 corpus.check_names(sds=sds)
-            sds_scope = frozenset(sds_scope)
+            codes = sds_scope = frozenset(sds_scope)
             researchers = [r for r in researchers if r.sds in sds_scope]
             units = [unit for unit in units if unit[1] in sds_scope]
         self.sds_scope = sds_scope  # None: every SDS
         self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
         self.uda_rollups = {}      # (uda, period) -> aggregate.uda_scores, on first read
-        self._sds_universities, self._sds_researchers = {}, {}
-        for u, s in units:
-            self._sds_universities.setdefault(s, []).append(u)
-        for r in researchers:
-            self._sds_researchers.setdefault(r.sds, []).append(r.researcher_id)
         periods = corpus.periods
 
         # per researcher: its life-science flag and its tally in each period
@@ -174,15 +172,13 @@ class UnitLedger:
         # stratum -> (divisor, fell_back), found once (stratum_divisor); its
         # errors come at the stratum's first publication in a period
         strata, fallbacks = {}, {}
+        year_periods = {}  # year -> indexes of the periods containing it
+        outside = None if sds_scope is None else tallies.keys().isdisjoint
         # authorships_by_pub runs in corpus.authorships order, so the term
         # lists and fallback_events keep that order
-        groups = corpus.authorships_by_pub.items()
-        if sds_scope is not None:
-            # a publication without an author in scope adds no term
-            pids = {a[0] for a in corpus.authorships if a[1] in tallies}
-            groups = [(pid, group) for pid, group in groups if pid in pids]
-        year_periods = {}  # year -> indexes of the periods containing it
-        for pid, group in groups:
+        for pid, group in corpus.authorships_by_pub.items():
+            if outside is not None and outside(map(_RESEARCHER, group)):
+                continue  # a publication without an author in scope adds no term
             pub = corpus.publication_by_id[pid]
             _, year, category, citations, n = pub
             in_periods = year_periods.get(year)
@@ -217,45 +213,37 @@ class UnitLedger:
                     tally.shares.append(share)
                     tally.impacts.append(impact)
 
-        # each unit's terms are its members' terms, and each sum is taken
-        # over all of them at once
-        self._researchers, self._units = {}, {}  # period -> id or unit -> tally
+        # period -> SDS in scope -> university or researcher id -> tally, sorted by
+        # id; a unit's terms are its members', each sum taken over all at once
+        self._units, self._researchers = {}, {}
         for i, p in enumerate(periods):
-            mine = self._researchers[p] = {rid: t[i] for rid, (_, t) in tallies.items()}
-            unit_tallies = self._units[p] = {unit: _Tally() for unit in units}
+            by_sds = self._units[p] = {s: {} for s in codes}
+            mine = self._researchers[p] = {s: {} for s in by_sds}
+            for u, s in units:
+                by_sds[s][u] = _Tally()
             for r in researchers:
-                tally = mine[r.researcher_id]
-                unit = unit_tallies[(r.university_id, r.sds)]
+                tally = mine[r.sds][r.researcher_id] = tallies[r.researcher_id][1][i]
+                unit = by_sds[r.sds][r.university_id]
                 unit.presence.extend(tally.presence)
                 unit.pids.extend(tally.pids)
                 unit.shares.extend(tally.shares)
                 unit.impacts.extend(tally.impacts)
-            for tally in unit_tallies.values():
-                tally.finish(self._std, p.length_years)
+            for u, s in units:
+                by_sds[s][u].finish(self._std, p.length_years)
 
-    def _check_scope(self, sds: str) -> None:
-        """A scoped ledger has no tally of an SDS outside its scope, not even
-        an empty one: asking for one raises."""
-        if self.sds_scope is not None and sds not in self.sds_scope:
-            raise ValueError(f"SDS {sds} is outside the ledger's scope")
-
-    def _tallies(self, by_period: dict, period: Period, sds: str | None = None) -> dict:
-        """The period's tallies in `by_period` (self._units or self._researchers),
-        once the SDS, when given, and the period pass their checks."""
-        if sds is not None:
-            self.corpus.check_names(sds=sds)
-            self._check_scope(sds)
-        self.corpus.check_period(period)
-        return by_period[period]
-
-    def _unit(self, university_id: str, sds: str, period: Period) -> _Tally:
-        tally = self._tallies(self._units, period).get((university_id, sds))
-        if tally is None:
-            # a unit with researchers names a known university and SDS
+    def _lookup(self, by_period: dict, sds: str, period: Period,
+                university_id: str | None = None) -> dict:
+        """id -> tally of the SDS in the period in `by_period` (self._units or
+        self._researchers), the one check of every read: on a miss, the SDS
+        name (and the university's, when given), then the scope, then the period."""
+        try:
+            return by_period[period][sds]
+        except KeyError:
             self.corpus.check_names(university_id, sds)
-            self._check_scope(sds)
-            tally = _Tally().finish(self._std, period.length_years)
-        return tally
+            if self.sds_scope is not None and sds not in self.sds_scope:
+                raise ValueError(f"SDS {sds} is outside the ledger's scope") from None
+            self.corpus.check_period(period)
+            raise
 
     def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
         check_indicator(indicator)
@@ -271,47 +259,36 @@ class UnitLedger:
     def staffed_universities(self, sds: str, period: Period) -> dict:
         """university_id -> the ledger's own finished unit tally (read only),
         sorted, of every unit in the SDS with positive staff."""
-        units = self._tallies(self._units, period, sds)
-        return {u: tally for u in self._sds_universities.get(sds, ())
-                if (tally := units[(u, sds)]).staff > 0}
+        return {u: tally for u, tally in self._lookup(self._units, sds, period).items()
+                if tally.staff > 0}
 
     def staffed_researchers(self, sds: str, period: Period) -> dict:
         """researcher_id -> the ledger's own researcher tally (read only),
         sorted, of every researcher of the SDS with positive staff; each is
         finished on its first read."""
-        mine, years = self._tallies(self._researchers, period, sds), period.length_years
-        return {rid: tally for rid in self._sds_researchers.get(sds, ())
-                if (tally := mine[rid].finish(self._std, years)).staff > 0}
+        mine = self._lookup(self._researchers, sds, period)
+        return {rid: tally for rid, tally in mine.items()
+                if tally.finish(self._std, period.length_years).staff > 0}
 
     def unit_score(self, university_id: str, sds: str, indicator: str,
                    period: Period) -> IndicatorScore:
-        return self._score((university_id, sds),
-                           self._unit(university_id, sds, period), indicator, period)
-
-    def _researcher(self, researcher_id: str, period: Period) -> _Tally:
-        tally = self._tallies(self._researchers, period).get(researcher_id)
-        if tally is None:
-            for r in self.corpus.researchers:  # a known researcher outside the scope?
-                if r.researcher_id == researcher_id:
-                    self._check_scope(r.sds)
-            raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
-        return tally.finish(self._std, period.length_years)
+        self.corpus.check_period(period)
+        tally = self._lookup(self._units, sds, period, university_id).get(university_id)
+        if tally is None:  # a unit with researchers names a known university
+            self.corpus.check_names(university_id)
+            tally = _Tally().finish(self._std, period.length_years)
+        return self._score((university_id, sds), tally, indicator, period)
 
     def researcher_score(self, researcher_id: str, indicator: str,
                          period: Period) -> IndicatorScore:
         """Same formulas with a single researcher as the unit (staff = own presence)."""
-        return self._score(researcher_id, self._researcher(researcher_id, period),
+        self.corpus.check_period(period)
+        researcher = self.corpus.researcher_by_id.get(researcher_id)
+        if researcher is None:
+            raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
+        tally = self._lookup(self._researchers, researcher.sds, period)[researcher_id]
+        return self._score(researcher_id, tally.finish(self._std, period.length_years),
                            indicator, period)
-
-    def researcher_rows(self, researcher_id: str, period: Period) -> list:
-        """(indicator, value, n_pubs, staff) of every indicator of a researcher
-        on staff in the period, (indicator, None, 0, None) where the value is
-        undefined (AQ without publications); no rows for one not on staff."""
-        tally = self._researcher(researcher_id, period)
-        if tally.staff <= 0:
-            return []
-        return [(ind, None, 0, None) if (value := tally.values[ind]) is None
-                else (ind, value, tally.n_pubs, tally.staff) for ind in INDICATORS]
 
 
 def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from itertools import chain, compress, repeat
 from operator import gt, itemgetter
 from pathlib import Path
@@ -20,6 +21,7 @@ FILESET = {
     "periods": ("label", "start_year", "end_year"),
 }
 FILE_STEMS = tuple(FILESET)
+_INTEGER = re.compile("[+-]?[0-9]+")  # an integer cell's text
 
 
 def find_file(input_dir: Path, stem: str) -> Path:
@@ -145,10 +147,12 @@ class _File:
         return ints
 
     def floats(self, values, name: str) -> list:
-        """The column as floats, up to its first value that is not a number: one
-        float() refuses (with its message), or a JSON bool, as in _int_table."""
+        """The column as floats, up to its first value that is not a number: a
+        JSON bool, as in _int_table, text that is not ASCII or has a '_' or
+        surrounding blanks, or one float() refuses (with its message)."""
         def error(v):
-            if v.__class__ not in (str, int, float):
+            if v.__class__ not in (str, int, float) or v.__class__ is str and (
+                    not v.isascii() or "_" in v or v != v.strip()):
                 return f"{name}={v!r} is not a number"
             try:
                 float(v)
@@ -176,16 +180,15 @@ class _File:
 
 
 def _int_table(values):
-    """value -> int() of each distinct value, or None if one is not text or a
-    JSON integer that int() reads: int() would truncate a JSON float and read
-    a JSON bool as 0 or 1."""
+    """value -> int() of each distinct value, or None if one is neither a JSON
+    integer nor ASCII [+-]?[0-9]+ text: int() would truncate a JSON float, read
+    a JSON bool as 0 or 1, and read text with '_', blanks or other digits."""
     if not {str, int}.issuperset(map(type, values)):
         return None
     distinct = set(values)
-    try:
+    if all(v.__class__ is int or _INTEGER.fullmatch(v) for v in distinct):
         return dict(zip(distinct, map(int, distinct)))
-    except ValueError:
-        return None
+    return None
 
 
 def _ints(values):

@@ -10,7 +10,8 @@ import math
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
-from .errors import DanglingReference, UnknownSDS, UnknownUDA, UnknownUniversity
+from .errors import (DanglingReference, DuplicateKey, UnknownSDS, UnknownUDA,
+                     UnknownUniversity)
 
 
 class Period(namedtuple("Period", "label start_year end_year")):
@@ -69,6 +70,7 @@ Publication = namedtuple(
 Authorship = namedtuple(
     "Authorship", "pub_id researcher_id author_position byline_university_id")
 Violation = namedtuple("Violation", "kind entity message")
+STAFF_MODES = ("prorata", "headcount")  # check_staff_mode's; the first is the default
 
 
 class Corpus:
@@ -89,19 +91,27 @@ class Corpus:
         self.publications = tuple(sorted(publications))
         self.authorships = tuple(sorted(authorships))
         self.periods = tuple(sorted(periods, key=attrgetter("start_year", "end_year")))
-
+        # load_corpus rejects a repeated or unknown key at its earliest row; a
+        # Corpus built directly names its smallest (a repeat sorts next to it)
+        self.researcher_by_id = {r.researcher_id: r for r in self.researchers}
         self.publication_by_id = {p.pub_id: p for p in self.publications}
+        for stem, name, distinct in (("researchers", "researcher_id", self.researcher_by_id),
+                                     ("publications", "pub_id", self.publication_by_id)):
+            records = getattr(self, stem)
+            if len(distinct) < len(records):
+                key = next(a[0] for a, b in zip(records, records[1:]) if a[0] == b[0])
+                raise DuplicateKey(f"{stem}: duplicate {name} {key}")
         self.authorships_by_pub = by_pub = {}
         for a in self.authorships:
-            by_pub.setdefault(a.pub_id, []).append(a)
-        # load_corpus rejects these at their earliest row; a Corpus built
-        # directly is checked here and names its smallest unknown key
-        unknown = self.authorships_by_pub.keys() - self.publication_by_id.keys()
+            group = by_pub.setdefault(a.pub_id, [])
+            if group and group[-1][1] == a[1]:
+                raise DuplicateKey(
+                    f"authorships: duplicate (pub_id, researcher_id) {a[:2]}")
+            group.append(a)
+        unknown = by_pub.keys() - self.publication_by_id.keys()
         if unknown:
-            raise DanglingReference(
-                f"authorship references unknown pub_id {min(unknown)}")
-        unknown = (set(map(itemgetter(1), self.authorships))
-                   - set(map(itemgetter(0), self.researchers)))
+            raise DanglingReference(f"authorship references unknown pub_id {min(unknown)}")
+        unknown = set(map(itemgetter(1), self.authorships)) - self.researcher_by_id.keys()
         if unknown:
             raise DanglingReference(
                 f"authorship references unknown researcher_id {min(unknown)}")
@@ -135,8 +145,9 @@ class Corpus:
 
 
 def check_staff_mode(staff_mode: str) -> None:
-    if staff_mode not in ("prorata", "headcount"):
-        raise ValueError(f"staff_mode must be 'prorata' or 'headcount', got {staff_mode!r}")
+    if staff_mode not in STAFF_MODES:
+        raise ValueError(f"staff_mode must be {' or '.join(map(repr, STAFF_MODES))}, "
+                         f"got {staff_mode!r}")
 
 
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:

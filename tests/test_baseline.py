@@ -79,11 +79,11 @@ class TestExternal:
             load_external_baselines(f)
 
     def test_repeated_stratum_is_a_duplicate_key(self, tmp_path):
-        # the year is read as an integer, so " 2001" names the same stratum
+        # the year is read as an integer, so "+02001" names the same stratum
         f = tmp_path / "baselines.csv"
         f.write_text("subject_category,year,median,mean,n_pubs\n"
                      "CAT_X,2001,1.0,1.0,5\nCAT_Y,2001,2.0,2.0,5\n"
-                     "CAT_X, 2001,5.0,5.0,5\n")
+                     "CAT_X,+02001,5.0,5.0,5\n")
         with pytest.raises(DuplicateKey) as exc:
             load_external_baselines(f)
         assert str(exc.value) == f"{f}: duplicate stratum (CAT_X, 2001) at row 4"
@@ -102,8 +102,16 @@ class TestExternal:
         (b"CAT_A,2002,1.0,1.0,5\nCAT_A,2003,1.0,inf,5\n",
          "median and mean must be finite (row 3)"),
         (b"\nCAT_A,2002\n", "missing columns ['median', 'mean', 'n_pubs'] (row 2)"),
+        (b"CAT_A,2002,1_0,1.0,5\n", "median='1_0' is not a number (row 2)"),
+        ("CAT_A,2002,\uff11.5,1.0,5\n".encode(), "median='\uff11.5' is not a number (row 2)"),
+        (b"CAT_A,2002, 2.0,1.0,5\n", "median=' 2.0' is not a number (row 2)"),
+        (b"CAT_A,2002,1.0,2.0 ,5\n", "mean='2.0 ' is not a number (row 2)"),
+        (b"CAT_A, 2002,1.0,1.0,5\n", "year=' 2002' is not an integer (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,1_0\n", "n_pubs='1_0' is not an integer (row 2)"),
     ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean",
-            "blank_line_not_counted"])
+            "blank_line_not_counted", "median_with_underscore", "median_fullwidth_digit",
+            "median_after_a_blank", "mean_before_a_blank", "year_after_a_blank",
+            "n_pubs_with_underscore"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, body, error):
         f = tmp_path / "baselines.csv"
         f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)

@@ -54,6 +54,20 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "MissingFile"
 
+    def test_ingest_refuses_a_year_that_only_python_reads(self, tmp_path, capsys):
+        generate(GenConfig(seed=1), tmp_path)
+        pubs = tmp_path / "publications.csv"
+        header, first, *rest = pubs.read_text().splitlines(keepends=True)
+        pid, year, *cells = first.split(",")
+        pubs.write_text("".join([header, ",".join([pid, year[:2] + "_" + year[2:], *cells]),
+                                 *rest]))
+        assert main(["ingest", "--input", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": "SchemaError",
+            "message": f"{pubs}: year='{year[:2]}_{year[2:]}' is not an integer (row 2)"}]
+
     def test_full_run_produces_reports(self, demo, tmp_path):
         run_all(demo, tmp_path)
         expected = ["unit_scores.csv", "researcher_scores.csv", "uda_scores.csv",

@@ -134,9 +134,14 @@ class TestLoad:
         ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
                                '"CAT_X", "citations": 5, "n_authors_total": true}]'},
          "publications.json", "n_authors_total=True is not an integer (row 1)"),
+        *(({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                                f"p1,{year},CAT_X,5,2\n"}, "publications.csv",
+           f"year={year!r} is not an integer (row 2)")
+          for year in ("2_001", "\uff12\uff10\uff10\uff11", " 2001", "2001 ")),
     ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
             "cell_over_field_size_limit", "period_start_after_end", "json_float",
-            "json_bool"])
+            "json_bool", "year_with_underscore", "year_in_fullwidth_digits",
+            "year_after_a_blank", "year_before_a_blank"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, overrides,
                                               name, error):
         if "publications.json" in overrides:
@@ -368,6 +373,25 @@ class TestCorpusPeriods:
     def test_rejected(self, periods, message):
         with pytest.raises(ValueError) as exc:
             make_corpus([R("r1")], [P("p1")], [A("p1", "r1")], periods=periods)
+        assert str(exc.value) == message
+
+
+class TestCorpusKeys:
+    """A Corpus built directly rejects a repeated key, as load_corpus does,
+    and names the smallest one: else each copy would be counted."""
+
+    @pytest.mark.parametrize("records, message", [
+        (([R("r2"), R("r1"), R("r2", univ="U2"), R("r1", univ="U2")], [P("p1")],
+          [A("p1", "r1")]), "researchers: duplicate researcher_id r1"),
+        (([R("r1")], [P("p2"), P("p1", cites=10), P("p1", cites=0), P("p2")],
+          [A("p1", "r1")]), "publications: duplicate pub_id p1"),
+        (([R("r1"), R("r2")], [P("p1", n_authors=4)],
+          [A("p1", "r2", 1), A("p1", "r2", 2), A("p1", "r1", 3), A("p1", "r1", 4)]),
+         "authorships: duplicate (pub_id, researcher_id) ('p1', 'r1')"),
+    ], ids=["researcher_id", "pub_id", "pub_id_and_researcher_id"])
+    def test_a_repeated_key_is_rejected(self, records, message):
+        with pytest.raises(DuplicateKey) as exc:
+            make_corpus(*records)
         assert str(exc.value) == message
 
 

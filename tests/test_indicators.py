@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from bibliorank.aggregate import uda_scores
 from bibliorank.baseline import (BaselineEntry, BaselineTable, build_baselines,
                                  standardize_citations)
-from bibliorank.cli import drilldown_tables
+from bibliorank.cli import drilldown_tables, indicator_tables
 from bibliorank.errors import (BiblioRankError, DanglingReference, MissingBaseline,
-                               NoPublications, UnknownSDS, ZeroStaff)
+                               NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff)
 from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
                                    researcher_indicator, unit_indicator)
 from bibliorank.model import Authorship, Corpus, Period, presence, staff, validate
@@ -241,21 +241,25 @@ class TestResearcherLevel:
         one_unit_corpus([P("p1", 2004)], [A("p1", "r1")], years=(2001, 2004))],
         ids=["synthetic", "no_early_publications"])
     def test_rows_are_the_scores_of_staffed_researchers(self, corpus):
+        """The researcher_scores report holds researcher_score's values of
+        every researcher on staff, and None, 0, None for an undefined AQ."""
         ledger = UnitLedger(corpus, ShareScheme())
+        columns, rows = indicator_tables(ledger, None)["researcher_scores"]
+        assert columns == ["researcher_id", "indicator", "period", "value", "n_pubs",
+                           "staff"]
+        want = []
         for r in corpus.researchers:
             for period in corpus.periods:
-                rows = ledger.researcher_rows(r.researcher_id, period)
                 if presence(r, period, "prorata") <= 0:
-                    assert rows == []
                     continue
-                want = []
                 for ind in ("P", "FP", "AQ", "FSS"):
                     try:
                         sc = ledger.researcher_score(r.researcher_id, ind, period)
-                        want.append((ind, sc.value, sc.n_pubs, sc.staff))
+                        cells = [sc.value, sc.n_pubs, sc.staff]
                     except NoPublications:
-                        want.append((ind, None, 0, None))
-                assert rows == want
+                        cells = [None, 0, None]
+                    want.append([r.researcher_id, ind, period.label, *cells])
+        assert rows and rows == want
 
 
 class TestInvariants:
@@ -545,6 +549,19 @@ class TestScopedLedger:
             ledger.unit_score(univ, "NOPE", "FSS", period)
         with pytest.raises(UnknownSDS):
             UnitLedger(corpus, sds_scope=["NOPE"])
+
+    def test_names_are_checked_before_the_scope_and_the_period_first(self):
+        """A unit score checks its period, then its names, then the scope."""
+        corpus = synth_corpus(GenConfig(seed=SEED, **SHAPES["drilldown"]))
+        uda, other = corpus.taxonomy.uda_list[:2]
+        ledger = UnitLedger(corpus, sds_scope=corpus.taxonomy.sds_in_uda(uda))
+        outside = corpus.taxonomy.sds_in_uda(other)[0]
+        with pytest.raises(UnknownUniversity, match="^university NOPE is not in the corpus$"):
+            ledger.unit_score("NOPE", outside, "FSS", corpus.early)
+        for led in (ledger, UnitLedger(corpus)):
+            with pytest.raises(ValueError, match="^unknown period 'ODD'$"):
+                led.unit_score(corpus.universities[0], "NOPE", "FSS",
+                               Period("ODD", 1990, 1991))
 
 
 @pytest.mark.parametrize("shape", ["national", "drilldown"])

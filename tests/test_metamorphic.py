@@ -1,6 +1,9 @@
 """Metamorphic relations: what the paper's definitions imply for a changed
 corpus, checked against the program itself with no reference values."""
+import csv
+import random
 import re
+from collections import Counter
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -14,7 +17,7 @@ from bibliorank.aggregate import national_weighted_average, uda_scores
 from bibliorank.errors import NoEligibleUniversities
 from bibliorank.indicators import INDICATORS, UnitLedger
 from bibliorank.loader import write_corpus
-from bibliorank.model import Authorship, Corpus, Publication
+from bibliorank.model import Authorship, Corpus, Publication, Taxonomy
 from bibliorank.rankshift import sds_rank_list, uda_rank_list
 from bibliorank.synthgen import GenConfig, make_corpus
 
@@ -219,3 +222,111 @@ def test_cli_staff_modes_agree_when_everyone_is_present_throughout(tmp_path):
         assert headcount[name][1] == body, name
         assert headcount[name][0] != provenance
         assert config_hash.sub("", headcount[name][0]) == config_hash.sub("", provenance)
+
+
+def relabel(corpus: Corpus, order) -> tuple:
+    """(the corpus with every university, researcher, publication and SDS id
+    renamed, the renaming: kind -> old id -> new id). `order` permutes a sorted
+    list of ids, and the new ids sort in its order. UDA membership,
+    life-science flags, categories, years and citations stay."""
+    names = {kind: {old: f"{prefix}{k:05d}" for k, old in enumerate(order(sorted(ids)))}
+             for kind, prefix, ids in (
+                 ("university", "U", {r.university_id for r in corpus.researchers}
+                  | {a.byline_university_id for a in corpus.authorships}),
+                 ("researcher", "R", [r.researcher_id for r in corpus.researchers]),
+                 ("publication", "P", [p.pub_id for p in corpus.publications]),
+                 ("sds", "S", corpus.taxonomy.sds_list))}
+    univ, person, pub, sds = (names[k] for k in ("university", "researcher",
+                                                 "publication", "sds"))
+    tax = corpus.taxonomy
+    renamed = Corpus(
+        Taxonomy({sds[s]: uda for s, uda in tax.sds_to_uda.items()},
+                 frozenset(map(sds.get, tax.life_science_sds))),
+        [r._replace(researcher_id=person[r.researcher_id], sds=sds[r.sds],
+                    university_id=univ[r.university_id]) for r in corpus.researchers],
+        [p._replace(pub_id=pub[p.pub_id]) for p in corpus.publications],
+        [a._replace(pub_id=pub[a.pub_id], researcher_id=person[a.researcher_id],
+                    byline_university_id=univ[a.byline_university_id])
+         for a in corpus.authorships],
+        corpus.periods)
+    return renamed, names
+
+
+# report column -> (the kind of id it holds, whether it joins several with ';')
+ID_COLUMNS = {"university_id": ("university", False), "researcher_id": ("researcher", False),
+              "sds": ("sds", False), "entries": ("university", True),
+              "exits": ("university", True)}
+
+
+def row_multisets(tables: dict, names=None) -> dict:
+    """report -> (columns, Counter of its rows), each id cell renamed by
+    `names` (as relabel's; an id it lacks, such as the `pct_changed` row
+    label, stays) and each ';'-joined cell read as a set."""
+    def cell(spec, value):
+        if spec is None:
+            return value
+        kind, joined = spec
+        rename = {} if names is None else names[kind]
+        if joined:
+            return frozenset(rename.get(v, v) for v in value.split(";") if v)
+        return rename.get(value, value)
+
+    out = {}
+    for report, (columns, rows) in tables.items():
+        specs = [ID_COLUMNS.get(c) for c in columns]
+        out[report] = (list(columns), Counter(tuple(map(cell, specs, row)) for row in rows))
+    return out
+
+
+def command_tables(corpus: Corpus, university: str, uda: str, staff_mode: str,
+                   min_staff: str) -> dict:
+    """report -> (columns, rows) of indicators, rank, compare and the
+    drilldown of one university and UDA, from one ledger."""
+    ledger = UnitLedger(corpus, staff_mode=staff_mode)
+    argv = ["--input", "-", "--min-staff", min_staff, "--staff-mode", staff_mode]
+    parser = cli.build_parser()
+    out = {}
+    for command, extra in (("indicators", []), ("rank", []), ("compare", []),
+                           ("drilldown", ["--university", university, "--uda", uda])):
+        out.update(TABLES[command](ledger, parser.parse_args([command, *argv, *extra])))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=SMALL_CONFIGS, data=st.data(),
+       staff_mode=st.sampled_from(["prorata", "headcount"]),
+       min_staff=st.sampled_from(["0", "1", "2"]))
+def test_renaming_ids_renames_every_report_row(config, data, staff_mode, min_staff):
+    """Ids only name things: no value, rank or quintile depends on them, so
+    each report of a relabeled corpus holds the original's rows, renamed."""
+    corpus = make_corpus(config)
+    assume(corpus.researchers and corpus.publications)
+    renamed, names = relabel(corpus, lambda ids: data.draw(st.permutations(ids)))
+    university = data.draw(st.sampled_from(corpus.universities))
+    uda = data.draw(st.sampled_from(corpus.taxonomy.uda_list))
+    before = command_tables(corpus, university, uda, staff_mode, min_staff)
+    after = command_tables(renamed, names["university"][university], uda, staff_mode,
+                           min_staff)
+    assert row_multisets(after) == row_multisets(before, names)
+
+
+def test_cli_reports_of_a_relabeled_corpus_hold_the_renamed_rows(tmp_path):
+    """The same relation through the CLI: each report file's body, read as
+    CSV, holds the original rows renamed."""
+    corpus = make_corpus(GenConfig(seed=4))
+    renamed, names = relabel(corpus, lambda ids: random.Random(7).sample(ids, len(ids)))
+    bodies = []
+    for name, c, university in (("corpus", corpus, "UNI001"),
+                                ("renamed", renamed, names["university"]["UNI001"])):
+        write_corpus(c, tmp_path / name)
+        common = ["--input", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out"),
+                  "--min-staff", "1"]
+        for argv in (["indicators"], ["rank"], ["compare"],
+                     ["drilldown", "--university", university, "--uda", "UDA01"]):
+            assert cli.main([*argv, *common]) == 0
+        files = report_files(tmp_path / f"{name}_out")
+        bodies.append({report: (rows[0], rows[1:]) for report, (_, body) in files.items()
+                       for rows in [list(csv.reader(body.splitlines()))]})
+    before, after = bodies
+    assert len(before) == 11 and before.keys() == after.keys()
+    assert row_multisets(after) == row_multisets(before, names)

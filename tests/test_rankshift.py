@@ -279,8 +279,6 @@ UNKNOWN_NAMES = [
      lambda led, k: _unit_indicator(led, k, sds="NOPE"), UnknownSDS),
     ("researcher_score-researcher",
      lambda led, k: led.researcher_score("NOPE", "P", k.period), UnknownResearcher),
-    ("researcher_rows-researcher",
-     lambda led, k: led.researcher_rows("NOPE", k.period), UnknownResearcher),
     ("researcher_indicator-researcher",
      lambda led, k: researcher_indicator(led.corpus, "NOPE", "P", k.period, led.scheme,
                                          led.baselines, ledger=led), UnknownResearcher),
@@ -300,8 +298,6 @@ UNKNOWN_NAMES = [
      lambda led, k: uda_rank_list(led, k.uda, "FSS", ODD), ValueError),
     ("researcher_score-period",
      lambda led, k: led.researcher_score(k.researcher, "P", ODD), ValueError),
-    ("researcher_rows-period",
-     lambda led, k: led.researcher_rows(k.researcher, ODD), ValueError),
     ("national_weighted_average-period",
      lambda led, k: national_weighted_average(led, "FSS", ODD), ValueError),
     ("national_weighted_average-scoped-period",
