@@ -73,9 +73,10 @@ def load_external_baselines(path) -> BaselineTable:
     """Load a benchmark table; its entries override corpus-derived ones on merge.
 
     It is read as a corpus file is (CSV, or a JSON array for a .json path).
-    A cell that is not a number, a baseline that is not finite and an n_pubs
-    below 1 are each a SchemaError, a negative baseline a NegativeValue, and
-    a stratum listed twice a DuplicateKey at its second row.
+    A cell that is not a number, a baseline that is not finite, an n_pubs
+    below 1, a positive median below 0.5 and a positive mean below 1/n_pubs
+    are each a SchemaError, a negative baseline a NegativeValue, and a
+    stratum listed twice a DuplicateKey at its second row.
     """
     path = Path(path)
     if not path.exists():
@@ -96,6 +97,13 @@ def load_external_baselines(path) -> BaselineTable:
            lambda i: NegativeValue(f"{path}: negative baseline at row {f.first + i}"))
     f.note(any(n < 1 for n in n_pubs), n_pubs, lambda n: n < 1,
            lambda i: "n_pubs must be positive")
+    # n_pubs integer counts give no positive median below 0.5 and no positive
+    # mean below 1/n_pubs; a smaller divisor would overflow a score to inf
+    f.note(any(0 < m < 0.5 for m in medians), medians, lambda m: 0 < m < 0.5,
+           lambda i: f"median={medians[i]!r} is positive but below 0.5")
+    low = [n >= 1 and 0 < a < 1 / n for a, n in zip(means, n_pubs)]
+    f.note(any(low), low, bool,
+           lambda i: f"mean={means[i]!r} is positive but below 1/n_pubs={n_pubs[i]}")
     f.raise_first()
     return BaselineTable({key: BaselineEntry(m, a, n, "external")
                           for key, m, a, n in zip(keys, medians, means, n_pubs)})

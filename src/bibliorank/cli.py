@@ -14,6 +14,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -50,6 +51,9 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_LINE_BREAK = re.compile("\r\n|\r|\n")  # markdown's line endings
+
+
 class Emitter:
     def __init__(self, out_dir: Path, fmt: str, corpus_hash: str, config_hash: str):
         self.out_dir = out_dir
@@ -64,7 +68,8 @@ class Emitter:
             return "n.a."
         if isinstance(v, float):
             return f"{v:.3f}"
-        return str(v).replace("|", "\\|")  # a bare | would end the cell
+        # a bare | would end the cell, and a line break the row
+        return _LINE_BREAK.sub("<br>", str(v).replace("|", "\\|"))
 
     def write(self, name: str, columns: list, rows: list) -> Path:
         path = self.out_dir / f"{name}.{ 'md' if self.fmt == 'markdown' else self.fmt}"

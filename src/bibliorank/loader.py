@@ -22,6 +22,7 @@ FILESET = {
 }
 FILE_STEMS = tuple(FILESET)
 _INTEGER = re.compile("[+-]?[0-9]+")  # an integer cell's text
+_EXACT = 2 ** 53  # an integer cell's bound (_not_int)
 
 
 def find_file(input_dir: Path, stem: str) -> Path:
@@ -135,11 +136,12 @@ class _File:
         self.note(not known.issuperset(keys), keys, lambda k: k not in known, error)
 
     def ints(self, values, name: str, minimum=None) -> list:
-        """The column as ints, up to its first value that is not an integer."""
+        """The column as ints, up to its first value that is not an integer cell
+        (_not_int)."""
         ints = _ints(values)
         if ints is None:
-            i = self.note(True, values, lambda v: _ints((v,)) is None,
-                          lambda i: f"{name}={values[i]!r} is not an integer")
+            i = self.note(True, values, _not_int,
+                          lambda i: f"{name}={values[i]!r} {_not_int(values[i])}")
             ints = _ints(values[:i])
         if minimum is not None:
             self.note(ints and min(ints) < minimum, ints, lambda v: v < minimum,
@@ -148,7 +150,7 @@ class _File:
 
     def floats(self, values, name: str) -> list:
         """The column as floats, up to its first value that is not a number: a
-        JSON bool, as in _int_table, text that is not ASCII or has a '_' or
+        JSON bool, as in _not_int, text that is not ASCII or has a '_' or
         surrounding blanks, or one float() refuses (with its message)."""
         def error(v):
             if v.__class__ not in (str, int, float) or v.__class__ is str and (
@@ -169,9 +171,9 @@ class _File:
         table = None if [] in lists else _int_table(list(chain.from_iterable(lists)))
         if table is not None:
             return [frozenset(map(table.__getitem__, y)) for y in lists]
-        self.note(True, lists, lambda y: not _ints(y), lambda i: (
-            f"active_years={next(y for y in lists[i] if _ints((y,)) is None)!r} "
-            "is not an integer" if lists[i] else "active_years is empty"))
+        self.note(True, lists, lambda y: not _ints(y), lambda i: next(
+            f"active_years={y!r} {e}" for y in lists[i] if (e := _not_int(y)))
+            if lists[i] else "active_years is empty")
         return []
 
     def raise_first(self) -> None:
@@ -180,15 +182,28 @@ class _File:
 
 
 def _int_table(values):
-    """value -> int() of each distinct value, or None if one is neither a JSON
-    integer nor ASCII [+-]?[0-9]+ text: int() would truncate a JSON float, read
-    a JSON bool as 0 or 1, and read text with '_', blanks or other digits."""
+    """value -> int() of each distinct value, or None if one is not an integer
+    cell (_not_int)."""
     if not {str, int}.issuperset(map(type, values)):
         return None
     distinct = set(values)
-    if all(v.__class__ is int or _INTEGER.fullmatch(v) for v in distinct):
-        return dict(zip(distinct, map(int, distinct)))
-    return None
+    return None if any(map(_not_int, distinct)) else dict(zip(distinct, map(int, distinct)))
+
+
+def _not_int(v) -> str:
+    """Why v is not an integer cell, or '' if it is one. A cell is a JSON
+    integer or ASCII [+-]?[0-9]+ text (int() would truncate a JSON float, read
+    a JSON bool as 0 or 1, and read text with '_', blanks or other digits),
+    within +-2**53, where a float holds every integer exactly: the scoring
+    arithmetic turns counts and years into floats."""
+    if v.__class__ is int:
+        n = v
+    elif v.__class__ is str and _INTEGER.fullmatch(v):
+        # 2**53 has 16 digits, and int() refuses text of over 4300
+        n = int(v) if len(v.lstrip("+-0")) <= 16 else None
+    else:
+        return "is not an integer"
+    return "" if n is not None and -_EXACT <= n <= _EXACT else "is outside [-2**53, 2**53]"
 
 
 def _ints(values):

@@ -153,7 +153,7 @@ def check_staff_mode(staff_mode: str) -> None:
 def presence(researcher: Researcher, period: Period, staff_mode: str = "prorata") -> float:
     """Fraction of the period the researcher counts for (pro-rata by active years)."""
     check_staff_mode(staff_mode)
-    overlap = len(set(period.years).intersection(researcher.active_years))
+    overlap = sum(map(period.years.__contains__, researcher.active_years))
     if overlap == 0:
         return 0.0
     if staff_mode == "headcount":

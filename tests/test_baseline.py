@@ -108,10 +108,21 @@ class TestExternal:
         (b"CAT_A,2002,1.0,2.0 ,5\n", "mean='2.0 ' is not a number (row 2)"),
         (b"CAT_A, 2002,1.0,1.0,5\n", "year=' 2002' is not an integer (row 2)"),
         (b"CAT_A,2002,1.0,1.0,1_0\n", "n_pubs='1_0' is not an integer (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,5\nCAT_A,2003,0.25,1.0,5\n",
+         "median=0.25 is positive but below 0.5 (row 3)"),
+        (b"CAT_A,2002,1.0,0.1,5\n", "mean=0.1 is positive but below 1/n_pubs=5 (row 2)"),
+        (b"CAT_A,2002,1e-320,1e-320,5\n", "median=1e-320 is positive but below 0.5 (row 2)"),
+        (b"CAT_A,2002,0,1e-320,5\n", "mean=1e-320 is positive but below 1/n_pubs=5 (row 2)"),
+        (b"CAT_A,9007199254740993,1.0,1.0,5\n",
+         "year='9007199254740993' is outside [-2**53, 2**53] (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,1" + b"0" * 400 + b"\n",
+         f"n_pubs='{10**400}' is outside [-2**53, 2**53] (row 2)"),
     ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean",
             "blank_line_not_counted", "median_with_underscore", "median_fullwidth_digit",
             "median_after_a_blank", "mean_before_a_blank", "year_after_a_blank",
-            "n_pubs_with_underscore"])
+            "n_pubs_with_underscore", "median_below_a_half", "mean_below_one_per_pub",
+            "subnormal_baselines", "zero_median_subnormal_mean", "year_past_2_53",
+            "n_pubs_of_400_digits"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, body, error):
         f = tmp_path / "baselines.csv"
         f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)
@@ -132,9 +143,15 @@ class TestExternal:
          "n_pubs='z' is not an integer (row 2)"),
         (b"CAT_A,2002,-inf,1.0,0\n", "median and mean must be finite (row 2)"),
         (b"CAT_A,2002,1.0,1.0,0\n", "n_pubs must be positive (row 2)"),
+        (b"CAT_A,2002,0.1,0.1,0\n", "n_pubs must be positive (row 2)"),
+        (b"CAT_A,2002,0.1,0.1,5\n", "median=0.1 is positive but below 0.5 (row 2)"),
+        (b"CAT_A,2002,1.0,0.1,5\nCAT_A,2003,0.1,1.0,5\n",
+         "mean=0.1 is positive but below 1/n_pubs=5 (row 2)"),
     ], ids=["missing_cells_before_values", "year_not_an_integer", "n_pubs_not_an_integer",
             "earliest_row_first", "median_before_mean", "mean_before_n_pubs",
-            "cell_before_a_later_row", "finite_before_n_pubs", "n_pubs_below_1"])
+            "cell_before_a_later_row", "finite_before_n_pubs", "n_pubs_below_1",
+            "n_pubs_before_low_baselines", "low_median_before_low_mean",
+            "low_mean_before_a_later_low_median"])
     def test_one_error_per_file_as_a_row_by_row_pass(self, tmp_path, body, error):
         """The corpus reader's order: missing cells over the whole file first,
         then the earliest failing row, the first failing check within it."""
@@ -167,6 +184,16 @@ class TestExternal:
         with pytest.raises(SchemaError) as exc:
             load_external_baselines(f)
         assert str(exc.value) == f"{f}: {error}"
+
+    def test_smallest_baselines_of_integer_counts_load(self, tmp_path):
+        """A median of 0.5 (0 and 1), a mean of 1/n_pubs (one citation) and
+        zero baselines (which fall back) are what integer counts can give."""
+        f = tmp_path / "baselines.csv"
+        f.write_text("subject_category,year,median,mean,n_pubs\n"
+                     f"CAT_A,2002,0.5,{1 / 49!r},49\nCAT_A,2003,0,0,7\n")
+        assert load_external_baselines(f).entries == {
+            ("CAT_A", 2002): (0.5, 1 / 49, 49, "external"),
+            ("CAT_A", 2003): (0.0, 0.0, 7, "external")}
 
     def test_a_missing_file(self, tmp_path):
         with pytest.raises(MissingFile, match="baseline file .* not found"):

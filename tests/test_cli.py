@@ -150,6 +150,53 @@ class TestFormats:
             escaped += sum("\\|" in row for row in rows)
         assert escaped
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_markdown_writes_a_line_break_in_an_id_as_br(self, tmp_path, fmt):
+        """A university, SDS or UDA id holding a line break, read from a quoted
+        CSV cell or a JSON string, keeps each entry of every markdown report
+        on one row: each of \\n, \\r\\n and \\r is written as <br>."""
+        corpus = synth_corpus(GenConfig(seed=3, n_universities=6, n_sds=4, sds_per_uda=2))
+        tax = corpus.taxonomy
+
+        def split(name, brk):
+            return name[:3] + brk + name[3:]
+
+        corpus = Corpus(
+            Taxonomy({split(s, "\r\n"): split(u, "\r") for s, u in tax.sds_to_uda.items()},
+                     frozenset(split(s, "\r\n") for s in tax.life_science_sds)),
+            [r._replace(sds=split(r.sds, "\r\n"), university_id=split(r.university_id, "\n"))
+             for r in corpus.researchers],
+            corpus.publications,
+            [a._replace(byline_university_id=split(a.byline_university_id, "\n"))
+             for a in corpus.authorships],
+            corpus.periods)
+        fileset = tmp_path / "breaks"
+        write_corpus(corpus, fileset)
+        if fmt == "json":
+            for path in fileset.glob("*.csv"):
+                with open(path, newline="", encoding="utf-8") as fh:
+                    path.with_suffix(".json").write_text(json.dumps(list(csv.DictReader(fh))))
+                path.unlink()
+        for report in ("csv", "markdown"):
+            for command in ("indicators", "rank", "compare"):
+                assert main([command, "--input", str(fileset), "--out",
+                             str(tmp_path / report), "--min-staff", "1",
+                             "--format", report]) == 0
+        reports = sorted((tmp_path / "markdown").glob("*.md"))
+        assert len(reports) == 9
+        for path in reports:
+            text = path.read_bytes().decode("utf-8")
+            assert "\r" not in text
+            header, blank, *rows, end = text.split("\n")
+            assert (blank, end) == ("", "")
+            assert all(row.startswith("| ") and row.endswith(" |") for row in rows)
+            with open(tmp_path / "csv" / f"{path.stem}.csv", newline="",
+                      encoding="utf-8") as fh:
+                entries = list(csv.reader(fh))[1:]  # the provenance line is one cell
+            assert len(rows) == len(entries) + 1, path.name  # and the --- row
+        text = (tmp_path / "markdown" / "rank_lists.md").read_text(encoding="utf-8")
+        assert "| UDA<br>01 |" in text and "| UNI<br>001 |" in text
+
     def test_csv_null_cells_empty(self, demo, tmp_path):
         assert main(["compare", "--input", str(demo), "--out", str(tmp_path),
                      "--min-staff", "3"]) == 0
@@ -212,6 +259,16 @@ class TestSchemeShares:
         assert moved == {"FP", "FSS"}
 
 
+# case -> (publications column, or None for every median and mean of a
+# --baselines file; its cell; whether every row, not only the first, has it)
+BEYOND_THE_ARITHMETIC = {
+    "citations_of_400_digits": ("citations", str(10**400), False),
+    "n_authors_total_of_400_digits": ("n_authors_total", str(10**400), False),
+    "every_citation_308_nines": ("citations", "9" * 308, True),
+    "subnormal_baselines": (None, "1e-320", True),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("scheme", ["2,2", "a,b,c", "0,2,1", "nan,1,1"])
     def test_malformed_scheme(self, demo, tmp_path, capsys, scheme):
@@ -254,6 +311,48 @@ class TestBadInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
         assert str(bad) in json.loads(lines[0])["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BEYOND_THE_ARITHMETIC))
+    @pytest.mark.parametrize("command", ["indicators", "rank", "compare", "drilldown"])
+    def test_numbers_beyond_the_arithmetic(self, tmp_path, capsys, command, case):
+        """Numbers the scoring arithmetic cannot hold fail at their row, before
+        any report is written; an integer cell fails `ingest` too."""
+        corpus = tmp_path / "corpus"
+        generate(GenConfig(seed=1, n_universities=3, n_sds=3, staff_min=2, staff_max=3),
+                 corpus)
+        column, cell, every_row = BEYOND_THE_ARITHMETIC[case]
+        with open(corpus / "publications.csv", newline="") as fh:
+            pubs = list(csv.DictReader(fh))
+        argv = []
+        if column is None:  # a --baselines file of the corpus's strata
+            path = tmp_path / "baselines.csv"
+            path.write_text("subject_category,year,median,mean,n_pubs\n" + "".join(
+                f"{c},{y},{cell},{cell},5\n"
+                for c, y in sorted({(p["subject_category"], p["year"]) for p in pubs})))
+            argv = ["--baselines", str(path)]
+            message = f"{path}: median={cell} is positive but below 0.5 (row 2)"
+        else:
+            path = corpus / "publications.csv"
+            rows = [{**p, column: cell} if every_row or i == 0 else p
+                    for i, p in enumerate(pubs)]
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(pubs[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            message = f"{path}: {column}='{cell}' is outside [-2**53, 2**53] (row 2)"
+            assert main(["ingest", "--input", str(corpus)]) == 1
+            assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+                {"error": "SchemaError", "message": message}]
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus), "--out", str(out), *argv]
+        if command == "drilldown":
+            argv += ["--university", "UNI001", "--uda", "UDA01"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "SchemaError", "message": message}]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "rank"])

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,10 +139,31 @@ class TestLoad:
                                 f"p1,{year},CAT_X,5,2\n"}, "publications.csv",
            f"year={year!r} is not an integer (row 2)")
           for year in ("2_001", "\uff12\uff10\uff10\uff11", " 2001", "2001 ")),
+        ({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                              f"p1,2001,CAT_X,{10**400},2\n"}, "publications.csv",
+         f"citations='{10**400}' is outside [-2**53, 2**53] (row 2)"),
+        ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
+                               f'"CAT_X", "citations": 5, "n_authors_total": {10**400}}}]'},
+         "publications.json", f"n_authors_total={10**400} is outside [-2**53, 2**53] (row 1)"),
+        ({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                              f"p1,2001,CAT_X,{'9' * 308},2\n"}, "publications.csv",
+         f"citations='{'9' * 308}' is outside [-2**53, 2**53] (row 2)"),
+        ({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                              f"p1,2001,CAT_X,{'9' * 5000},2\n"}, "publications.csv",
+         f"citations='{'9' * 5000}' is outside [-2**53, 2**53] (row 2)"),
+        ({"authorships.csv": "pub_id,researcher_id,author_position,byline_university_id\n"
+                             f"p1,r1,{2**53 + 1},U1\n"}, "authorships.csv",
+         f"author_position='{2**53 + 1}' is outside [-2**53, 2**53] (row 2)"),
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             f"r1,S1,U1,2001;{-2**53 - 1}\n"}, "researchers.csv",
+         f"active_years='{-2**53 - 1}' is outside [-2**53, 2**53] (row 2)"),
     ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
             "cell_over_field_size_limit", "period_start_after_end", "json_float",
             "json_bool", "year_with_underscore", "year_in_fullwidth_digits",
-            "year_after_a_blank", "year_before_a_blank"])
+            "year_after_a_blank", "year_before_a_blank", "citations_of_400_digits",
+            "json_n_authors_of_400_digits", "citations_of_308_nines",
+            "citations_past_int_s_digit_limit", "position_past_2_53",
+            "active_year_below_minus_2_53"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, overrides,
                                               name, error):
         if "publications.json" in overrides:
@@ -154,6 +176,16 @@ class TestLoad:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err) == {"error": "SchemaError", "message": str(exc.value)}
+
+    def test_integers_at_plus_or_minus_2_53_load(self, tmp_path):
+        """A float holds every integer up to 2**53 exactly, so each loads as itself."""
+        write_fileset(tmp_path, {
+            "periods.csv": f"label,start_year,end_year\nE,{-2**53},2003\nL,2004,{2**53}\n",
+            "publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
+                                f"p1,2001,CAT_X,{2**53},+{'0' * 20}{2**53}\n"})
+        corpus = load_corpus(tmp_path)
+        assert corpus.publications[0][3:] == (2**53, 2**53)
+        assert (corpus.early.start_year, corpus.late.end_year) == (-2**53, 2**53)
 
     def test_synth_counts_match_manifest(self, tmp_path):
         manifest = generate(GenConfig(seed=3), tmp_path)
@@ -303,6 +335,17 @@ EARLIEST_ROW_CASES = {
     "json_bool_then_duplicate_key": (("json",), {"publications": [
         ["p1", True, "CAT_X", 5, 2], ["p1", 2001, "CAT_X", 5, 2]]},
         (SchemaError, "publications", "year=True is not an integer", 0)),
+    "beyond_2_53_then_duplicate_key": (("csv", "json"), {"publications": [
+        ["p1", "2001", "CAT_X", str(2**53 + 1), "2"], ["p1", "2001", "CAT_X", "5", "2"]]},
+        (SchemaError, "publications", f"citations='{2**53 + 1}' is outside [-2**53, 2**53]",
+         0)),
+    "beyond_2_53_then_bad_integer": (("csv", "json"), {"periods": [
+        ["E", "2001", str(10**20)], ["L", "x", "2008"]]},
+        (SchemaError, "periods", f"end_year='{10**20}' is outside [-2**53, 2**53]", 0)),
+    "json_int_beyond_2_53_in_active_years": (("json",), {"researchers": [
+        ["r1", "S1", "U1", [2001, 2**53 + 1]], ["r2", "S9", "U1", [2001]]]},
+        (SchemaError, "researchers", f"active_years={2**53 + 1} is outside [-2**53, 2**53]",
+         0)),
     "json_float_year_then_unknown_sds": (("json",), {"researchers": [
         ["r1", "S1", "U1", [2001, 2002.0]], ["r2", "S9", "U1", [2001]]]},
         (SchemaError, "researchers", "active_years=2002.0 is not an integer", 0)),
@@ -642,6 +685,41 @@ class TestStaff:
                         for (u, s) in simple_corpus.units())
             direct = sum(presence(r, period) for r in simple_corpus.researchers)
             assert total == pytest.approx(direct)
+
+
+class TestPresence:
+    """presence counts the active years between a period's bounds, so a long
+    period costs no more than a short one."""
+
+    @staticmethod
+    def naive(researcher, period, staff_mode):
+        overlap = sum(y in researcher.active_years for y in period.years)
+        if not overlap:
+            return 0.0
+        return 1.0 if staff_mode == "headcount" else overlap / period.length_years
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.integers(-100, 2100), length=st.integers(1, 10_000),
+           years=st.frozensets(st.integers(-200, 12_200), max_size=40),
+           staff_mode=st.sampled_from(["prorata", "headcount"]))
+    def test_equals_the_count_over_every_year_of_the_period(self, start, length, years,
+                                                            staff_mode):
+        period = Period("X", start, start + length - 1)
+        researcher = R("r1", years=years)
+        assert presence(researcher, period, staff_mode) == self.naive(
+            researcher, period, staff_mode)
+
+    def test_a_million_year_period_takes_no_memory(self):
+        researcher = R("r1", years=(2001, 2002, 2003))
+        period = Period("L", 2001, 2001 + 10**6)
+        tracemalloc.start()
+        try:
+            value = presence(researcher, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 3 / (10**6 + 1)
+        assert peak < 2**20
 
 
 class TestValidate:

@@ -262,6 +262,40 @@ class TestResearcherLevel:
         assert rows and rows == want
 
 
+def test_a_late_period_ending_in_200008_scores_as_the_oracle():
+    """A mistyped end year scores every unit and researcher as the oracle's
+    comparison with the period's bounds does."""
+    corpus = synth_corpus(GenConfig(seed=5, n_universities=3, n_sds=2))
+    corpus = Corpus(corpus.taxonomy, corpus.researchers, corpus.publications,
+                    corpus.authorships, (corpus.early, Period("P2", 2004, 200008)))
+    ledger = UnitLedger(corpus, ShareScheme())
+    oracle = Oracle(corpus)
+    units, researchers = oracle.unit_scores(), oracle.researcher_scores()
+    checked = 0
+    for period in corpus.periods:
+        for (u, s) in corpus.units():
+            for ind in ("P", "FP", "AQ", "FSS"):
+                want = units[(u, s, ind, period.label)]
+                try:
+                    sc = ledger.unit_score(u, s, ind, period)
+                except (ZeroStaff, NoPublications):
+                    assert want is None, (u, s, ind, period)
+                    continue
+                assert sc.value == pytest.approx(want, rel=1e-12, abs=0), (u, s, ind, period)
+                assert sc.staff == units[(u, s, "staff", period.label)]
+                checked += 1
+        for r in corpus.researchers:
+            for ind in ("P", "FP", "AQ", "FSS"):
+                want = researchers[(r.researcher_id, ind, period.label)]
+                try:
+                    got = ledger.researcher_score(r.researcher_id, ind, period).value
+                except (ZeroStaff, NoPublications):
+                    got = None
+                assert got == (None if want is None else pytest.approx(want, rel=1e-12, abs=0))
+                checked += 1
+    assert checked and corpus.late.length_years == 198005
+
+
 class TestInvariants:
     def test_fp_never_exceeds_p(self):
         corpus = synth_corpus(GenConfig(seed=2))
