@@ -51,31 +51,30 @@ def check_indicator(indicator: str) -> None:
 IndicatorScore = namedtuple("IndicatorScore", "unit indicator period value n_pubs staff")
 
 
-def position_weight(position: int, n_authors: int, scheme: ShareScheme) -> float:
-    if position == 1:
-        return scheme.first_weight
-    if position == n_authors:
-        return scheme.last_weight
-    return scheme.middle_weight
-
-
 def fractional_share(authorship: Authorship, publication: Publication,
                      scheme: ShareScheme, is_life_science: bool,
                      known_bylines=None) -> float:
-    """Credit share of one author on one publication, in (0, 1].
+    """Credit share of one author on one publication, in [0, 1].
 
     `known_bylines` is the set of byline universities over the publication's
     corpus-resident authorships, used for the intramural fallback. The
     author position must lie in [1, n_authors_total], as validate checks.
+    Only the weights' ratios matter; a tiny weight's share can round to 0.0
+    beside a huge one.
     """
     n = publication.n_authors_total
     if n == 1 or not is_life_science:
         return 1.0 / n
     if known_bylines and len(set(known_bylines)) == 1:
         return 1.0 / n
-    # one first, one last and n - 2 middle weights
-    total = scheme.first_weight + scheme.last_weight + (n - 2) * scheme.middle_weight
-    return position_weight(authorship.author_position, n, scheme) / total
+    # one first, one last and n - 2 middle weights, scaled by the power of two
+    # that brings the largest below 1: no sum or quotient moves, none overflows
+    weights = scheme if n > 2 else (*scheme[:2], 0.0)  # a byline of two has no middle
+    e = math.frexp(max(weights))[1]
+    first, last, middle = (math.ldexp(w, -e) for w in weights)
+    position = authorship.author_position
+    weight = first if position == 1 else last if position == n else middle
+    return weight / (first + last + (n - 2) * middle)
 
 
 class _Tally:

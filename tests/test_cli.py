@@ -2,6 +2,7 @@ import csv
 import filecmp
 import gc
 import json
+import math
 import os
 import re
 import shutil
@@ -15,6 +16,7 @@ import pytest
 from bibliorank import aggregate, cli, indicators
 from bibliorank.cli import main
 from bibliorank.errors import BiblioRankError
+from bibliorank.indicators import ShareScheme
 from bibliorank.loader import write_corpus
 from bibliorank.model import Corpus, Taxonomy
 from bibliorank.synthgen import GenConfig, generate, make_corpus as synth_corpus
@@ -257,6 +259,27 @@ class TestSchemeShares:
         # every SDS of the shape is a life science
         moved = {key[2] for key in default if default[key] != weighted[key]}
         assert moved == {"FP", "FSS"}
+
+    def test_a_power_of_two_moves_no_report(self, tmp_path):
+        """Only the weights' ratios matter: the default weights times 2**k give
+        every report of `indicators`, `rank` and `compare` byte for byte below
+        its provenance line, also at k = 1022, where the byline's total of the
+        weights is beyond the largest float."""
+        corpus = cross_scope(synth_corpus(GenConfig(seed=SEED, **SHAPES["life_science"])))
+        write_corpus(corpus, tmp_path / "corpus")
+
+        def bodies(scheme, out):
+            for command in ("indicators", "rank", "compare"):
+                assert main([command, "--input", str(tmp_path / "corpus"), "--out", str(out),
+                             f"--scheme={scheme}"]) == 0
+            reports = sorted(out.iterdir())
+            assert len(reports) == 9
+            return {p.name: p.read_bytes().split(b"\n", 1)[1] for p in reports}
+
+        default = bodies("2,2,1", tmp_path / "default")
+        for k in (-1000, -1, 3, 1022):
+            scheme = ",".join(repr(math.ldexp(w, k)) for w in ShareScheme())
+            assert bodies(scheme, tmp_path / f"k{k}") == default, scheme
 
 
 # case -> (publications column, or None for every median and mean of a

@@ -3,13 +3,15 @@ import csv
 import functools
 import io
 import json
+import math
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bibliorank.cli import main
@@ -615,13 +617,94 @@ def fuzzed_file(data, header, rows, fmt, mutate) -> bytes:
     return blob
 
 
+# command -> the reports it writes
+SCORING_REPORTS = {
+    "indicators": ("unit_scores", "researcher_scores", "uda_scores"),
+    "rank": ("rank_lists", "quintiles"),
+    "compare": ("shift_stats", "transition_matrices", "university_shift_table",
+                "shift_balance"),
+    "drilldown": ("sds_drilldown", "indicator_comparison"),
+}
+# report columns that hold ids or text; every other cell is a number or empty
+TEXT_COLUMNS = {"university_id", "sds", "uda", "indicator", "period", "researcher_id",
+                "entries", "exits", "flags"}
+FUZZ_BASELINES = (["subject_category", "year", "median", "mean", "n_pubs"],
+                  [["CAT_X", 2001], ["CAT_Y", 2004]])
+FUZZ_SCHEMES = st.one_of(
+    st.tuples(*[st.floats(5e-324, 1.7976931348623157e308)] * 3).map(
+        lambda weights: ",".join(map(repr, weights))),
+    st.sampled_from(["2,2", "a,b,c", "0,2,1", "-1,2,1", "nan,1,1", "inf,1,1", "1e309,1,1", ""]),
+    st.text(alphabet="0123456789,-.eEnx ", max_size=8))
+
+
+def fuzzed_options(data, root) -> list:
+    """Options of a scoring command drawn from `data`; a drawn `--baselines`
+    table, its values at the loader's bounds, is written under `root`."""
+    options = [f"--scheme={data.draw(FUZZ_SCHEMES)}",
+               "--min-staff=" + data.draw(st.sampled_from(["0", "1", "2.5", "-1", "-1e300", "1e300"])),
+               "--basis", data.draw(st.sampled_from(["median", "mean"])),
+               "--staff-mode", data.draw(st.sampled_from(["prorata", "headcount"])),
+               "--format", data.draw(st.sampled_from(["csv", "json", "markdown"]))]
+    if data.draw(st.booleans()):
+        header, keys = FUZZ_BASELINES
+        rows = []
+        for key in keys:
+            n_pubs = data.draw(st.sampled_from([1, 3, 7, 2**53]))
+            rows.append(key + [data.draw(st.sampled_from([0.5, 0, 1, 2.5])),
+                               data.draw(st.sampled_from([1 / n_pubs, 0.5, 0, 3.0])), n_pubs])
+        fmt = data.draw(st.sampled_from(["csv", "json"]))
+        path = root / f"baselines.{fmt}"
+        path.write_bytes(fuzzed_file(data, header, rows, fmt, data.draw(st.booleans())))
+        options += ["--baselines", str(path)]
+    return options
+
+
+def number(cell):
+    """A report's number cell as a float, None where it is empty."""
+    if cell is None or cell in ("", "n.a."):
+        return None
+    assert not isinstance(cell, bool)
+    return float(cell)
+
+
+def strict_report(path, fmt) -> None:
+    """The report parses back strictly: JSON refusing NaN and Infinity, one
+    cell per column in every row, and every number cell finite."""
+    text = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        def refuse(constant):
+            raise ValueError(f"{path.name}: {constant}")
+        doc = json.loads(text, parse_constant=refuse)
+        columns, rows = doc["columns"], doc["rows"]
+    elif fmt == "csv":
+        provenance, body = text.split("\n", 1)
+        assert provenance.startswith("# corpus=")
+        columns, *rows = csv.reader(io.StringIO(body, newline=""))
+    else:  # four lines, then one per row
+        provenance, blank, header, rule, *lines, end = text.split("\n")
+        assert provenance.startswith("# corpus=") and (blank, end) == ("", "")
+        columns, rule, *rows = ([c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+                                for line in (header, rule, *lines))
+        assert rule == ["---"] * len(columns)
+    for row in rows:
+        assert len(row) == len(columns), path.name
+        for column, cell in zip(columns, row):
+            if column not in TEXT_COLUMNS:
+                value = number(cell)
+                assert value is None or math.isfinite(value), (path.name, column, cell)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_fuzzed_fileset_fails_only_with_a_biblio_rank_error(data):
     """Mutated CSV and JSON filesets (JSON bools and floats, non-object rows,
     truncation, invalid bytes, blank cells, BOMs, duplicate headers, a CSV and
     a JSON file for the same stem) load or raise a BiblioRankError, and
-    `ingest` exits 0 or 1 without a traceback."""
+    `ingest` exits 0 or 1 without a traceback. Then `indicators`, `rank`,
+    `compare` and `drilldown`, with drawn options, each exit 0 with every
+    report parsing back strictly, or exit 1 with one JSON line on stderr and
+    no `--out`. The base's p1 is a life-science byline of two universities,
+    so a drawn `--scheme` weighs it."""
     mutated = data.draw(st.sets(st.sampled_from(sorted(FUZZ_BASE)), max_size=2))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -638,6 +721,31 @@ def test_fuzzed_fileset_fails_only_with_a_biblio_rank_error(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(["ingest", "--input", str(root)]) in (0, 1)
         assert "Traceback" not in err.getvalue()
+
+        options = fuzzed_options(data, root)
+        fmt = options[options.index("--format") + 1]
+        for command, reports in SCORING_REPORTS.items():
+            target = root / "out" / command
+            argv = [command, "--input", str(root), "--out", str(target), *options]
+            if command == "drilldown":
+                argv += ["--university", data.draw(st.sampled_from(["U1", "U2", "U9"])),
+                         "--uda", data.draw(st.sampled_from(["A", "B"]))]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(argv)
+            event(f"{command} exits {status}")
+            if status == 0:
+                assert err.getvalue() == ""
+                suffix = "md" if fmt == "markdown" else fmt
+                assert sorted(p.name for p in target.iterdir()) == sorted(
+                    f"{name}.{suffix}" for name in reports)
+                for name in reports:
+                    strict_report(target / f"{name}.{suffix}", fmt)
+            else:
+                assert status == 1, command
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+                assert not target.exists()
 
 
 class TestStaff:

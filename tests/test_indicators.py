@@ -1,4 +1,5 @@
 import argparse
+import math
 from collections import Counter
 
 import pytest
@@ -69,6 +70,42 @@ class TestFractionalShare:
         total = sum(fractional_share(A("p1", "r1", pos), pub, scheme, life)
                     for pos in range(1, n + 1))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @given(weights=st.tuples(*[st.floats(5e-324, 1.7976931348623157e308)] * 3),
+           n=st.integers(2, 2**53), k=st.integers(-2200, 2200), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_scheme_gives_shares_that_a_power_of_two_keeps(self, weights, n, k, data):
+        """Every positive finite scheme gives a finite share in [0, 1], and
+        scaling all three weights by 2**k, where that is exact, moves no share:
+        only the weights' ratios matter, even where their total overflows."""
+        position = data.draw(st.sampled_from([1, 2, n - 1, n]) | st.integers(1, n))
+        pub, a = P("p1", n_authors=n), A("p1", "r1", position)
+        share = fractional_share(a, pub, ShareScheme(*weights), True)
+        assert 0.0 <= share <= 1.0
+
+        def scaled(w):
+            try:
+                v = math.ldexp(w, k)
+            except OverflowError:
+                return None
+            return v if math.ldexp(v, -k) == w else None
+
+        moved = [scaled(w) for w in weights]
+        if None not in moved:
+            assert fractional_share(a, pub, ShareScheme(*moved), True) == share
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 1.0), (2.0**1023, 2.0**1023, 2.0**1022),
+                                         (1.7976931348623157e308, 1.0, 1e300)])
+    def test_a_total_beyond_the_largest_float_keeps_the_ratios(self, weights):
+        """The byline's total of these weights is not a finite float; the
+        shares are those of the same ratios at a small scale."""
+        pub = P("p1", n_authors=3)
+        small = ShareScheme(*(math.ldexp(w, -1000) for w in weights))
+        shares = [fractional_share(A("p1", "r1", pos), pub, ShareScheme(*weights), True)
+                  for pos in (1, 2, 3)]
+        assert shares == [fractional_share(A("p1", "r1", pos), pub, small, True)
+                          for pos in (1, 2, 3)]
+        assert sum(shares) == pytest.approx(1.0)
 
 
 def one_unit_corpus(publications, authorships, n_researchers=1, life=False,
