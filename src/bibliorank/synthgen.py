@@ -8,41 +8,61 @@ A fileset is a function of the config and of the numpy release: the kind,
 arguments and order of every draw from the generator are part of the output,
 so reordering, batching or replacing a draw changes the bytes written. A
 replacement is safe only where numpy gives the same value from the same
-stream state and leaves the same state behind. numpy's `choice` without
-replacement takes Floyd's algorithm (Bentley & Floyd, CACM 1987) unless the
-population exceeds 10,000 and the sample a fiftieth of it, which a sample of
-one or two never does, and each Floyd step is one bounded draw by Lemire's
-method (Lemire, ACM TOMACS 2019). So three draws are made by cheaper calls
-that numpy answers with the same values and state:
+stream state and leaves the same state behind.
+
+Every bounded integer and every coin is made by one of two draws that
+`_draws` builds from the bit generator's own `next_uint32` (numpy's ctypes
+interface), skipping the Python-level overhead of `Generator.integers`:
+
+- `below(n)` is `int(integers(0, n))`. For n = 1 it is 0 and draws nothing.
+  For 2 <= n <= 2**32 it is numpy's rule for a 32-bit range, Lemire's method
+  (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+  2019): `m = next_uint32() * n`, and if `m % 2**32 < n`, draw again while
+  `m % 2**32 < (2**32 - n) % n`; the value is `m >> 32`, and at n = 2**32
+  the one draw itself. Above 2**32 numpy switches to 64-bit draws, so
+  `below` calls `integers(0, n)` there.
+- `bit()` is the top bit of one 32-bit draw: `integers(0, 2)` by the rule
+  above, and also `random(None, float32) >= 0.5`, since a float32 from
+  `random` is the top 24 bits of one 32-bit draw over 2**24.
+
+`next_uint32` hands out the two halves of a buffered 64-bit draw exactly as
+numpy's own 32-bit paths do, so the stream and the state after are the
+same. `random`, `poisson` and `negative_binomial` stay numpy calls; the two
+count draws rebuilt in Python would be slower or inexact.
+
+numpy's `choice` without replacement takes Floyd's algorithm (Bentley &
+Floyd, CACM 1987) unless the population exceeds 10,000 and the sample a
+fiftieth of it, which a sample of one or two never does, and each Floyd
+step is one bounded draw. So
 
 - a lone author's position, `choice(n, size=1, replace=False)`, is
-  `integers(0, n)`, Floyd's single step;
+  `below(n)`, Floyd's single step;
 - a coauthored byline's two positions, `choice(n, size=2, replace=False)`,
-  are numpy's own Floyd steps, `integers(0, n - 1)` and then `integers(0, n)`
-  (which becomes `n - 1` if it repeats the first), followed by its shuffle's
-  one swap, made when the bounded draw `[0, 2)` is 0 (`_two_positions`);
-- a subject category, `integers(0, 2)`, is `random(None, float32) >= 0.5`.
+  are numpy's own Floyd steps, `below(n - 1)` and then `below(n)` (which
+  becomes `n - 1` if it repeats the first), followed by its shuffle's one
+  swap, made when the bounded draw `[0, 2)`, `bit()`, is 0
+  (`_two_positions`).
 
-A bounded draw over `[0, 2)` by Lemire's method is the top bit of one 32-bit
-draw, and a `float32` from `random` is the top 24 bits of one 32-bit draw
-over 2**24, so it is at least 0.5 exactly when that top bit is set. Both
-consume one 32-bit draw, from the same half-word buffer. Over two positions,
-Floyd's first step has one value to choose from and draws nothing, and
-neither does `integers(0, 1)`.
-`tests/test_synthgen.py` checks each replacement against the call it stands
-for, value and state after.
+The subject category is `bit()`, and a partial year's drop, a unit's staff
+count and a coauthor are `below` draws. `tests/test_synthgen.py` checks
+each draw against the numpy call it stands for, value and state after.
+
+A generated count is refused when the loader would refuse it: a config
+whose draws give a citation count or a byline longer than 2**53 raises
+`InvalidConfig` after the draws and before anything is written.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfig
-from .loader import write_corpus
+from .loader import _EXACT, write_corpus
 from .model import Authorship, Corpus, Period, Publication, Researcher, Taxonomy
 
 
@@ -124,15 +144,47 @@ def _citation_p(config: GenConfig) -> float:
     return config.citation_dispersion / (config.citation_dispersion + config.citation_mean)
 
 
-def _two_positions(integers, random, n: int) -> tuple[int, int]:
+def _draws(rng: np.random.Generator):
+    """`below(n)`, as `int(rng.integers(0, n))`, and `bit()`, as
+    `int(rng.integers(0, 2))`: same values, and `rng` left in the same state
+    (see the module docstring).
+
+    The ctypes calls skip the bit generator's lock, which is safe only while
+    no other thread draws from `rng`: `make_corpus` keeps its generator
+    local."""
+    # numpy types the function (uint32 from void *); `state` points into the
+    # bit generator, which the bound `integers` keeps alive
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state_address
+    integers = rng.integers
+
+    def below(n: int) -> int:
+        if 1 < n <= 2**32:
+            m = next_uint32(state) * n
+            if m & 0xFFFF_FFFF < n:
+                threshold = (2**32 - n) % n
+                while m & 0xFFFF_FFFF < threshold:
+                    m = next_uint32(state) * n
+            return m >> 32
+        # n = 1 draws nothing; numpy takes 64-bit draws above 2**32 and
+        # refuses n < 1
+        return 0 if n == 1 else int(integers(0, n))
+
+    def bit() -> int:
+        return next_uint32(state) >> 31
+
+    return below, bit
+
+
+def _two_positions(below, bit, n: int) -> tuple[int, int]:
     """`choice(n, size=2, replace=False)` as numpy makes it for n >= 2, from
-    the bound `integers` and `random` of one generator: same values, and the
-    generator left in the same state."""
-    first = int(integers(0, n - 1))
-    second = int(integers(0, n))
+    the `_draws` of its generator: same values, and the generator left in
+    the same state."""
+    first = below(n - 1)
+    second = below(n)
     if second == first:
         second = n - 1
-    if random(None, np.float32) < 0.5:
+    if not bit():
         return second, first
     return first, second
 
@@ -141,6 +193,7 @@ def make_corpus(config: GenConfig) -> Corpus:
     """Build a corpus in memory; deterministic for a fixed config."""
     config.check()
     rng = np.random.default_rng(config.seed)
+    below, bit = _draws(rng)
 
     n_uda = math.ceil(config.n_sds / config.sds_per_uda)
     udas = [f"UDA{i + 1:02d}" for i in range(n_uda)]
@@ -168,7 +221,7 @@ def make_corpus(config: GenConfig) -> Corpus:
         if in_late:
             years.extend(late.years)
         if len(years) > 1 and rng.random() < config.partial_year_rate:
-            drop = int(rng.integers(0, len(years)))
+            drop = below(len(years))
             years = years[:drop] + years[drop + 1:]
         return frozenset(years)
 
@@ -176,7 +229,7 @@ def make_corpus(config: GenConfig) -> Corpus:
         for sds in sorted(sds_to_uda):
             if rng.random() >= config.unit_presence:
                 continue
-            n = int(rng.integers(config.staff_min, config.staff_max + 1))
+            n = config.staff_min + below(config.staff_max - config.staff_min + 1)
             for _ in range(n):
                 rid += 1
                 stays = rng.random() >= config.turnover_rate
@@ -194,7 +247,7 @@ def make_corpus(config: GenConfig) -> Corpus:
         for y in r.active_years:
             by_unit_year.setdefault((r.university_id, r.sds, y), []).append(r)
 
-    poisson, random, integers = rng.poisson, rng.random, rng.integers
+    poisson, random = rng.poisson, rng.random
     dispersion, p_success = config.citation_dispersion, _citation_p(config)
     publications = []
     authorships = []
@@ -214,10 +267,9 @@ def make_corpus(config: GenConfig) -> Corpus:
                 n_total = 1 + int(poisson(config.coauthor_mean))
                 mate = None
                 if mates and random() < config.coauthorship_rate:
-                    mate = mates[int(integers(0, len(mates)))]
+                    mate = mates[below(len(mates))]
                     n_total = max(n_total, 2)
-                # as integers(0, 2): the top bit of one 32-bit draw
-                category = unit_categories[random(None, np.float32) >= 0.5]
+                category = unit_categories[bit()]
                 citations = (int(rng.negative_binomial(dispersion, p_success))
                              if config.citation_mean else 0)
                 publications.append(Publication(pub_id, year, category, citations, n_total))
@@ -225,11 +277,21 @@ def make_corpus(config: GenConfig) -> Corpus:
                 if mate is None:
                     # as choice(n_total, size=1, replace=False): same value, same state after
                     authorships.append(
-                        Authorship(pub_id, author_id, int(integers(0, n_total)) + 1, univ))
+                        Authorship(pub_id, author_id, below(n_total) + 1, univ))
                 else:
-                    first, second = _two_positions(integers, random, n_total)
+                    first, second = _two_positions(below, bit, n_total)
                     authorships.append(Authorship(pub_id, author_id, first + 1, univ))
                     authorships.append(Authorship(pub_id, mate, second + 1, univ))
+
+    # Poisson and negative binomial draws are unbounded, so no bound on the
+    # means keeps every count readable; a position is within its byline
+    for column, setting in (("citations", "citation_mean"),
+                            ("n_authors_total", "coauthor_mean")):
+        drawn = max(map(attrgetter(column), publications), default=0)
+        if drawn > _EXACT:
+            raise InvalidConfig(
+                f"{setting} {getattr(config, setting)} drew {column} = {drawn}, "
+                f"outside the loader's [-2**53, 2**53]")
 
     return Corpus(taxonomy, researchers, publications, authorships, (early, late))
 

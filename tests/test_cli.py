@@ -610,6 +610,12 @@ class TestSynthErrors:
         monkeypatch.setattr(synthgen, "Taxonomy", no_corpus)
         self.run_synth([option, value], tmp_path, capsys)
 
+    def test_drawn_count_beyond_the_loader(self, tmp_path, capsys):
+        """numpy draws citation counts over 2**53 at this mean, and ingest
+        would refuse them."""
+        self.run_synth(["--n-universities", "1", "--n-sds", "1", "--staff-min", "1",
+                        "--staff-max", "1", "--citation-mean", "1e17"], tmp_path, capsys)
+
     def test_without_numpy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delitem(sys.modules, "bibliorank.synthgen")
         monkeypatch.setitem(sys.modules, "numpy", None)

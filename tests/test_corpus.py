@@ -559,12 +559,43 @@ FUZZ_BASE = {
                      "byline_university_id"],
                     [["p1", "r1", 1, "U1"], ["p1", "r2", 2, "U2"], ["p2", "r2", 1, "U2"]]),
 }
+# the rules' edges: the loader's integer bound, and each period's first and
+# last year with the years just outside
+INT_EDGES = [2**53, -2**53, 2**53 + 1, -(2**53 + 1)]
+YEAR_EDGES = [2001, 2003, 2004, 2008, 2000, 2009]
 FUZZ_CELLS = st.one_of(
     st.booleans(), st.floats(), st.integers(-2, 3000), st.none(), st.just(""),
+    st.sampled_from(INT_EDGES + YEAR_EDGES),
     st.text(alphabet="0123456789;-.eE xS", max_size=5),
     st.lists(st.one_of(st.integers(2000, 2010), st.floats(), st.booleans()),
              max_size=2),
     st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+
+
+def fuzzed_base(data) -> dict:
+    """FUZZ_BASE with years drawn at the periods' edges, counts up to the
+    loader's bound, and up to three more bylines of two or three of r1 (S1),
+    r2 and r3 (life-science S2), each of its own university. Counts past
+    the bound come from the mutations' FUZZ_CELLS."""
+    years = st.sampled_from(YEAR_EDGES)
+    counts = st.sampled_from([1, 5, 0, 2**53])
+    researchers = [("r1", "S1", "U1"), ("r2", "S2", "U2"), ("r3", "S2", "U3")]
+    pubs = [[pid, data.draw(years), category, data.draw(counts), n_total]
+            for pid, _, category, _, n_total in FUZZ_BASE["publications"][1]]
+    bylines = list(FUZZ_BASE["authorships"][1])
+    for k in range(data.draw(st.integers(0, 3))):
+        pid, n_total = f"p{k + 3}", data.draw(st.sampled_from([3, 4, 2**53]))
+        pubs.append([pid, data.draw(years), data.draw(st.sampled_from(["CAT_X", "CAT_Y"])),
+                     data.draw(counts), n_total])
+        authors = data.draw(st.permutations(researchers))[:data.draw(st.integers(2, 3))]
+        positions = data.draw(st.permutations([1, 2, n_total]))
+        bylines += [[pid, rid, pos, univ] for (rid, _, univ), pos in zip(authors, positions)]
+    active = st.sets(years, min_size=1, max_size=3).map(lambda ys: ";".join(map(str, sorted(ys))))
+    return {**FUZZ_BASE,
+            "researchers": (FUZZ_BASE["researchers"][0],
+                            [[*r, data.draw(active)] for r in researchers]),
+            "publications": (FUZZ_BASE["publications"][0], pubs),
+            "authorships": (FUZZ_BASE["authorships"][0], bylines)}
 
 
 def fuzzed_file(data, header, rows, fmt, mutate) -> bytes:
@@ -704,11 +735,13 @@ def test_fuzzed_fileset_fails_only_with_a_biblio_rank_error(data):
     `compare` and `drilldown`, with drawn options, each exit 0 with every
     report parsing back strictly, or exit 1 with one JSON line on stderr and
     no `--out`. The base's p1 is a life-science byline of two universities,
-    so a drawn `--scheme` weighs it."""
-    mutated = data.draw(st.sets(st.sampled_from(sorted(FUZZ_BASE)), max_size=2))
+    and `fuzzed_base` draws more, so a drawn `--scheme` weighs them; its
+    years and counts lie at the edges of the rules."""
+    base = fuzzed_base(data)
+    mutated = data.draw(st.sets(st.sampled_from(sorted(base)), max_size=2))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for stem, (header, rows) in FUZZ_BASE.items():
+        for stem, (header, rows) in base.items():
             fmts = data.draw(st.sampled_from([("csv",), ("json",), ("csv", "json")]))
             for fmt in fmts:
                 (root / f"{stem}.{fmt}").write_bytes(

@@ -1,5 +1,7 @@
 """The README's examples run as written: the Library example against
-`bibliorank synth --seed 42`, and every command of the CLI example in order."""
+`bibliorank synth --seed 42`, every command of the CLI example in order, and
+the dense `synth` example writes the `dense` workload's corpus."""
+import json
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,7 @@ from bibliorank.loader import FILESET
 from bibliorank.synthgen import GenConfig, generate
 
 from test_corpus import SCORING_REPORTS
+from test_synthgen import SYNTH_DIGESTS, fileset_digest
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -18,12 +21,12 @@ def library_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def cli_example() -> list:
-    """The `bibliorank` commands of the CLI section's first sh block, each with
-    its continuation lines joined and split into words as a shell would."""
+def cli_example(block: int = 0) -> list:
+    """The `bibliorank` commands of the CLI section's sh block `block`, each
+    with its continuation lines joined and split into words as a shell would."""
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+    text = re.findall(r"```sh\n(.*?)```", section, re.S)[block]
+    return [shlex.split(line) for line in text.replace("\\\n", " ").splitlines()
             if line.startswith("bibliorank ")]
 
 
@@ -52,3 +55,12 @@ def test_cli_example_runs(tmp_path, monkeypatch):
             assert {f"{out}/{stem}.csv" for stem in FILESET} <= written
         else:
             assert written == {f"{out}/{name}.csv" for name in SCORING_REPORTS.get(command, ())}
+
+
+def test_dense_synth_example_writes_the_dense_corpus(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    [(_, *argv)] = cli_example(1)
+    assert argv[:3] == ["synth", "--seed", "1"]
+    assert main(argv) == 0
+    stored = json.loads(SYNTH_DIGESTS.read_text(encoding="utf-8"))
+    assert fileset_digest(tmp_path / argv[argv.index("--out") + 1]) == stored["digests"]["dense"][1]

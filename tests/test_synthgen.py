@@ -12,7 +12,7 @@ from bibliorank.errors import InvalidConfig, TooLarge
 from bibliorank.loader import load_corpus
 from bibliorank.model import validate
 from bibliorank.oracle import Oracle
-from bibliorank.synthgen import GenConfig, _two_positions, generate, make_corpus
+from bibliorank.synthgen import GenConfig, _draws, _two_positions, generate, make_corpus
 
 from test_cli_digests import SHAPES
 
@@ -89,6 +89,27 @@ class TestGenerate:
                 with pytest.raises(InvalidConfig, match=field):
                     make_corpus(GenConfig(**{field: value}))
 
+    @pytest.mark.parametrize("setting, column", [("citation_mean", "citations"),
+                                                 ("coauthor_mean", "n_authors_total")])
+    def test_a_count_the_loader_refuses(self, tmp_path, setting, column):
+        """A mean numpy accepts can still draw a count over 2**53, which
+        `ingest` would refuse: generate raises and writes nothing."""
+        config = GenConfig(n_universities=1, n_sds=1, staff_min=1, staff_max=1,
+                           **{setting: 1e17})
+        with pytest.raises(InvalidConfig, match=rf"{setting} 1e\+17 drew {column} = \d{{18}}"):
+            generate(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_byline_over_2_to_the_32(self):
+        """A byline of about 5e9 authors takes numpy's 64-bit draws, where a
+        bounded 32-bit draw would never end; the position is `integers`'s."""
+        corpus = make_corpus(GenConfig(seed=0, n_universities=1, n_sds=1, staff_min=1,
+                                       staff_max=1, coauthor_mean=5e9))
+        n_total = {p.pub_id: p.n_authors_total for p in corpus.publications}
+        positions = {(a.pub_id, a.author_position): n_total[a.pub_id] for a in corpus.authorships}
+        assert all(1 <= pos <= n for (_, pos), n in positions.items())
+        assert positions[("PUB000001", 3_648_377_462)] == 5_000_137_366
+
     def test_low_citation_mean_hits_zero_medians(self):
         from bibliorank.baseline import build_baselines
         corpus = make_corpus(GenConfig(seed=0, citation_mean=0.2))
@@ -144,14 +165,34 @@ def assert_same_stream(a, b):
     assert a.random(None, np.float32) == b.random(None, np.float32)
 
 
+# the edges of each path: no draw, 32-bit draws with little and much
+# rejection, the direct 32-bit draw, and numpy's 64-bit draws
+EDGES = [1, 2, 3, 5, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32,
+         2**32 + 1, 2**33]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), warm=st.integers(0, 3),
+       ns=st.lists(st.integers(1, 2**33) | st.sampled_from(EDGES), min_size=1, max_size=6))
+def test_below_matches_integers(seed, warm, ns):
+    """`below(n)` stands for integers(0, n): the same value and the generator
+    left in the same state, from a generator with or without a 32-bit half
+    buffered, over runs that mix 32-bit and 64-bit draws."""
+    a, b = warmed_pair(seed, warm)
+    below, _ = _draws(b)
+    assert [int(a.integers(0, n)) for n in ns] == [below(n) for n in ns]
+    assert_same_stream(a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**63), n=st.integers(1, 12), warm=st.integers(0, 3))
 def test_one_position_draw_matches_choice(seed, n, warm):
-    """A lone author's position is drawn with integers(0, n) in place of
+    """A lone author's position is drawn with below(n) in place of
     choice(n, size=1, replace=False): numpy gives the same value and leaves the
     generator in the same state, whether or not a 32-bit half is buffered."""
     a, b = warmed_pair(seed, warm)
-    assert int(a.choice(n, size=1, replace=False)[0]) == int(b.integers(0, n))
+    below, _ = _draws(b)
+    assert int(a.choice(n, size=1, replace=False)[0]) == below(n)
     assert_same_stream(a, b)
 
 
@@ -162,17 +203,18 @@ def test_two_position_draw_matches_choice(seed, n, warm):
     shuffle swap in place of choice(n, size=2, replace=False)."""
     a, b = warmed_pair(seed, warm)
     expected = tuple(int(v) for v in a.choice(n, size=2, replace=False))
-    assert _two_positions(b.integers, b.random, n) == expected
+    assert _two_positions(*_draws(b), n) == expected
     assert_same_stream(a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**63), warm=st.integers(0, 3))
 def test_category_coin_matches_two_way_integer(seed, warm):
-    """A subject category is drawn with random(None, float32) >= 0.5 in place
-    of integers(0, 2): both read the top bit of one 32-bit draw."""
+    """A subject category is drawn with bit() in place of integers(0, 2):
+    both read the top bit of one 32-bit draw."""
     a, b = warmed_pair(seed, warm)
-    assert int(a.integers(0, 2)) == int(b.random(None, np.float32) >= 0.5)
+    _, bit = _draws(b)
+    assert int(a.integers(0, 2)) == bit()
     assert_same_stream(a, b)
 
 
