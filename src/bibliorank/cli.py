@@ -315,6 +315,13 @@ def _add_common(p):
     p.add_argument("--out", default="out")
 
 
+def period(text: str) -> tuple:
+    """A synth period, LABEL,START,END, as GenConfig's (label, start, end);
+    the label may hold commas."""
+    label, start, end = text.rsplit(",", 2)
+    return label, int(start), int(end)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors raise InvalidConfig, so main prints them as JSON;
     subparsers inherit the class."""
@@ -359,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     for option, kind in (("seed", int), ("n-universities", int), ("n-sds", int),
                          ("sds-per-uda", int), ("staff-min", int), ("staff-max", int),
                          ("pubs-per-researcher-year", float), ("citation-mean", float),
+                         ("citation-dispersion", float), ("coauthor-mean", float),
                          ("unit-presence", float), ("coauthorship-rate", float),
-                         ("turnover-rate", float), ("life-science-fraction", float)):
+                         ("turnover-rate", float), ("life-science-fraction", float),
+                         ("partial-year-rate", float), ("early", period), ("late", period)):
         p.add_argument(f"--{option}", type=kind)
     p.add_argument("--out", default="synth_out")
     p.set_defaults(func=cmd_synth)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import gt, itemgetter
 from pathlib import Path
 
@@ -289,7 +289,12 @@ def load_corpus(input_dir) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, out_dir) -> None:
-    """Write the standard CSV fileset; load_corpus(write_corpus(c)) == c."""
+    """Write the standard CSV fileset; load_corpus(write_corpus(c)) == c.
+
+    Each file's bytes are exactly those csv.writer writes, written a block of
+    rows at a time by a plain format wherever csv.writer would neither quote
+    nor blank a cell, and by csv.writer from the first block where it would
+    (see _write_rows)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     taxonomy = corpus.taxonomy
@@ -307,6 +312,37 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
     }
     for stem, columns in FILESET.items():
         with open(out_dir / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(columns)
-            w.writerows(rows[stem])
+            _write_rows(fh, columns, rows[stem])
+
+
+# the rows _write_rows formats, checks and writes at once: a whole file's
+# text would add to the peak memory of the process that generates a corpus
+BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, columns: tuple, rows) -> None:
+    """Write the header `columns`, two or more (csv.writer quotes a lone
+    empty cell), and then `rows`, tuples of as many cells of str, int,
+    float, bool or None, as csv.writer(fh).writerows does.
+
+    Each block of BLOCK_ROWS rows is formatted with one "%s,...,%s\r\n" per
+    row, which is csv.writer's line wherever the writer would neither quote a
+    cell nor write None as an empty cell: no cell holds `,`, `"`, `\r` or
+    `\n`, and none is None. So the block's text is written only if it has no
+    `"`, no "None", exactly (columns - 1) commas and one CR and one LF per
+    row, and no NUL (whose handling csv.writer changed in Python 3.11). From
+    the first block that fails the check, csv.writer writes every row."""
+    commas = len(columns) - 1
+    line = "%s," * commas + "%s\r\n"
+    rows = chain([columns], rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        text = "".join(map(line.__mod__, block))
+        n = len(block)
+        if ('"' in text or "None" in text or "\0" in text
+                or text.count(",") != n * commas
+                or text.count("\r") != n or text.count("\n") != n):
+            writer = csv.writer(fh)
+            writer.writerows(block)
+            writer.writerows(rows)
+            return
+        fh.write(text)

@@ -10,9 +10,10 @@ so reordering, batching or replacing a draw changes the bytes written. A
 replacement is safe only where numpy gives the same value from the same
 stream state and leaves the same state behind.
 
-Every bounded integer and every coin is made by one of two draws that
-`_draws` builds from the bit generator's own `next_uint32` (numpy's ctypes
-interface), skipping the Python-level overhead of `Generator.integers`:
+Every uniform draw, bounded integer and coin is made by one of three draws
+that `_draws` builds from the bit generator's own `next_uint32` and
+`next_double` (numpy's ctypes interface), skipping the Python-level
+overhead of `Generator.integers` and `Generator.random`:
 
 - `below(n)` is `int(integers(0, n))`. For n = 1 it is 0 and draws nothing.
   For 2 <= n <= 2**32 it is numpy's rule for a 32-bit range, Lemire's method
@@ -24,11 +25,14 @@ interface), skipping the Python-level overhead of `Generator.integers`:
 - `bit()` is the top bit of one 32-bit draw: `integers(0, 2)` by the rule
   above, and also `random(None, float32) >= 0.5`, since a float32 from
   `random` is the top 24 bits of one 32-bit draw over 2**24.
+- `random()` is `next_double()`, the function numpy's `random()` calls for
+  each float64: the top 53 bits of one 64-bit draw over 2**53.
 
 `next_uint32` hands out the two halves of a buffered 64-bit draw exactly as
-numpy's own 32-bit paths do, so the stream and the state after are the
-same. `random`, `poisson` and `negative_binomial` stay numpy calls; the two
-count draws rebuilt in Python would be slower or inexact.
+numpy's own 32-bit paths do, and `next_double` leaves a buffered half
+buffered, as `random()` does, so the stream and the state after are the
+same. `poisson` and `negative_binomial` stay numpy calls; the two count
+draws rebuilt in Python would be slower or inexact.
 
 numpy's `choice` without replacement takes Floyd's algorithm (Bentley &
 Floyd, CACM 1987) unless the population exceeds 10,000 and the sample a
@@ -43,9 +47,14 @@ step is one bounded draw. So
   swap, made when the bounded draw `[0, 2)`, `bit()`, is 0
   (`_two_positions`).
 
-The subject category is `bit()`, and a partial year's drop, a unit's staff
-count and a coauthor are `below` draws. `tests/test_synthgen.py` checks
-each draw against the numpy call it stands for, value and state after.
+The subject category is `bit()`; a partial year's drop, a unit's staff
+count and a coauthor are `below` draws; and the life-science, unit-presence,
+turnover, partial-year and coauthorship rates are each met by a `random()`
+draw below the rate. `tests/test_synthgen.py` checks each draw against the
+numpy call it stands for, value and state after.
+
+Records are built with `tuple.__new__`, as the loader builds them, and the
+config's values and numpy's two count draws are bound once per corpus.
 
 A generated count is refused when the loader would refuse it: a config
 whose draws give a citation count or a byline longer than 2**53 raises
@@ -56,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -111,9 +121,12 @@ class GenConfig:
             if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
                 raise InvalidConfig(
                     f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+        early, late = self._period("early"), self._period("late")
+        if early.label == late.label:
+            raise InvalidConfig(f"both periods are labelled {early.label}")
         # every seat's holder may leave and be replaced once
         researchers = self.n_universities * self.n_sds * self.staff_max * 2
-        years = Period(*self.early).length_years + Period(*self.late).length_years
+        years = early.length_years + late.length_years
         publications = researchers * years * self.pubs_per_researcher_year
         if max(researchers, publications) > MAX_RECORDS:
             raise InvalidConfig(
@@ -138,6 +151,25 @@ class GenConfig:
                 f"{self.citation_dispersion} is out of range for numpy's "
                 f"negative binomial draw: {exc}") from None
 
+    def _period(self, name: str) -> Period:
+        """The `early` or `late` field as a Period: a text label and two
+        integer years the loader reads back, the first no later than the
+        second."""
+        value = getattr(self, name)
+        try:
+            label, start, end = value
+        except (TypeError, ValueError):
+            raise InvalidConfig(
+                f"{name} must be (label, start_year, end_year), got {value!r}") from None
+        if not (isinstance(label, str) and isinstance(start, int) and isinstance(end, int)
+                and -_EXACT <= start and end <= _EXACT):
+            raise InvalidConfig(f"{name} must be a text label and two integer years "
+                                f"in the loader's [-2**53, 2**53], got {value!r}")
+        if start > end:
+            raise InvalidConfig(
+                f"{name} period {label}: start_year {start} > end_year {end}")
+        return Period(label, start, end)
+
 
 def _citation_p(config: GenConfig) -> float:
     """The negative binomial's p, for mean citation_mean at citation_dispersion."""
@@ -145,15 +177,14 @@ def _citation_p(config: GenConfig) -> float:
 
 
 def _draws(rng: np.random.Generator):
-    """`below(n)`, as `int(rng.integers(0, n))`, and `bit()`, as
-    `int(rng.integers(0, 2))`: same values, and `rng` left in the same state
-    (see the module docstring).
+    """`below(n)`, as `int(rng.integers(0, n))`, `bit()`, as
+    `int(rng.integers(0, 2))`, and `random()`, as `rng.random()`: same values,
+    and `rng` left in the same state (see the module docstring).
 
-    The ctypes calls skip the bit generator's lock, which is safe only while
-    no other thread draws from `rng`: `make_corpus` keeps its generator
-    local."""
-    # numpy types the function (uint32 from void *); `state` points into the
-    # bit generator, which the bound `integers` keeps alive
+    The three read and advance `rng`'s state by its address, skipping the bit
+    generator's lock: use them only while `rng` is alive and no other thread
+    draws from it. `make_corpus` keeps its generator local."""
+    # numpy types the functions (uint32 or double from void *)
     interface = rng.bit_generator.ctypes
     next_uint32, state = interface.next_uint32, interface.state_address
     integers = rng.integers
@@ -173,7 +204,7 @@ def _draws(rng: np.random.Generator):
     def bit() -> int:
         return next_uint32(state) >> 31
 
-    return below, bit
+    return below, bit, partial(interface.next_double, state)
 
 
 def _two_positions(below, bit, n: int) -> tuple[int, int]:
@@ -193,7 +224,10 @@ def make_corpus(config: GenConfig) -> Corpus:
     """Build a corpus in memory; deterministic for a fixed config."""
     config.check()
     rng = np.random.default_rng(config.seed)
-    below, bit = _draws(rng)
+    below, bit, random = _draws(rng)
+    # records are built as loader._records builds them: a named tuple's own
+    # __new__ is a Python call per record
+    new = tuple.__new__
 
     n_uda = math.ceil(config.n_sds / config.sds_per_uda)
     udas = [f"UDA{i + 1:02d}" for i in range(n_uda)]
@@ -202,7 +236,7 @@ def make_corpus(config: GenConfig) -> Corpus:
     for i in range(config.n_sds):
         sds = f"SDS{i + 1:03d}"
         sds_to_uda[sds] = udas[i // config.sds_per_uda]
-        if rng.random() < config.life_science_fraction:
+        if random() < config.life_science_fraction:
             life.add(sds)
     taxonomy = Taxonomy(sds_to_uda=sds_to_uda, life_science_sds=frozenset(life))
 
@@ -213,50 +247,51 @@ def make_corpus(config: GenConfig) -> Corpus:
 
     researchers = []
     rid = 0
+    unit_presence, turnover_rate = config.unit_presence, config.turnover_rate
+    partial_year_rate = config.partial_year_rate
+    staff_min, staff_range = config.staff_min, config.staff_max - config.staff_min + 1
+    # a stayer's years, a leaver's and their replacement's
+    both_years, early_years, late_years = (
+        [*early.years, *late.years], [*early.years], [*late.years])
 
-    def _active_years(in_early: bool, in_late: bool) -> frozenset:
-        years = []
-        if in_early:
-            years.extend(early.years)
-        if in_late:
-            years.extend(late.years)
-        if len(years) > 1 and rng.random() < config.partial_year_rate:
+    def _active_years(years: list) -> frozenset:
+        if len(years) > 1 and random() < partial_year_rate:
             drop = below(len(years))
             years = years[:drop] + years[drop + 1:]
         return frozenset(years)
 
     for univ in universities:
         for sds in sorted(sds_to_uda):
-            if rng.random() >= config.unit_presence:
+            if random() >= unit_presence:
                 continue
-            n = config.staff_min + below(config.staff_max - config.staff_min + 1)
-            for _ in range(n):
+            for _ in range(staff_min + below(staff_range)):
                 rid += 1
-                stays = rng.random() >= config.turnover_rate
-                researchers.append(Researcher(
-                    researcher_id=f"R{rid:05d}", sds=sds, university_id=univ,
-                    active_years=_active_years(True, stays)))
+                stays = random() >= turnover_rate
+                researchers.append(new(Researcher, (
+                    f"R{rid:05d}", sds, univ,
+                    _active_years(both_years if stays else early_years))))
                 if not stays:
                     rid += 1
-                    researchers.append(Researcher(
-                        researcher_id=f"R{rid:05d}", sds=sds, university_id=univ,
-                        active_years=_active_years(False, True)))
+                    researchers.append(new(Researcher, (
+                        f"R{rid:05d}", sds, univ, _active_years(late_years))))
 
     by_unit_year = {}
     for r in researchers:
         for y in r.active_years:
             by_unit_year.setdefault((r.university_id, r.sds, y), []).append(r)
 
-    poisson, random = rng.poisson, rng.random
+    poisson, negative_binomial = rng.poisson, rng.negative_binomial
+    pub_rate, coauthor_mean = config.pubs_per_researcher_year, config.coauthor_mean
+    coauthorship_rate, cited = config.coauthorship_rate, bool(config.citation_mean)
     dispersion, p_success = config.citation_dispersion, _citation_p(config)
     publications = []
     authorships = []
     pid = 0
     for r in researchers:
-        author_id, univ, sds = r.researcher_id, r.university_id, r.sds
+        author_id, sds, univ, active_years = r
         unit_categories = categories[sds_to_uda[sds]]
-        for year in sorted(r.active_years):
-            n_pubs = int(poisson(config.pubs_per_researcher_year))
+        for year in sorted(active_years):
+            n_pubs = int(poisson(pub_rate))
             if not n_pubs:
                 continue
             mates = [m.researcher_id for m in by_unit_year[(univ, sds, year)]
@@ -264,24 +299,24 @@ def make_corpus(config: GenConfig) -> Corpus:
             for _ in range(n_pubs):
                 pid += 1
                 pub_id = f"PUB{pid:06d}"
-                n_total = 1 + int(poisson(config.coauthor_mean))
+                n_total = 1 + int(poisson(coauthor_mean))
                 mate = None
-                if mates and random() < config.coauthorship_rate:
+                if mates and random() < coauthorship_rate:
                     mate = mates[below(len(mates))]
                     n_total = max(n_total, 2)
                 category = unit_categories[bit()]
-                citations = (int(rng.negative_binomial(dispersion, p_success))
-                             if config.citation_mean else 0)
-                publications.append(Publication(pub_id, year, category, citations, n_total))
+                citations = int(negative_binomial(dispersion, p_success)) if cited else 0
+                publications.append(new(Publication, (
+                    pub_id, year, category, citations, n_total)))
                 # a coauthor is drawn from the same unit, so shares its university
                 if mate is None:
                     # as choice(n_total, size=1, replace=False): same value, same state after
-                    authorships.append(
-                        Authorship(pub_id, author_id, below(n_total) + 1, univ))
+                    authorships.append(new(Authorship, (
+                        pub_id, author_id, below(n_total) + 1, univ)))
                 else:
                     first, second = _two_positions(below, bit, n_total)
-                    authorships.append(Authorship(pub_id, author_id, first + 1, univ))
-                    authorships.append(Authorship(pub_id, mate, second + 1, univ))
+                    authorships.append(new(Authorship, (pub_id, author_id, first + 1, univ)))
+                    authorships.append(new(Authorship, (pub_id, mate, second + 1, univ)))
 
     # Poisson and negative binomial draws are unbounded, so no bound on the
     # means keeps every count readable; a position is within its byline

@@ -94,15 +94,6 @@ class TestCommands:
         assert counts["n_researchers"] > 0
         assert main(["ingest", "--input", str(tmp_path / "s")]) == 0
 
-    def test_synth_writes_a_benchmark_corpus(self, tmp_path):
-        """Every generator setting of the `dense` shape has a synth option."""
-        argv = [f"--{k.replace('_', '-')}={v}" for k, v in SHAPES["dense"].items()]
-        assert main(["synth", "--seed", "1", *argv, "--out", str(tmp_path / "cli")]) == 0
-        generate(GenConfig(seed=1, **SHAPES["dense"]), tmp_path / "lib")
-        cli_files, lib_files = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
-                                for d in ("cli", "lib"))
-        assert len(lib_files) == 6 and cli_files == lib_files
-
 
 class TestFormats:
     def test_json_format(self, demo, tmp_path):
@@ -608,6 +599,21 @@ class TestSynthErrors:
 
         # the taxonomy is built before anything whose size the config sets
         monkeypatch.setattr(synthgen, "Taxonomy", no_corpus)
+        self.run_synth([option, value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("option, value", [("--early", "P1,2004,2003"),
+                                               ("--late", "P1,2004,2008"),
+                                               ("--early", "P1,2001"),
+                                               ("--late", "P2,2004,2008.5")])
+    def test_bad_period(self, tmp_path, capsys, monkeypatch, option, value):
+        """A reversed period, a period labelled as the other or one that is
+        not LABEL,START,END fails before any generator is made."""
+        import numpy as np
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         self.run_synth([option, value], tmp_path, capsys)
 
     def test_drawn_count_beyond_the_loader(self, tmp_path, capsys):

@@ -9,17 +9,21 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from bibliorank import loader
 from bibliorank.cli import main
 from bibliorank.errors import (BiblioRankError, DanglingReference, DuplicateKey,
                                MissingFile, SchemaError, UnknownSDS,
                                UnknownUniversity)
 from bibliorank.loader import FILESET, _read_rows, load_corpus, write_corpus
-from bibliorank.model import Corpus, Period, Violation, presence, staff, validate
+from bibliorank.model import (Corpus, Period, Taxonomy, Violation, presence, staff,
+                              validate)
 from bibliorank.synthgen import GenConfig, generate, make_corpus as make_synth_corpus
 
 from conftest import A, EARLY, LATE, P, R, make_corpus
@@ -205,6 +209,13 @@ class TestLoad:
         assert reloaded.periods == simple_corpus.periods
         assert reloaded.taxonomy == simple_corpus.taxonomy
 
+    def test_a_period_label_with_a_comma(self, tmp_path):
+        """A cell csv.writer quotes is written quoted and loads back."""
+        generate(GenConfig(early=("P,1", 2001, 2003)), tmp_path)
+        assert (tmp_path / "periods.csv").read_bytes() == (
+            b'label,start_year,end_year\r\n"P,1",2001,2003\r\nP2,2004,2008\r\n')
+        assert load_corpus(tmp_path).early == Period("P,1", 2001, 2003)
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_csv_and_json_filesets_load_equal_records(self, tmp_path, seed):
         """All five files written as CSV and as JSON (JSON numbers and
@@ -352,6 +363,56 @@ EARLIEST_ROW_CASES = {
         ["r1", "S1", "U1", [2001, 2002.0]], ["r2", "S9", "U1", [2001]]]},
         (SchemaError, "researchers", "active_years=2002.0 is not an integer", 0)),
 }
+
+
+# cells csv.writer quotes, blanks or writes as they are, and cells the fast
+# path of write_corpus must refuse although csv.writer writes them plainly
+SPECIAL_CELLS = [",", '"', "\r", "\n", "\r\n", "\0", ";", "None", '""', "",
+                 "é", "日本", None, True, 0.1, -0.0, float("nan")]
+ANY_CELL = (st.text(st.sampled_from(',"\r\n\0;aé日 N'), max_size=4)
+            | st.sampled_from(SPECIAL_CELLS) | st.integers() | st.floats()
+            | st.booleans() | st.none())
+PLAIN_CELL = (st.text("abyz019_;- é日", max_size=6) | st.integers() | st.floats()
+              | st.booleans())
+
+
+@st.composite
+def written_rows(draw, width):
+    """A block size and rows of plain cells, where the first row, the two
+    rows around the first block boundary and the last row may each be
+    drawn from any cells instead."""
+    block = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 * block + 2))
+    rows = draw(st.lists(st.tuples(*[PLAIN_CELL] * width), min_size=n, max_size=n))
+    # the header fills the first line of the first block
+    for i in {0, block - 2, block - 1, n - 1}:
+        if 0 <= i < n and draw(st.booleans()):
+            rows[i] = draw(st.tuples(*[ANY_CELL] * width))
+    return block, rows
+
+
+def csv_writer_bytes(columns, rows) -> bytes:
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows([columns, *rows])
+    return fh.getvalue().encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stem=st.sampled_from(["publications", "authorships", "periods"]))
+def test_write_corpus_writes_csv_writer_bytes(data, stem):
+    """Each file write_corpus writes, a block of rows at a time, has the bytes
+    csv.writer writes for the same rows: quoted, blanked and plain cells
+    anywhere, a block boundary included. The rows of these three files are
+    the records themselves, so any cells stand in for them."""
+    block, rows = data.draw(written_rows(len(FILESET[stem])))
+    records = {**dict.fromkeys(["researchers", "publications", "authorships", "periods"], []),
+               stem: rows}
+    corpus = SimpleNamespace(taxonomy=Taxonomy({}, frozenset()), **records)
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(loader, "BLOCK_ROWS", block):
+        write_corpus(corpus, out)
+        for name, columns in FILESET.items():
+            assert (Path(out) / f"{name}.csv").read_bytes() == csv_writer_bytes(
+                columns, records.get(name, [])), name
 
 
 class TestEarliestRowWins:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibliorank.cli import main
 from bibliorank.errors import InvalidConfig, TooLarge
 from bibliorank.loader import load_corpus
 from bibliorank.model import validate
@@ -89,6 +90,25 @@ class TestGenerate:
                 with pytest.raises(InvalidConfig, match=field):
                     make_corpus(GenConfig(**{field: value}))
 
+    @pytest.mark.parametrize("period, message", [
+        (dict(early=("P1", 2004, 2003)), "early period P1: start_year 2004 > end_year 2003"),
+        (dict(late=("P1", 2004, 2008)), "both periods are labelled P1"),
+        (dict(late=("P2", 2004)), "late must be (label, start_year, end_year)"),
+        (dict(early=("P1", "2001", 2003)), "early must be a text label and two integer years"),
+        (dict(late=("P2", 2004, 2**53 + 1)), "late must be a text label and two integer years"),
+    ])
+    def test_a_bad_period(self, tmp_path, monkeypatch, period, message):
+        """A period the corpus or the loader would refuse is an InvalidConfig
+        before any generator is made, and nothing is written."""
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(InvalidConfig) as exc:
+            generate(GenConfig(**period), tmp_path / "out")
+        assert str(exc.value).startswith(message)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("setting, column", [("citation_mean", "citations"),
                                                  ("coauthor_mean", "n_authors_total")])
     def test_a_count_the_loader_refuses(self, tmp_path, setting, column):
@@ -148,6 +168,23 @@ class TestFilesetDigests:
             f"digests recorded with numpy {stored['numpy']}; "
             f"this run has numpy {np.__version__}")
 
+    @pytest.mark.parametrize("shape", list(DIGEST_SHAPES))
+    def test_synth_command(self, stored, tmp_path, capsys, shape):
+        """`synth` has an option for every setting of every shape, and writes
+        the same fileset as the library."""
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in DIGEST_SHAPES[shape].items()]
+        assert main(["synth", "--seed", "0", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert fileset_digest(tmp_path) == stored["digests"][shape][0]
+
+    def test_synth_periods(self, tmp_path):
+        """--early and --late take LABEL,START,END; a label may hold commas."""
+        config = GenConfig(early=("P,1", 2000, 2002), late=("Q", 2003, 2004))
+        assert main(["synth", "--early", "P,1,2000,2002", "--late", "Q,2003,2004",
+                     "--out", str(tmp_path / "cli")]) == 0
+        generate(config, tmp_path / "lib")
+        assert fileset_digest(tmp_path / "cli") == fileset_digest(tmp_path / "lib")
+
 
 def warmed_pair(seed: int, warm: int):
     """Two generators in one state, after `warm` 32-bit draws: an odd number
@@ -179,8 +216,25 @@ def test_below_matches_integers(seed, warm, ns):
     left in the same state, from a generator with or without a 32-bit half
     buffered, over runs that mix 32-bit and 64-bit draws."""
     a, b = warmed_pair(seed, warm)
-    below, _ = _draws(b)
+    below, _, _ = _draws(b)
     assert [int(a.integers(0, n)) for n in ns] == [below(n) for n in ns]
+    assert_same_stream(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), warm=st.integers(0, 3),
+       draws=st.lists(st.sampled_from(["random", "bit", *EDGES]) | st.integers(1, 2**33),
+                      min_size=1, max_size=8))
+def test_random_matches_random(seed, warm, draws):
+    """`random()` stands for rng.random(): the same double and the generator
+    left in the same state, from a generator with or without a 32-bit half
+    buffered, over runs that mix it with `bit()` and `below(n)` draws."""
+    a, b = warmed_pair(seed, warm)
+    below, bit, random = _draws(b)
+    numpy = {"random": a.random, "bit": lambda: int(a.integers(0, 2))}
+    ours = {"random": random, "bit": bit}
+    assert ([numpy[d]() if d in numpy else int(a.integers(0, d)) for d in draws]
+            == [ours[d]() if d in ours else below(d) for d in draws])
     assert_same_stream(a, b)
 
 
@@ -191,7 +245,7 @@ def test_one_position_draw_matches_choice(seed, n, warm):
     choice(n, size=1, replace=False): numpy gives the same value and leaves the
     generator in the same state, whether or not a 32-bit half is buffered."""
     a, b = warmed_pair(seed, warm)
-    below, _ = _draws(b)
+    below, _, _ = _draws(b)
     assert int(a.choice(n, size=1, replace=False)[0]) == below(n)
     assert_same_stream(a, b)
 
@@ -203,7 +257,8 @@ def test_two_position_draw_matches_choice(seed, n, warm):
     shuffle swap in place of choice(n, size=2, replace=False)."""
     a, b = warmed_pair(seed, warm)
     expected = tuple(int(v) for v in a.choice(n, size=2, replace=False))
-    assert _two_positions(*_draws(b), n) == expected
+    below, bit, _ = _draws(b)
+    assert _two_positions(below, bit, n) == expected
     assert_same_stream(a, b)
 
 
@@ -213,7 +268,7 @@ def test_category_coin_matches_two_way_integer(seed, warm):
     """A subject category is drawn with bit() in place of integers(0, 2):
     both read the top bit of one 32-bit draw."""
     a, b = warmed_pair(seed, warm)
-    _, bit = _draws(b)
+    _, bit, _ = _draws(b)
     assert int(a.integers(0, 2)) == bit()
     assert_same_stream(a, b)
 
