@@ -9,7 +9,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import hashlib
 import json
@@ -25,7 +24,7 @@ from .baseline import BASES, build_baselines, load_external_baselines
 from .errors import (BiblioRankError, EmptyIntersection, InvalidConfig,
                      InvalidCorpus)
 from .indicators import INDICATORS, ShareScheme, UnitLedger
-from .loader import FILE_STEMS, find_file, load_corpus
+from .loader import FILE_STEMS, _write_rows, find_file, load_corpus
 from .model import STAFF_MODES, validate
 from .rankshift import (COMPARED, DEFAULT_MIN_STAFF, compare_drilldowns,
                         period_rankings, sds_drilldown, shift_stats,
@@ -90,9 +89,7 @@ class Emitter:
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(header + "\n")
-                w = csv.writer(fh)
-                w.writerow(columns)
-                w.writerows(rows)  # csv writes None as an empty cell
+                _write_rows(fh, tuple(columns), map(tuple, rows))
         return path
 
 

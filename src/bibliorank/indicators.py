@@ -171,20 +171,18 @@ class UnitLedger:
         # stratum -> (divisor, fell_back), found once (stratum_divisor); its
         # errors come at the stratum's first publication in a period
         strata, fallbacks = {}, {}
-        year_periods = {}  # year -> indexes of the periods containing it
+        (_, early_start, early_end), (_, late_start, late_end) = periods
         outside = None if sds_scope is None else tallies.keys().isdisjoint
-        # authorships_by_pub runs in corpus.authorships order, so the term
-        # lists and fallback_events keep that order
+        # the walk keeps corpus.authorships order in the term lists and fallback_events;
+        # the periods share no year (model.two_periods), so a publication is in one or none
         for pid, group in corpus.authorships_by_pub.items():
             if outside is not None and outside(map(_RESEARCHER, group)):
                 continue  # a publication without an author in scope adds no term
             pub = corpus.publication_by_id[pid]
             _, year, category, citations, n = pub
-            in_periods = year_periods.get(year)
-            if in_periods is None:
-                in_periods = year_periods[year] = [
-                    i for i, p in enumerate(periods) if p.contains(year)]
-            if not in_periods:
+            i = (0 if early_start <= year <= early_end
+                 else 1 if late_start <= year <= late_end else None)
+            if i is None:
                 continue
             stratum = strata.get((category, year))
             if stratum is None:
@@ -205,12 +203,10 @@ class UnitLedger:
                 life, mine = entry
                 share = (fractional_share(a, pub, scheme, life, known_bylines=bylines)
                          if weighted and life else 1.0 / n)
-                impact = share * std
-                for i in in_periods:
-                    tally = mine[i]
-                    tally.pids.append(pid)
-                    tally.shares.append(share)
-                    tally.impacts.append(impact)
+                tally = mine[i]
+                tally.pids.append(pid)
+                tally.shares.append(share)
+                tally.impacts.append(share * std)
 
         # period -> SDS in scope -> university or researcher id -> tally, sorted by
         # id; a unit's terms are its members', each sum taken over all at once

@@ -9,7 +9,8 @@ from operator import gt, itemgetter
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateKey, MissingFile, SchemaError
-from .model import Authorship, Corpus, Period, Publication, Researcher, Taxonomy
+from .model import (Authorship, Corpus, Period, Publication, Researcher, Taxonomy,
+                    two_periods)
 
 # stem -> columns of each corpus file; cli._corpus_hash reads the files in
 # this order
@@ -247,9 +248,10 @@ def load_corpus(input_dir) -> Corpus:
     f.note(any(map(gt, starts, ends)), zip(starts, ends), lambda se: se[0] > se[1],
            lambda i: f"start_year={starts[i]} is after end_year={ends[i]}")
     f.raise_first()
-    periods = list(map(Period, labels, starts, ends))
-    if len(periods) != 2:
-        raise SchemaError(f"expected exactly two periods, got {len(periods)}", path=f.path)
+    try:
+        periods = two_periods(list(map(Period, labels, starts, ends)))
+    except ValueError as exc:
+        raise SchemaError(str(exc), path=f.path) from None
 
     f = _File(find_file(input_dir, "researchers"), FILESET["researchers"])
     rids, res_sds, universities, active = f.columns

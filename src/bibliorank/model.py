@@ -31,8 +31,20 @@ class Period(namedtuple("Period", "label start_year end_year")):
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
 
-    def contains(self, year: int) -> bool:
-        return self.start_year <= year <= self.end_year
+
+def two_periods(periods) -> tuple:
+    """`periods` as (early, late): the one check of the pair, a ValueError unless there
+    are two, with different labels, the early one ending before the late one starts."""
+    if len(periods) != 2:
+        raise ValueError("corpus requires exactly two periods (early, late)")
+    early, late = sorted(periods, key=attrgetter("start_year"))
+    if early.label == late.label:
+        raise ValueError(f"both periods are labelled {early.label}")
+    if early.end_year >= late.start_year:
+        raise ValueError(f"periods {early.label} and {late.label} overlap: "
+                         f"{early.label} ends in {early.end_year}, "
+                         f"{late.label} starts in {late.start_year}")
+    return early, late
 
 
 class Taxonomy(namedtuple("Taxonomy", "sds_to_uda life_science_sds")):
@@ -77,20 +89,17 @@ class Corpus:
     """Immutable container over the loaded records, with lookup indexes.
 
     Record tuples are sorted, by primary key first, so that all derived numbers
-    are independent of input row order.
+    are independent of input row order. `periods` is (early, late), two
+    separate periods (two_periods), so a year counts in at most one.
     """
 
     def __init__(self, taxonomy, researchers, publications, authorships, periods):
-        if len(periods) != 2:
-            raise ValueError("corpus requires exactly two periods (early, late)")
-        if periods[0].label == periods[1].label:
-            raise ValueError(f"both periods are labelled {periods[0].label}")
+        self.periods = two_periods(periods)
         self.taxonomy = taxonomy
         # a record tuple starts with its key, so sorting the tuples sorts by key
         self.researchers = tuple(sorted(researchers))
         self.publications = tuple(sorted(publications))
         self.authorships = tuple(sorted(authorships))
-        self.periods = tuple(sorted(periods, key=attrgetter("start_year", "end_year")))
         # load_corpus rejects a repeated or unknown key at its earliest row; a
         # Corpus built directly names its smallest (a repeat sorts next to it)
         self.researcher_by_id = {r.researcher_id: r for r in self.researchers}

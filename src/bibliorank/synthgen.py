@@ -64,8 +64,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
+from numbers import Integral, Real
 from operator import attrgetter
 from pathlib import Path
 
@@ -73,7 +74,8 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .loader import _EXACT, write_corpus
-from .model import Authorship, Corpus, Period, Publication, Researcher, Taxonomy
+from .model import (Authorship, Corpus, Period, Publication, Researcher, Taxonomy,
+                    two_periods)
 
 
 # The corpus is built in memory, so check refuses a config that allows more
@@ -103,6 +105,11 @@ class GenConfig:
     late: tuple = ("P2", 2004, 2008)
 
     def check(self):
+        for field in fields(self):
+            kind = {"int": Integral, "float": Real}.get(field.type)  # None: a period
+            value = getattr(self, field.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise InvalidConfig(f"{field.name} must be {field.type}, got {value!r}")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
         if self.n_universities < 1 or self.n_sds < 1 or self.sds_per_uda < 1:
@@ -122,8 +129,12 @@ class GenConfig:
                 raise InvalidConfig(
                     f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
         early, late = self._period("early"), self._period("late")
-        if early.label == late.label:
-            raise InvalidConfig(f"both periods are labelled {early.label}")
+        try:
+            first, _ = two_periods((early, late))
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
+        if first is not early:
+            raise InvalidConfig(f"early period {early.label} starts after {late.label}")
         # every seat's holder may leave and be replaced once
         researchers = self.n_universities * self.n_sds * self.staff_max * 2
         years = early.length_years + late.length_years

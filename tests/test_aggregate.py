@@ -58,6 +58,13 @@ class TestRescale:
         })
         assert ("U2", "S1") not in out
 
+    def test_zero_staff_takes_the_unweighted_mean(self):
+        out = rescale_sds({
+            ("U1", "S1"): score(("U1", "S1"), 1.0, 0.0),
+            ("U2", "S1"): score(("U2", "S1"), 3.0, 0.0),
+        })
+        assert out == {("U1", "S1"): 0.5, ("U2", "S1"): 1.5}
+
     def test_all_absent(self):
         with pytest.raises(AllAbsent):
             rescale_sds({("U1", "S1"): score(("U1", "S1"), None, 1.0)})

@@ -58,8 +58,10 @@ class TestExternal:
         corpus_table = build_baselines(corpus_with_citations([0, 1, 3]))
         f = tmp_path / "baselines.csv"
         f.write_text("subject_category,year,median,mean,n_pubs\nCAT_X,2001,9.0,9.0,10\n")
-        merged = corpus_table.merge(load_external_baselines(f))
-        assert merged.get("CAT_X", 2001).median == 9.0
+        external = load_external_baselines(f)
+        assert corpus_table.merge(external).get("CAT_X", 2001).median == 9.0
+        # an external entry is kept over a corpus-derived one merged onto it
+        assert external.merge(corpus_table).get("CAT_X", 2001).median == 9.0
 
     def test_header_only_is_valid(self, tmp_path):
         f = tmp_path / "baselines.csv"

@@ -390,6 +390,29 @@ class TestBadInput:
                        "'subject_category', 'citations', 'n_authors_total'] (row 1)"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "indicators", "rank", "compare",
+                                         "drilldown"])
+    def test_overlapping_periods(self, demo, tmp_path, capsys, command):
+        """Periods that share a year fail every command that loads them."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(demo, corpus)
+        (corpus / "periods.csv").write_text(
+            "label,start_year,end_year\nP1,2001,2005\nP2,2004,2008\n")
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus)]
+        if command != "ingest":
+            argv += ["--out", str(out), "--min-staff", "1"]
+        if command == "drilldown":
+            argv += ["--university", "UNI001", "--uda", "UDA01"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": "SchemaError",
+            "message": f"{corpus / 'periods.csv'}: periods P1 and P2 overlap: "
+                       "P1 ends in 2005, P2 starts in 2004"}]
+        assert not out.exists()
+
     def test_json_baselines(self, demo, tmp_path):
         """A .json baseline table is read as the corpus reader reads a JSON
         file, and scores as its CSV form does."""
@@ -604,10 +627,14 @@ class TestSynthErrors:
     @pytest.mark.parametrize("option, value", [("--early", "P1,2004,2003"),
                                                ("--late", "P1,2004,2008"),
                                                ("--early", "P1,2001"),
-                                               ("--late", "P2,2004,2008.5")])
+                                               ("--late", "P2,2004,2008.5"),
+                                               ("--early", "P1,2001,2005"),
+                                               ("--late", "P2,2002,2008"),
+                                               ("--early", "P1,2009,2010")])
     def test_bad_period(self, tmp_path, capsys, monkeypatch, option, value):
-        """A reversed period, a period labelled as the other or one that is
-        not LABEL,START,END fails before any generator is made."""
+        """A reversed period, a period labelled as the other, one that is
+        not LABEL,START,END, one that overlaps the other and an early period
+        after the late one fail before any generator is made."""
         import numpy as np
 
         def no_generator(*args, **kwargs):
@@ -845,3 +872,5 @@ def test_package_still_serves_the_generator():
     import bibliorank
     assert bibliorank.generate is generate
     assert bibliorank.GenConfig is GenConfig
+    with pytest.raises(AttributeError, match="^module 'bibliorank' has no attribute 'nope'$"):
+        bibliorank.nope

@@ -135,6 +135,13 @@ class TestLoad:
          "(row 3)"),
         ({"periods.csv": "label,start_year,end_year\nE,2003,2001\nL,2004,2008\n"},
          "periods.csv", "start_year=2003 is after end_year=2001 (row 2)"),
+        ({"periods.csv": "label,start_year,end_year\nE,2001,2003\n"},
+         "periods.csv", "corpus requires exactly two periods (early, late)"),
+        ({"periods.csv": "label,start_year,end_year\nE,2001,2003\nL,2004,2008\n"
+                         "X,2009,2010\n"},
+         "periods.csv", "corpus requires exactly two periods (early, late)"),
+        ({"periods.csv": "label,start_year,end_year\nL,2004,2008\nE,2001,2005\n"},
+         "periods.csv", "periods E and L overlap: E ends in 2005, L starts in 2004"),
         ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
                                '"CAT_X", "citations": 2.7, "n_authors_total": 2}]'},
          "publications.json", "citations=2.7 is not an integer (row 1)"),
@@ -164,7 +171,8 @@ class TestLoad:
                              f"r1,S1,U1,2001;{-2**53 - 1}\n"}, "researchers.csv",
          f"active_years='{-2**53 - 1}' is outside [-2**53, 2**53] (row 2)"),
     ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
-            "cell_over_field_size_limit", "period_start_after_end", "json_float",
+            "cell_over_field_size_limit", "period_start_after_end", "one_period",
+            "three_periods", "overlapping_periods", "json_float",
             "json_bool", "year_with_underscore", "year_in_fullwidth_digits",
             "year_after_a_blank", "year_before_a_blank", "citations_of_400_digits",
             "json_n_authors_of_400_digits", "citations_of_308_nines",
@@ -475,7 +483,14 @@ class TestCorpusPeriods:
         ((EARLY,), "corpus requires exactly two periods (early, late)"),
         ((Period("P1", 2001, 2003), Period("P1", 2004, 2008)),
          "both periods are labelled P1"),
-    ], ids=["one_period", "repeated_label"])
+        ((EARLY, LATE, Period("P3", 2009, 2010)),
+         "corpus requires exactly two periods (early, late)"),
+        ((Period("P1", 2001, 2005), Period("P2", 2004, 2008)),
+         "periods P1 and P2 overlap: P1 ends in 2005, P2 starts in 2004"),
+        ((Period("P2", 2004, 2008), Period("P1", 2001, 2004)),
+         "periods P1 and P2 overlap: P1 ends in 2004, P2 starts in 2004"),
+    ], ids=["one_period", "repeated_label", "three_periods", "overlapping",
+            "late_first_and_overlapping"])
     def test_rejected(self, periods, message):
         with pytest.raises(ValueError) as exc:
             make_corpus([R("r1")], [P("p1")], [A("p1", "r1")], periods=periods)
@@ -864,7 +879,8 @@ class TestStaff:
         period = type(EARLY)("H", 2001, 2004)
         researchers = [R(f"r{i}", years=(2001, 2002, 2003, 2004)) for i in range(3)]
         researchers.append(R("rh", years=(2001, 2002)))
-        corpus = make_corpus(researchers, [], [], periods=(period, LATE))
+        late = type(EARLY)("L", 2005, 2008)  # the periods may not share a year
+        corpus = make_corpus(researchers, [], [], periods=(period, late))
         assert staff(corpus, "U1", "S1", period) == pytest.approx(3.5)
 
     def test_headcount_mode(self):

@@ -129,6 +129,9 @@ class TestShiftStats:
     def test_empty_intersection(self):
         with pytest.raises(EmptyIntersection):
             shift_stats(ranked({"a": 1.0}), ranked({"b": 1.0}))
+        with pytest.raises(EmptyIntersection):
+            transition_matrix(assign_quintiles(ranked({"a": 1.0})),
+                              assign_quintiles(ranked({"b": 1.0})))
 
 
 class TestQuintileShift:
@@ -221,11 +224,13 @@ class TestClassify:
 # the names a call may use besides the one unknown name it is given
 Known = namedtuple("Known", "univ sds uda researcher period")
 ODD = Period("ODD", 1990, 1991)
-MESSAGES = {UnknownUDA: "UDA NOPE is not in the taxonomy",
-            UnknownSDS: "SDS NOPE is not in the taxonomy",
-            UnknownUniversity: "university NOPE is not in the corpus",
-            UnknownResearcher: "researcher NOPE is not in the corpus",
-            ValueError: "unknown period 'ODD'"}
+# the message of each kind of unknown name, the last part of a case's id
+MESSAGES = {"uda": "UDA NOPE is not in the taxonomy",
+            "sds": "SDS NOPE is not in the taxonomy",
+            "university": "university NOPE is not in the corpus",
+            "researcher": "researcher NOPE is not in the corpus",
+            "period": "unknown period 'ODD'",
+            "indicator": "unknown indicator 'NOPE'"}
 
 
 def _unit_indicator(ledger, k, univ=None, sds=None):
@@ -304,6 +309,10 @@ UNKNOWN_NAMES = [
      lambda led, k: national_weighted_average(led, "FSS", ODD, k.uda), ValueError),
     ("model.staff-period",
      lambda led, k: staff(led.corpus, k.univ, k.sds, ODD), ValueError),
+    ("unit_score-indicator",
+     lambda led, k: led.unit_score(k.univ, k.sds, "NOPE", k.period), ValueError),
+    ("uda_rank_list-indicator",
+     lambda led, k: uda_rank_list(led, k.uda, "NOPE", k.period), ValueError),
 ]
 
 
@@ -432,14 +441,14 @@ class TestCorpusDriven:
         for sds, row in rows.items():
             assert row["flags"] == classify_shifts(row["P"], row["FP"], row["AQ"])
 
-    @pytest.mark.parametrize("call, error", [case[1:] for case in UNKNOWN_NAMES],
+    @pytest.mark.parametrize("name, call, error", UNKNOWN_NAMES,
                              ids=[case[0] for case in UNKNOWN_NAMES])
-    def test_unknown_name_is_rejected(self, call, error):
+    def test_unknown_name_is_rejected(self, name, call, error):
         uda = self.corpus.taxonomy.uda_list[0]
         univ, sds = min((u, s) for u, s in self.corpus.units()
                         if self.corpus.taxonomy.sds_to_uda[s] == uda)
         known = Known(univ, sds, uda, self.corpus.researchers[0].researcher_id,
                       self.corpus.early)
-        with pytest.raises(error, match=f"^{MESSAGES[error]}$"):
+        with pytest.raises(error, match=f"^{MESSAGES[name.rsplit('-', 1)[1]]}$"):
             call(self.ledger, known)
 

@@ -96,6 +96,11 @@ class TestGenerate:
         (dict(late=("P2", 2004)), "late must be (label, start_year, end_year)"),
         (dict(early=("P1", "2001", 2003)), "early must be a text label and two integer years"),
         (dict(late=("P2", 2004, 2**53 + 1)), "late must be a text label and two integer years"),
+        (dict(early=("P1", 2001, 2005)),
+         "periods P1 and P2 overlap: P1 ends in 2005, P2 starts in 2004"),
+        (dict(early=("P1", 2004, 2008), late=("P2", 2001, 2003)),
+         "early period P1 starts after P2"),
+        (dict(early=("P1", 2009, 2010)), "early period P1 starts after P2"),
     ])
     def test_a_bad_period(self, tmp_path, monkeypatch, period, message):
         """A period the corpus or the loader would refuse is an InvalidConfig
@@ -107,6 +112,22 @@ class TestGenerate:
         with pytest.raises(InvalidConfig) as exc:
             generate(GenConfig(**period), tmp_path / "out")
         assert str(exc.value).startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", 1.5, "int"), ("n_sds", 2.5, "int"), ("staff_max", 3.5, "int"),
+        ("unit_presence", "0.5", "float"), ("n_universities", True, "int"),
+        ("citation_mean", None, "float")])
+    def test_a_value_of_the_wrong_type(self, tmp_path, monkeypatch, field, value, kind):
+        """A value of the wrong type, a bool for a count included, is an
+        InvalidConfig naming the field before any generator is made."""
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(InvalidConfig) as exc:
+            generate(GenConfig(**{field: value}), tmp_path / "out")
+        assert str(exc.value) == f"{field} must be {kind}, got {value!r}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting, column", [("citation_mean", "citations"),
@@ -292,7 +313,7 @@ class TestOracleGuard:
         scores = orc.unit_scores()
         for period in corpus.periods:
             n_pubs = sum(1 for p in corpus.publications
-                         if period.contains(p.year))
+                         if p.year in period.years)
             expected = n_pubs / period.length_years
             assert scores[("UNI001", "SDS001", "P", period.label)] == \
                 pytest.approx(expected)
