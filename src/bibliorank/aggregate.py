@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import AllAbsent, EmptyScope, NoPublications, NoStaffInUda, ZeroBase
+from .errors import EmptyScope, NoPublications, NoStaffInUda, ZeroBase
 from .indicators import INDICATORS, UnitLedger, check_indicator, unit_indicator
 from .model import Period
 
@@ -44,12 +44,13 @@ def rescale_sds(scores: dict) -> dict:
     """Divide each unit value by the SDS's national staff-weighted mean.
 
     Input maps unit -> (value, staff), value None where the score is absent.
-    Absent units are dropped; the weighted mean runs over every unit with a
-    defined score, including any below a reporting threshold.
+    Absent units are dropped, so a stratum with no defined score rescales to
+    {}; the weighted mean runs over every unit with a defined score, including
+    any below a reporting threshold.
     """
     defined = {u: vs for u, vs in scores.items() if vs[0] is not None}
     if not defined:
-        raise AllAbsent("no unit has a defined score in this stratum")
+        return {}
     weight_total = math.fsum(s for _, s in defined.values())
     if weight_total > 0:
         mean = math.fsum(s * v for v, s in defined.values()) / weight_total
@@ -74,13 +75,9 @@ def _roll_up(ledger: UnitLedger, uda: str, period: Period) -> dict:
     units = {}
     for sds in ledger.corpus.taxonomy.sds_in_uda(uda):
         tallies = ledger.staffed_universities(sds, period)
-        rescaled = {}
-        for ind in INDICATORS:
-            try:
-                rescaled[ind] = rescale_sds(
-                    {u: (t.values[ind], t.staff) for u, t in tallies.items()})
-            except AllAbsent:
-                rescaled[ind] = {}
+        rescaled = {ind: rescale_sds({u: (t.values[ind], t.staff)
+                                      for u, t in tallies.items()})
+                    for ind in INDICATORS}
         for u, tally in tallies.items():
             units.setdefault(u, []).append(
                 (tally, {ind: rescaled[ind].get(u) for ind in INDICATORS}))

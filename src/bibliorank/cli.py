@@ -196,10 +196,7 @@ def _uda_rankings(ledger, min_staff: float) -> dict:
 def rank_tables(ledger, args) -> dict:
     rank_rows, quintile_rows = [], []
     for (uda, ind), rankings in _uda_rankings(ledger, args.min_staff).items():
-        for ranking in rankings:
-            if ranking is None:
-                continue
-            ranked, assigned = ranking
+        for ranked, assigned in rankings:
             for e in ranked.entries:
                 rank_rows.append([uda, ind, ranked.period, e.university_id,
                                   e.value, e.rank])
@@ -217,8 +214,6 @@ def compare_tables(ledger, args) -> dict:
     rankings = _uda_rankings(ledger, args.min_staff)
     stats_rows, transition_rows = [], []
     for (uda, ind), (early, late) in rankings.items():
-        if early is None or late is None:
-            continue
         try:
             stats = shift_stats(early.ranks, late.ranks)
             matrix = transition_matrix(early.quintiles, late.quintiles)

@@ -61,10 +61,6 @@ class NoPublications(BiblioRankError):
     """Quality score undefined for a unit without publications (absent, not zero)."""
 
 
-class AllAbsent(BiblioRankError):
-    pass
-
-
 class NoStaffInUda(BiblioRankError):
     pass
 
@@ -74,10 +70,6 @@ class EmptyScope(BiblioRankError):
 
 
 class ZeroBase(BiblioRankError):
-    pass
-
-
-class NoEligibleUniversities(BiblioRankError):
     pass
 
 

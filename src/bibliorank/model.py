@@ -110,6 +110,10 @@ class Corpus:
             if len(distinct) < len(records):
                 key = next(a[0] for a, b in zip(records, records[1:]) if a[0] == b[0])
                 raise DuplicateKey(f"{stem}: duplicate {name} {key}")
+        stray = next((r for r in self.researchers if r.sds not in taxonomy.sds_to_uda), None)
+        if stray is not None:
+            raise DanglingReference(
+                f"researcher {stray.researcher_id} references unknown SDS {stray.sds}")
         self.authorships_by_pub = by_pub = {}
         for a in self.authorships:
             group = by_pub.setdefault(a.pub_id, [])

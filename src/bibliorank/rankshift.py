@@ -14,7 +14,7 @@ from itertools import accumulate
 # module until ROADMAP item 1: test_tracer_patches_every_importing_namespace…
 from .aggregate import sds_unit_scores, uda_scores  # noqa: F401
 from .baseline import median
-from .errors import EmptyIntersection, NoEligibleUniversities
+from .errors import EmptyIntersection
 from .indicators import UnitLedger, check_indicator
 from .model import Period
 
@@ -56,14 +56,12 @@ def rank_list(scores: dict, uda: str = "", indicator: str = "", period: str = ""
     """Competition-ranked list over eligible universities.
 
     `scores` maps university_id -> (value, staff); staff below the threshold
-    or a None value excludes the university. Equal values share the smaller
-    rank and are ordered by university_id for display.
+    or a None value excludes the university, and a list with no eligible
+    university has no entries. Equal values share the smaller rank and are
+    ordered by university_id for display.
     """
     eligible = [(u, v) for u, (v, s) in scores.items()
                 if s >= min_staff and v is not None]
-    if not eligible:
-        raise NoEligibleUniversities(
-            f"no university meets the staff threshold {min_staff} in {uda or 'list'}")
     eligible.sort(key=lambda t: (-t[1], t[0]))
     entries = []
     for i, (u, v) in enumerate(eligible):
@@ -169,24 +167,18 @@ Ranking = namedtuple("Ranking", "ranks quintiles")
 def period_rankings(rank, ledger: UnitLedger, scope: str, indicator: str,
                     min_staff: float = DEFAULT_MIN_STAFF) -> tuple:
     """(early, late) Ranking of `rank` (uda_rank_list or sds_rank_list) over
-    the scope, with None for a period in which no university is eligible."""
+    the scope; a period in which no university is eligible ranks none."""
     out = []
     for period in ledger.corpus.periods:
-        try:
-            ranked = rank(ledger, scope, indicator, period, min_staff)
-        except NoEligibleUniversities:
-            out.append(None)
-            continue
+        ranked = rank(ledger, scope, indicator, period, min_staff)
         out.append(Ranking(ranked, assign_quintiles(ranked)))
     return tuple(out)
 
 
 def quintile_shifts(rankings: tuple) -> dict:
     """university_id -> quintile shift of every university ranked in both
-    periods of a period_rankings pair."""
+    periods of a period_rankings pair; {} when either period ranks none."""
     early, late = rankings
-    if early is None or late is None:
-        return {}
     q_late = late.quintiles.entries
     return {u: quintile_shift(q, q_late[u])
             for u, q in early.quintiles.entries.items() if u in q_late}

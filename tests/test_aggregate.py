@@ -6,7 +6,7 @@ from bibliorank.aggregate import (national_weighted_average, percent_variation,
                                   rescale_sds, sds_unit_scores, uda_score,
                                   uda_scores)
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import (AllAbsent, EmptyScope, NoPublications, NoStaffInUda,
+from bibliorank.errors import (EmptyScope, NoPublications, NoStaffInUda,
                                UnknownUDA, UnknownUniversity, ZeroBase)
 from bibliorank.indicators import INDICATORS, ShareScheme, UnitLedger
 from bibliorank.model import presence
@@ -66,8 +66,7 @@ class TestRescale:
         assert out == {("U1", "S1"): 0.5, ("U2", "S1"): 1.5}
 
     def test_all_absent(self):
-        with pytest.raises(AllAbsent):
-            rescale_sds({("U1", "S1"): score(("U1", "S1"), None, 1.0)})
+        assert rescale_sds({("U1", "S1"): score(("U1", "S1"), None, 1.0)}) == {}
 
     def test_weighted_mean_is_one(self):
         scores = {("U%d" % i, "S1"): score(("U%d" % i, "S1"), float(i), i + 0.5)

@@ -16,9 +16,12 @@ import pytest
 from bibliorank import aggregate, cli, indicators
 from bibliorank.cli import main
 from bibliorank.errors import BiblioRankError
-from bibliorank.indicators import ShareScheme
-from bibliorank.loader import write_corpus
+from bibliorank.indicators import ShareScheme, UnitLedger
+from bibliorank.loader import load_corpus, write_corpus
 from bibliorank.model import Corpus, Taxonomy
+from bibliorank.rankshift import (Ranking, period_rankings, quintile_shifts,
+                                  sds_drilldown, sds_rank_list, uda_rank_list,
+                                  university_shift_table)
 from bibliorank.synthgen import GenConfig, generate, make_corpus as synth_corpus
 
 from conftest import A, P, R, make_corpus, make_taxonomy
@@ -512,6 +515,42 @@ class TestCompareEdgeCases:
         self.run_compare(tmp_path / "corpus", tmp_path / "out", capsys)
         balance = (tmp_path / "out" / "shift_balance.csv").read_text()
         assert balance.splitlines()[2:] == ["0.0,0.0,0.0"]
+
+    def test_a_threshold_no_university_meets_ranks_nothing(self, demo, tmp_path,
+                                                           capsys):
+        """An empty scope is an empty result: every rank list is empty, no
+        shift is defined, and rank and compare write their reports unfilled."""
+        corpus = load_corpus(demo)
+        ledger, taxonomy = UnitLedger(corpus), corpus.taxonomy
+        for rank, scopes in ((uda_rank_list, taxonomy.uda_list),
+                             (sds_rank_list, taxonomy.sds_list)):
+            for scope in scopes:
+                rankings = period_rankings(rank, ledger, scope, "FSS", 1e300)
+                assert [(type(r), r.ranks.entries, r.quintiles.entries,
+                         r.quintiles.sizes) for r in rankings] == \
+                    [(Ranking, (), {}, (0, 0, 0, 0, 0))] * 2
+                assert quintile_shifts(rankings) == {}
+        for uda in taxonomy.uda_list:
+            for u in corpus.universities:
+                assert sds_drilldown(ledger, u, uda, "FSS", 1e300) == {}
+        table = university_shift_table(
+            corpus.universities,
+            {uda: period_rankings(uda_rank_list, ledger, uda, "FSS", 1e300)
+             for uda in taxonomy.uda_list})
+        assert {v for row in table.cells.values() for v in row.values()} == {None}
+
+        out = tmp_path / "out"
+        for command in ("rank", "compare"):
+            assert main([command, "--input", str(demo), "--out", str(out),
+                         "--min-staff", "1e300"]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("rank_lists", "quintiles", "shift_stats", "transition_matrices"):
+            header, columns, *rows = (out / f"{name}.csv").read_text().splitlines()
+            assert header.startswith("# corpus=") and columns and rows == [], name
+        shift_rows = (out / "university_shift_table.csv").read_text().splitlines()[2:]
+        n_uda = len(taxonomy.uda_list)
+        assert shift_rows == [f"{u}{',' * n_uda},0" for u in corpus.universities] + \
+            ["pct_changed" + ",0.0" * (n_uda + 1)]
 
     def test_failing_table_leaves_no_output_directory(self, demo, tmp_path, capsys,
                                                       monkeypatch):

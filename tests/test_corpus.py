@@ -124,6 +124,10 @@ class TestLoad:
          "expected a JSON object, got int (row 1)"),
         ({"publications.json": '["pub_id"]'}, "publications.json",
          "expected a JSON object, got str (row 1)"),
+        ({"publications.json": '{"pub_id": "p1"}'}, "publications.json",
+         "expected a JSON array of objects"),
+        ({"publications.json": "3"}, "publications.json",
+         "expected a JSON array of objects"),
         ({"researchers.csv": b"researcher_id,sds,university_id,active_years\n"
                              b"r\xff1,S1,U1,2001\n"}, "researchers.csv",
          "not valid UTF-8 (invalid start byte)"),
@@ -170,7 +174,8 @@ class TestLoad:
         ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
                              f"r1,S1,U1,2001;{-2**53 - 1}\n"}, "researchers.csv",
          f"active_years='{-2**53 - 1}' is outside [-2**53, 2**53] (row 2)"),
-    ], ids=["json_syntax", "json_number_row", "json_string_row", "invalid_utf8",
+    ], ids=["json_syntax", "json_number_row", "json_string_row", "json_object",
+            "json_number", "invalid_utf8",
             "cell_over_field_size_limit", "period_start_after_end", "one_period",
             "three_periods", "overlapping_periods", "json_float",
             "json_bool", "year_with_underscore", "year_in_fullwidth_digits",

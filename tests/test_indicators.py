@@ -386,6 +386,13 @@ class TestLedger:
                 make_corpus([R("r1")], [P("p1")], [A("p1", "r1"), authorship])
             assert str(err.value) == message
 
+    def test_researcher_of_an_unknown_sds_is_rejected(self):
+        # in load_corpus's words, naming the smallest such researcher id
+        with pytest.raises(DanglingReference) as err:
+            make_corpus([R("r2", "S8"), R("r1", "S9"), R("r0")], [P("p1")],
+                        [A("p1", "r0")])
+        assert str(err.value) == "researcher r1 references unknown SDS S9"
+
     def test_fallback_events_once_per_publication_in_pub_id_order(self):
         # CAT_X/2001 has median 0, so p2 and p5 fall back; each has two authors
         pubs = [P("p5", 2001, "CAT_X", 3, 2), P("p4", 2001, "CAT_X", 0, 1),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bibliorank import cli
 from bibliorank.aggregate import national_weighted_average, uda_scores
-from bibliorank.errors import NoEligibleUniversities
 from bibliorank.indicators import INDICATORS, UnitLedger
 from bibliorank.loader import write_corpus
 from bibliorank.model import Authorship, Corpus, Publication, Taxonomy
@@ -44,11 +43,8 @@ def twins(corpus: Corpus) -> Corpus:
 
 def ranked(rank, ledger, scope, indicator, period, min_staff):
     """university_id -> (value, rank) of a rank list; {} when none is eligible."""
-    try:
-        entries = rank(ledger, scope, indicator, period, min_staff).entries
-    except NoEligibleUniversities:
-        return {}
-    return {e.university_id: (e.value, e.rank) for e in entries}
+    return {e.university_id: (e.value, e.rank)
+            for e in rank(ledger, scope, indicator, period, min_staff).entries}
 
 
 CONFIGS = {"default": {},

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from bibliorank.aggregate import (national_weighted_average, sds_unit_scores,
                                   uda_score, uda_scores)
 from bibliorank.baseline import build_baselines
-from bibliorank.errors import (EmptyIntersection, NoEligibleUniversities,
-                               NoStaffInUda, UnknownResearcher, UnknownSDS, UnknownUDA,
-                               UnknownUniversity)
+from bibliorank.errors import (EmptyIntersection, NoStaffInUda, UnknownResearcher,
+                               UnknownSDS, UnknownUDA, UnknownUniversity)
 from bibliorank.indicators import (ShareScheme, UnitLedger, researcher_indicator,
                                    unit_indicator)
 from bibliorank.model import Period, Taxonomy, presence, staff
@@ -53,8 +52,9 @@ class TestRankList:
         assert [e.university_id for e in rl.entries] == ["a"]
 
     def test_no_eligible(self):
-        with pytest.raises(NoEligibleUniversities):
-            rank_list({"a": (3.0, 1.0)}, min_staff=6.0)
+        rl = rank_list({"a": (3.0, 1.0), "b": (None, 9.0)}, min_staff=6.0)
+        assert rl.entries == ()
+        assert assign_quintiles(rl).sizes == (0, 0, 0, 0, 0)
 
     def test_scale_invariance(self):
         values = {f"u{i}": float(i * 7 % 13) for i in range(10)}
@@ -412,7 +412,7 @@ class TestCorpusDriven:
     @pytest.mark.parametrize("min_staff", [1.0, 3.5])
     def test_sds_rank_list_ranks_the_sds_unit_scores(self, min_staff):
         """Each SDS rank list ranks the values and staffs of sds_unit_scores,
-        and refuses exactly when that list has no eligible university."""
+        and is empty exactly when that list has no eligible university."""
         refused = 0
         for sds in self.corpus.taxonomy.sds_list:
             for period in self.corpus.periods:
@@ -420,13 +420,8 @@ class TestCorpusDriven:
                     scores = {u: (s.value, s.staff) for (u, _), s
                               in sds_unit_scores(self.ledger, sds, ind, period).items()
                               if s is not None}
-                    try:
-                        want = rank_list(scores, sds, ind, period.label, min_staff)
-                    except NoEligibleUniversities:
-                        refused += 1
-                        with pytest.raises(NoEligibleUniversities):
-                            sds_rank_list(self.ledger, sds, ind, period, min_staff)
-                        continue
+                    want = rank_list(scores, sds, ind, period.label, min_staff)
+                    refused += not want.entries
                     assert sds_rank_list(self.ledger, sds, ind, period,
                                          min_staff) == want
         assert bool(refused) == (min_staff > 1.0)
