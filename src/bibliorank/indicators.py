@@ -7,14 +7,15 @@ Four measures per (university, SDS) unit and period:
   FSS  share-weighted standardized citation sum per researcher per year
 
 All four are read from one UnitLedger: a single pass over the authorships
-that records, per unit and per researcher, the terms each indicator sums. A
-command builds one ledger and reads every score from it.
+that keeps, per unit and per researcher, one (pub_id, share, standardized
+score) term per authorship; each sum, FSS's share x score products too, is
+taken at finish. A command builds one ledger and reads every score from it.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .baseline import BaselineTable, build_baselines, check_basis, stratum_divisor
 from .errors import NoPublications, UnknownResearcher, ZeroStaff
@@ -78,38 +79,36 @@ def fractional_share(authorship: Authorship, publication: Publication,
 
 
 class _Tally:
-    """What one unit or researcher did in one period: the terms its indicators
-    sum, then, once finished, the sums themselves.
+    """What one unit or researcher did in one period: a (pub_id, share, std)
+    term per authorship, then, once finished, the sums themselves.
 
     After finish, `staff`, `n_pubs` and `values` (indicator -> value, None
     where it is undefined: AQ without publications, the others without staff)
     are plain numbers, read as often as needed. math.fsum is exactly rounded,
     so the order of the terms changes no sum and equal units tie exactly.
     """
-    __slots__ = ("presence", "pids", "shares", "impacts", "staff", "n_pubs", "values")
+    __slots__ = ("presence", "terms", "staff", "n_pubs", "values")
 
     def __init__(self, presence=()):
         self.presence = list(presence)  # sums to staff
-        self.pids = []                  # publication id per authorship
-        self.shares = []                # author share per authorship
-        self.impacts = []               # share x standardized citations
+        self.terms = []                 # (pub_id, share, std) per authorship
         self.values = None              # set by finish
 
-    def finish(self, std: dict, years: int) -> "_Tally":
-        """Take each sum once, at the first call; `std` maps pub_id to its
-        standardized citation score and `years` is the length of the period."""
+    def finish(self, years: int) -> "_Tally":
+        """Take each sum once, at the first call; `years` is the length of the period."""
         if self.values is not None:
             return self
-        pubs = set(self.pids)
+        pub_ids, fractions, scores = zip(*self.terms) if self.terms else ((), (), ())
+        std = dict(zip(pub_ids, scores))  # a publication's terms share its score
         staff = self.staff = math.fsum(self.presence)
-        n_pubs = self.n_pubs = len(pubs)
+        n_pubs = self.n_pubs = len(std)
         per_year = staff * years
         staffed = staff > 0
         self.values = {
             "P": n_pubs / per_year if staffed else None,
-            "FP": math.fsum(self.shares) / per_year if staffed else None,
-            "AQ": math.fsum(map(std.__getitem__, pubs)) / n_pubs if n_pubs else None,
-            "FSS": math.fsum(self.impacts) / per_year if staffed else None,
+            "FP": math.fsum(fractions) / per_year if staffed else None,
+            "AQ": math.fsum(std.values()) / n_pubs if n_pubs else None,
+            "FSS": math.fsum(map(mul, fractions, scores)) / per_year if staffed else None,
         }
         return self
 
@@ -158,7 +157,6 @@ class UnitLedger:
             researchers = [r for r in researchers if r.sds in sds_scope]
             units = [unit for unit in units if unit[1] in sds_scope]
         self.sds_scope = sds_scope  # None: every SDS
-        self._std = {}             # pub_id -> standardized citation score
         self.fallback_events = []  # (pub_id, subject_category, year) per fallback
         self.uda_rollups = {}      # (uda, period) -> aggregate.uda_scores, on first read
         periods = corpus.periods
@@ -173,7 +171,7 @@ class UnitLedger:
         strata, fallbacks = {}, {}
         (_, early_start, early_end), (_, late_start, late_end) = periods
         outside = None if sds_scope is None else tallies.keys().isdisjoint
-        # the walk keeps corpus.authorships order in the term lists and fallback_events;
+        # the walk keeps corpus.authorships order in the terms and in fallback_events;
         # the periods share no year (model.two_periods), so a publication is in one or none
         for pid, group in corpus.authorships_by_pub.items():
             if outside is not None and outside(map(_RESEARCHER, group)):
@@ -189,7 +187,7 @@ class UnitLedger:
                 stratum = strata[category, year] = stratum_divisor(
                     self.baselines, category, year, basis, fallbacks)
             divisor, fell_back = stratum
-            std = self._std[pid] = citations / divisor
+            std = citations / divisor
             if fell_back and citations:
                 self.fallback_events.append((pid, category, year))
             # only a life-science author on a byline of several universities
@@ -203,10 +201,7 @@ class UnitLedger:
                 life, mine = entry
                 share = (fractional_share(a, pub, scheme, life, known_bylines=bylines)
                          if weighted and life else 1.0 / n)
-                tally = mine[i]
-                tally.pids.append(pid)
-                tally.shares.append(share)
-                tally.impacts.append(share * std)
+                mine[i].terms.append((pid, share, std))
 
         # period -> SDS in scope -> university or researcher id -> tally, sorted by
         # id; a unit's terms are its members', each sum taken over all at once
@@ -220,11 +215,9 @@ class UnitLedger:
                 tally = mine[r.sds][r.researcher_id] = tallies[r.researcher_id][1][i]
                 unit = by_sds[r.sds][r.university_id]
                 unit.presence.extend(tally.presence)
-                unit.pids.extend(tally.pids)
-                unit.shares.extend(tally.shares)
-                unit.impacts.extend(tally.impacts)
+                unit.terms.extend(tally.terms)
             for u, s in units:
-                by_sds[s][u].finish(self._std, p.length_years)
+                by_sds[s][u].finish(p.length_years)
 
     def _lookup(self, by_period: dict, sds: str, period: Period,
                 university_id: str | None = None) -> dict:
@@ -263,7 +256,7 @@ class UnitLedger:
         finished on its first read."""
         mine = self._lookup(self._researchers, sds, period)
         return {rid: tally for rid, tally in mine.items()
-                if tally.finish(self._std, period.length_years).staff > 0}
+                if tally.finish(period.length_years).staff > 0}
 
     def unit_score(self, university_id: str, sds: str, indicator: str,
                    period: Period) -> IndicatorScore:
@@ -271,7 +264,7 @@ class UnitLedger:
         tally = self._lookup(self._units, sds, period, university_id).get(university_id)
         if tally is None:  # a unit with researchers names a known university
             self.corpus.check_names(university_id)
-            tally = _Tally().finish(self._std, period.length_years)
+            tally = _Tally().finish(period.length_years)
         return self._score((university_id, sds), tally, indicator, period)
 
     def researcher_score(self, researcher_id: str, indicator: str,
@@ -282,7 +275,7 @@ class UnitLedger:
         if researcher is None:
             raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
         tally = self._lookup(self._researchers, researcher.sds, period)[researcher_id]
-        return self._score(researcher_id, tally.finish(self._std, period.length_years),
+        return self._score(researcher_id, tally.finish(period.length_years),
                            indicator, period)
 
 

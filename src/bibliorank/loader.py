@@ -24,6 +24,7 @@ FILESET = {
 FILE_STEMS = tuple(FILESET)
 _INTEGER = re.compile("[+-]?[0-9]+")  # an integer cell's text
 _EXACT = 2 ** 53  # an integer cell's bound (_not_int)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON escapes it, UTF-8 cannot encode it
 
 
 def find_file(input_dir: Path, stem: str) -> Path:
@@ -115,8 +116,13 @@ class _File:
         self.failures = []
 
     def text(self, values) -> tuple:
-        """A text column: CSV cells are text already, JSON values read as str()."""
-        return tuple(map(str, values)) if self.json else values
+        """A text column: CSV cells are UTF-8 text already, JSON values read
+        as str(), where a lone surrogate fails (no report could write it)."""
+        if self.json:
+            values = tuple(map(str, values))
+            self.note(_SURROGATE.search("".join(values)), values, _SURROGATE.search,
+                      lambda i: f"{values[i]!r} is not UTF-8 text")
+        return values
 
     def note(self, fails: bool, values, failing, error):
         """If `fails`, note error(i) for the first value i that is failing
@@ -230,13 +236,13 @@ def load_corpus(input_dir) -> Corpus:
 
     f = _File(find_file(input_dir, "taxonomy"), FILESET["taxonomy"])
     sds, udas, life = f.columns
-    sds = f.text(sds)
+    sds, udas = f.text(sds), f.text(udas)
     f.unique(sds, lambda i: DuplicateKey(f"taxonomy: SDS {sds[i]} listed twice"))
     life = f.ints(life, "is_life_science")
     f.note(not {0, 1}.issuperset(life), life, lambda v: v not in (0, 1),
            lambda i: "is_life_science must be 0 or 1")
     f.raise_first()
-    sds_to_uda = dict(zip(sds, f.text(udas)))
+    sds_to_uda = dict(zip(sds, udas))
     taxonomy = Taxonomy(sds_to_uda, frozenset(compress(sds, life)))
 
     f = _File(find_file(input_dir, "periods"), FILESET["periods"])
@@ -255,28 +261,27 @@ def load_corpus(input_dir) -> Corpus:
 
     f = _File(find_file(input_dir, "researchers"), FILESET["researchers"])
     rids, res_sds, universities, active = f.columns
-    rids, res_sds = f.text(rids), f.text(res_sds)
+    rids, res_sds, universities = map(f.text, (rids, res_sds, universities))
     f.unique(rids, lambda i: DuplicateKey(f"researchers: duplicate researcher_id {rids[i]}"))
     f.known(res_sds, set(sds_to_uda), lambda i: DanglingReference(
         f"researcher {rids[i]} references unknown SDS {res_sds[i]}"))
     active = f.years(active)
     f.raise_first()
-    researchers = _records(Researcher, rids, res_sds, f.text(universities), active)
+    researchers = _records(Researcher, rids, res_sds, universities, active)
 
     f = _File(find_file(input_dir, "publications"), FILESET["publications"])
     pids, years, categories, citations, n_authors = f.columns
-    pids = f.text(pids)
+    pids, categories = f.text(pids), f.text(categories)
     f.unique(pids, lambda i: DuplicateKey(f"publications: duplicate pub_id {pids[i]}"))
     years = f.ints(years, "year")
     citations = f.ints(citations, "citations", minimum=0)
     n_authors = f.ints(n_authors, "n_authors_total", minimum=1)
     f.raise_first()
-    publications = _records(Publication, pids, years, f.text(categories),
-                            citations, n_authors)
+    publications = _records(Publication, pids, years, categories, citations, n_authors)
 
     f = _File(find_file(input_dir, "authorships"), FILESET["authorships"])
     a_pids, a_rids, positions, bylines = f.columns
-    a_pids, a_rids = f.text(a_pids), f.text(a_rids)
+    a_pids, a_rids, bylines = map(f.text, (a_pids, a_rids, bylines))
     f.known(a_pids, set(pids), lambda i: DanglingReference(
         f"authorship references unknown pub_id {a_pids[i]}"))
     f.known(a_rids, set(rids), lambda i: DanglingReference(
@@ -285,7 +290,7 @@ def load_corpus(input_dir) -> Corpus:
         f"authorships: duplicate (pub_id, researcher_id) {(a_pids[i], a_rids[i])}"))
     positions = f.ints(positions, "author_position", minimum=1)
     f.raise_first()
-    authorships = _records(Authorship, a_pids, a_rids, positions, f.text(bylines))
+    authorships = _records(Authorship, a_pids, a_rids, positions, bylines)
 
     return Corpus(taxonomy, researchers, publications, authorships, periods)
 

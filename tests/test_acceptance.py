@@ -17,8 +17,8 @@ from bibliorank.indicators import (INDICATORS, ShareScheme, UnitLedger,
                                    fractional_share)
 from bibliorank.model import Authorship, Corpus, Publication
 from bibliorank.oracle import Oracle
-from bibliorank.rankshift import (ShiftTable, assign_quintiles, classify_shifts,
-                                  sds_rank_list, transition_matrix,
+from bibliorank.rankshift import (QuintileAssignment, ShiftTable, assign_quintiles,
+                                  classify_shifts, sds_rank_list, transition_matrix,
                                   uda_rank_list)
 from bibliorank.synthgen import GenConfig, generate, make_corpus
 
@@ -86,18 +86,21 @@ def test_criterion_2_university_shift_matrix():
 
 
 def test_criterion_3_transition_matrix_fixture():
+    """transition_matrix of two quintile assignments that place 50
+    universities as the Biology table does reproduces its counts."""
     rows = read_fixture("biology_transition_matrix.csv")
-    counts = [[int(r[f"q{j}"]) for j in range(1, 6)] for r in rows]
-    trace = sum(counts[i][i] for i in range(5))
-    total = sum(map(sum, counts))
-    assert trace == 31
-    assert total - trace == 19
-    assert total == 50
-    assert all(sum(row) == 10 for row in counts)
-    assert all(sum(counts[i][j] for i in range(5)) == 10 for j in range(5))
-    pct_changers = 100.0 * (total - trace) / total
-    assert round(pct_changers, 1) == 38.0
-    assert pct_changers / 100.0 == pytest.approx(1.0 - trace / total)
+    counts = tuple(tuple(int(r[f"q{j}"]) for j in range(1, 6)) for r in rows)
+    # counts[i][j] universities move from quintile i + 1 to quintile j + 1
+    moves = [(i + 1, j + 1) for i, row in enumerate(counts)
+             for j, n in enumerate(row) for _ in range(n)]
+    early, late = ({f"U{k:02d}": move[t] for k, move in enumerate(moves)} for t in (0, 1))
+    matrix = transition_matrix(
+        QuintileAssignment("BIO", "FSS", "P1", early, (10,) * 5),
+        QuintileAssignment("BIO", "FSS", "P2", late, (10,) * 5))
+    assert matrix.counts == counts
+    assert matrix.row_totals == matrix.col_totals == (10,) * 5
+    assert (matrix.trace, matrix.grand_total) == (31, 50)
+    assert matrix.pct_changed == 0.38 == (50 - 31) / 50
     report(3, "transition matrix trace 31 / off-diagonal 19 / marginals 10")
 
 

@@ -372,6 +372,44 @@ class TestBadInput:
             {"error": "SchemaError", "message": message}]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "indicators", "rank", "compare",
+                                         "drilldown"])
+    def test_text_utf8_cannot_encode(self, demo, tmp_path, capsys, command):
+        """A lone surrogate, which a JSON file may escape and no report could
+        write, fails at its row before any report is written."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(demo, corpus)
+        with open(corpus / "researchers.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1]["university_id"] = "U\udfff"
+        (corpus / "researchers.csv").unlink()
+        (corpus / "researchers.json").write_text(json.dumps(rows))
+        message = f"{corpus / 'researchers.json'}: 'U\\udfff' is not UTF-8 text (row 2)"
+        out = tmp_path / "out"
+        argv = [command, "--input", str(corpus)]
+        if command != "ingest":
+            argv += ["--out", str(out), "--min-staff", "0"]
+        if command == "drilldown":
+            argv += ["--university", "UNI001", "--uda", "UDA01"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "SchemaError", "message": message}]
+        assert not out.exists()
+
+    def test_baselines_text_utf8_cannot_encode(self, demo, tmp_path, capsys):
+        bad = tmp_path / "baselines.json"
+        bad.write_text(json.dumps([{"subject_category": "CAT_\udfff", "year": 2001,
+                                    "median": 1.0, "mean": 1.0, "n_pubs": 5}]))
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(demo), "--out", str(out),
+                     "--baselines", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SchemaError",
+            "message": f"{bad}: 'CAT_\\udfff' is not UTF-8 text (row 1)"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ingest", "rank"])
     def test_header_only_file_lacking_columns(self, tmp_path, capsys, command):
         (tmp_path / "corpus").mkdir()
@@ -669,11 +707,13 @@ class TestSynthErrors:
                                                ("--late", "P2,2004,2008.5"),
                                                ("--early", "P1,2001,2005"),
                                                ("--late", "P2,2002,2008"),
-                                               ("--early", "P1,2009,2010")])
+                                               ("--early", "P1,2009,2010"),
+                                               ("--early", "P\udcff,2001,2003")])
     def test_bad_period(self, tmp_path, capsys, monkeypatch, option, value):
         """A reversed period, a period labelled as the other, one that is
-        not LABEL,START,END, one that overlaps the other and an early period
-        after the late one fail before any generator is made."""
+        not LABEL,START,END, one that overlaps the other, an early period
+        after the late one and a label UTF-8 cannot encode (a byte that is
+        not UTF-8 in the command line) fail before any generator is made."""
         import numpy as np
 
         def no_generator(*args, **kwargs):

@@ -152,6 +152,12 @@ class TestLoad:
         ({"publications.json": '[{"pub_id": "p1", "year": 2001, "subject_category": '
                                '"CAT_X", "citations": 5, "n_authors_total": true}]'},
          "publications.json", "n_authors_total=True is not an integer (row 1)"),
+        ({"researchers.json": '[{"researcher_id": "r1", "sds": "S1", '
+                              '"university_id": "U\\udfff", "active_years": [2001]}]'},
+         "researchers.json", "'U\\udfff' is not UTF-8 text (row 1)"),
+        ({"periods.json": '[{"label": "E", "start_year": 2001, "end_year": 2003}, '
+                          '{"label": "L\\ud800", "start_year": 2004, "end_year": 2008}]'},
+         "periods.json", "'L\\ud800' is not UTF-8 text (row 2)"),
         *(({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
                                 f"p1,{year},CAT_X,5,2\n"}, "publications.csv",
            f"year={year!r} is not an integer (row 2)")
@@ -178,15 +184,16 @@ class TestLoad:
             "json_number", "invalid_utf8",
             "cell_over_field_size_limit", "period_start_after_end", "one_period",
             "three_periods", "overlapping_periods", "json_float",
-            "json_bool", "year_with_underscore", "year_in_fullwidth_digits",
+            "json_bool", "json_lone_surrogate", "json_lone_surrogate_label",
+            "year_with_underscore", "year_in_fullwidth_digits",
             "year_after_a_blank", "year_before_a_blank", "citations_of_400_digits",
             "json_n_authors_of_400_digits", "citations_of_308_nines",
             "citations_past_int_s_digit_limit", "position_past_2_53",
             "active_year_below_minus_2_53"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, overrides,
                                               name, error):
-        if "publications.json" in overrides:
-            overrides["publications.csv"] = None
+        for json_name in [name for name in overrides if name.endswith(".json")]:
+            overrides[json_name.replace(".json", ".csv")] = None
         write_fileset(tmp_path, overrides)
         with pytest.raises(SchemaError) as exc:
             load_corpus(tmp_path)
@@ -646,6 +653,7 @@ INT_EDGES = [2**53, -2**53, 2**53 + 1, -(2**53 + 1)]
 YEAR_EDGES = [2001, 2003, 2004, 2008, 2000, 2009]
 FUZZ_CELLS = st.one_of(
     st.booleans(), st.floats(), st.integers(-2, 3000), st.none(), st.just(""),
+    st.just("\ud800"),
     st.sampled_from(INT_EDGES + YEAR_EDGES),
     st.text(alphabet="0123456789;-.eE xS", max_size=5),
     st.lists(st.one_of(st.integers(2000, 2010), st.floats(), st.booleans()),
@@ -711,7 +719,8 @@ def fuzzed_file(data, header, rows, fmt, mutate) -> bytes:
             writer.writerow(r)
             if edit == "blank_lines":
                 buf.write("\r\n")
-        blob = buf.getvalue().encode()
+        # a lone surrogate keeps its UTF-8 form, bytes the loader refuses
+        blob = buf.getvalue().encode("utf-8", "surrogatepass")
     corruption = draw(st.sampled_from(
         ["none", "truncate", "invalid_utf8", "bom", "huge_cell", "deep_json"]))
     at = draw(st.integers(0, len(blob))) if corruption != "none" else 0

@@ -206,6 +206,18 @@ class TestShiftTable:
         assert shares["nil"] == pytest.approx(200 / 3)
         assert shares["negative"] == 0.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1, digest window: a university with no numeric cell "
+        "counts as nil and unchanged, and the fix moves perfbench/digests.json"))
+    def test_a_university_without_a_shift_is_not_counted(self):
+        """A university ranked in both periods of no UDA has no shift, so the
+        balance shares and the share of changers are over the others."""
+        t = ShiftTable(columns=["A", "B"], cells={"u1": {"A": 1, "B": None},
+                                                  "u2": {"A": 0, "B": 0},
+                                                  "u3": {"A": None, "B": None}})
+        assert t.balance_shares() == {"negative": 0.0, "positive": 50.0, "nil": 50.0}
+        assert t.overall_pct_changed() == 50.0
+
 
 class TestClassify:
     def test_all_up(self):
