@@ -115,11 +115,11 @@ def check_basis(basis: str) -> None:
 
 
 def stratum_divisor(baselines: BaselineTable, subject_category: str, year: int,
-                    basis: str, fallbacks: dict) -> tuple:
+                    basis: str) -> tuple:
     """(divisor, fell_back) of a (subject category, year) stratum, the one
     standardization rule: its positive `basis` baseline, else its category's
-    smallest positive baseline (1.0 if none), which the caller-owned
-    `fallbacks` (category -> divisor) keeps, so each is found once."""
+    smallest positive baseline (1.0 if none). It looks the fallback up anew
+    on each call; UnitLedger asks once per stratum and keeps the answer."""
     check_basis(basis)
     entry = baselines.get(subject_category, year)
     if entry is None:
@@ -127,11 +127,7 @@ def stratum_divisor(baselines: BaselineTable, subject_category: str, year: int,
     divisor = getattr(entry, basis)
     if divisor > 0:
         return divisor, False
-    fallback = fallbacks.get(subject_category)
-    if fallback is None:
-        fallback = fallbacks[subject_category] = baselines.smallest_positive(
-            subject_category, basis)
-    return fallback, True
+    return baselines.smallest_positive(subject_category, basis), True
 
 
 def standardize_citations(pub: Publication, baselines: BaselineTable,
@@ -139,8 +135,7 @@ def standardize_citations(pub: Publication, baselines: BaselineTable,
     """Citation count divided by its stratum's divisor (stratum_divisor). A
     publication with citations that falls back is appended to
     `fallback_events` when a list is passed, so reports can flag it."""
-    divisor, fell_back = stratum_divisor(baselines, pub.subject_category, pub.year,
-                                         basis, {})
+    divisor, fell_back = stratum_divisor(baselines, pub.subject_category, pub.year, basis)
     if fell_back and pub.citations and fallback_events is not None:
         fallback_events.append((pub.pub_id, pub.subject_category, pub.year))
     return pub.citations / divisor

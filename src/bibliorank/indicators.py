@@ -122,12 +122,13 @@ class UnitLedger:
     period, built in one pass over the authorships.
 
     Expects a corpus that passes model.validate: it does not check author
-    positions or author counts itself. Each unit's tally is finished once,
-    when the ledger is built, and each researcher's the first time it is
-    read: of the CLI commands only `indicators` reads researchers. No value
-    changes after that, so one ledger serves every indicator, period, rollup
-    and rank list of a command. Each (UDA, period) rollup is kept in
-    `uda_rollups` from its first read (aggregate.uda_scores).
+    positions or author counts itself. Building it only files terms; each
+    unit's and researcher's tally is finished on its first read (of the CLI
+    commands only `indicators` reads researchers), and no value changes
+    after that, so one ledger serves every indicator, period, rollup and rank
+    list of a command. Each (UDA, period) rollup is kept in `uda_rollups`
+    from its first read (aggregate.uda_scores), and each stratum's divisor
+    from its first publication (baseline.stratum_divisor).
 
     `sds_scope`, when given, limits the ledger to the researchers of those
     SDS codes, for a caller that reads nothing else (`drilldown` reads one
@@ -166,9 +167,9 @@ class UnitLedger:
                                      [_Tally([presence(r, p, staff_mode)]) for p in periods])
                    for r in researchers}
 
-        # stratum -> (divisor, fell_back), found once (stratum_divisor); its
-        # errors come at the stratum's first publication in a period
-        strata, fallbacks = {}, {}
+        # stratum -> (divisor, fell_back), the one standardization memo: each
+        # is found once, its errors at its first publication in a period
+        strata = {}
         (_, early_start, early_end), (_, late_start, late_end) = periods
         outside = None if sds_scope is None else tallies.keys().isdisjoint
         # the walk keeps corpus.authorships order in the terms and in fallback_events;
@@ -185,7 +186,7 @@ class UnitLedger:
             stratum = strata.get((category, year))
             if stratum is None:
                 stratum = strata[category, year] = stratum_divisor(
-                    self.baselines, category, year, basis, fallbacks)
+                    self.baselines, category, year, basis)
             divisor, fell_back = stratum
             std = citations / divisor
             if fell_back and citations:
@@ -216,8 +217,6 @@ class UnitLedger:
                 unit = by_sds[r.sds][r.university_id]
                 unit.presence.extend(tally.presence)
                 unit.terms.extend(tally.terms)
-            for u, s in units:
-                by_sds[s][u].finish(p.length_years)
 
     def _lookup(self, by_period: dict, sds: str, period: Period,
                 university_id: str | None = None) -> dict:
@@ -235,7 +234,7 @@ class UnitLedger:
 
     def _score(self, unit, tally: _Tally, indicator: str, period: Period) -> IndicatorScore:
         check_indicator(indicator)
-        value = tally.values[indicator]
+        value = tally.finish(period.length_years).values[indicator]
         if value is None:
             if indicator == "AQ":
                 raise NoPublications(
@@ -244,19 +243,20 @@ class UnitLedger:
         return IndicatorScore(unit, indicator, period.label, value, tally.n_pubs,
                               tally.staff)
 
+    def _staffed(self, by_period: dict, sds: str, period: Period) -> dict:
+        """id -> the ledger's own tally in `by_period` (read only), sorted, of
+        each one in the SDS with positive staff, finished on its first read."""
+        years = period.length_years
+        return {k: tally for k, tally in self._lookup(by_period, sds, period).items()
+                if tally.finish(years).staff > 0}
+
     def staffed_universities(self, sds: str, period: Period) -> dict:
-        """university_id -> the ledger's own finished unit tally (read only),
-        sorted, of every unit in the SDS with positive staff."""
-        return {u: tally for u, tally in self._lookup(self._units, sds, period).items()
-                if tally.staff > 0}
+        """university_id -> unit tally of every staffed unit in the SDS (_staffed)."""
+        return self._staffed(self._units, sds, period)
 
     def staffed_researchers(self, sds: str, period: Period) -> dict:
-        """researcher_id -> the ledger's own researcher tally (read only),
-        sorted, of every researcher of the SDS with positive staff; each is
-        finished on its first read."""
-        mine = self._lookup(self._researchers, sds, period)
-        return {rid: tally for rid, tally in mine.items()
-                if tally.finish(period.length_years).staff > 0}
+        """researcher_id -> tally of every staffed researcher of the SDS (_staffed)."""
+        return self._staffed(self._researchers, sds, period)
 
     def unit_score(self, university_id: str, sds: str, indicator: str,
                    period: Period) -> IndicatorScore:
@@ -264,7 +264,7 @@ class UnitLedger:
         tally = self._lookup(self._units, sds, period, university_id).get(university_id)
         if tally is None:  # a unit with researchers names a known university
             self.corpus.check_names(university_id)
-            tally = _Tally().finish(period.length_years)
+            tally = _Tally()
         return self._score((university_id, sds), tally, indicator, period)
 
     def researcher_score(self, researcher_id: str, indicator: str,
@@ -275,8 +275,7 @@ class UnitLedger:
         if researcher is None:
             raise UnknownResearcher(f"researcher {researcher_id} is not in the corpus")
         tally = self._lookup(self._researchers, researcher.sds, period)[researcher_id]
-        return self._score(researcher_id, tally.finish(period.length_years),
-                           indicator, period)
+        return self._score(researcher_id, tally, indicator, period)
 
 
 def ledger_for(ledger, corpus: Corpus, scheme: ShareScheme, baselines: BaselineTable,

@@ -39,10 +39,11 @@ def find_file(input_dir: Path, stem: str) -> Path:
 def _read_rows(path: Path, required: tuple) -> list:
     """The `required` fields of every row, as one tuple per field, in that order.
 
-    Both formats must carry exactly the documented field names. A CSV file is
-    read as UTF-8, blank lines skipped, transposed once and read by position
-    with the semantics of csv.DictReader: a repeated header name takes its
-    last column, extra cells are ignored, and a row that lacks a required cell
+    Both formats must carry exactly the documented field names and are read
+    as UTF-8, a leading byte-order mark dropped. A CSV file's blank lines are
+    skipped, and it is transposed once and read by position with the
+    semantics of csv.DictReader: a repeated header name takes its last
+    column, extra cells are ignored, and a row that lacks a required cell
     (short, or the column absent from the header) is a SchemaError at that
     row, numbered as csv.DictReader counts rows (the header is row 1). With no
     row, a header that lacks a column fails at row 1. A file that is not
@@ -53,7 +54,7 @@ def _read_rows(path: Path, required: tuple) -> list:
         return _json_columns(path, required)
     header, rows = None, []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             # extend keeps the rows read before an error, which numbers its row
@@ -81,7 +82,7 @@ def _read_rows(path: Path, required: tuple) -> list:
 def _json_columns(path: Path, required: tuple) -> list:
     """_read_rows of a JSON array of objects."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             rows = json.load(fh)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid UTF-8 ({exc.reason})", path=path) from None
@@ -116,9 +117,12 @@ class _File:
         self.failures = []
 
     def text(self, values) -> tuple:
-        """A text column: CSV cells are UTF-8 text already, JSON values read
-        as str(), where a lone surrogate fails (no report could write it)."""
+        """A text column: CSV cells are UTF-8 text already; a JSON value must
+        be a string or an integer, read as str(), where a lone surrogate fails
+        (no report could write it)."""
         if self.json:
+            odd = [v.__class__ not in (str, int) for v in values]
+            self.note(any(odd), odd, bool, lambda i: f"{values[i]!r} is not text")
             values = tuple(map(str, values))
             self.note(_SURROGATE.search("".join(values)), values, _SURROGATE.search,
                       lambda i: f"{values[i]!r} is not UTF-8 text")

@@ -62,6 +62,12 @@ class TestExternal:
         assert corpus_table.merge(external).get("CAT_X", 2001).median == 9.0
         # an external entry is kept over a corpus-derived one merged onto it
         assert external.merge(corpus_table).get("CAT_X", 2001).median == 9.0
+        # of two external entries, the one merged on, `other`'s, is kept
+        g = tmp_path / "other.csv"
+        g.write_text("subject_category,year,median,mean,n_pubs\nCAT_X,2001,4.0,4.0,10\n")
+        other = load_external_baselines(g)
+        assert external.merge(other).get("CAT_X", 2001).median == 4.0
+        assert other.merge(external).get("CAT_X", 2001).median == 9.0
 
     def test_header_only_is_valid(self, tmp_path):
         f = tmp_path / "baselines.csv"

@@ -398,6 +398,19 @@ class TestBadInput:
             {"error": "SchemaError", "message": message}]
         assert not out.exists()
 
+    def test_baselines_category_that_is_not_text(self, demo, tmp_path, capsys):
+        bad = tmp_path / "baselines.json"
+        bad.write_text(json.dumps([{"subject_category": 7, "year": 2001, "median": 1.0,
+                                    "mean": 1.0, "n_pubs": 5},
+                                   {"subject_category": ["CAT_X"], "year": 2001,
+                                    "median": 1.0, "mean": 1.0, "n_pubs": 5}]))
+        out = tmp_path / "out"
+        assert main(["rank", "--input", str(demo), "--out", str(out), "--min-staff", "0",
+                     "--baselines", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SchemaError", "message": f"{bad}: ['CAT_X'] is not text (row 2)"}
+        assert not out.exists()
+
     def test_baselines_text_utf8_cannot_encode(self, demo, tmp_path, capsys):
         bad = tmp_path / "baselines.json"
         bad.write_text(json.dumps([{"subject_category": "CAT_\udfff", "year": 2001,
@@ -456,7 +469,8 @@ class TestBadInput:
 
     def test_json_baselines(self, demo, tmp_path):
         """A .json baseline table is read as the corpus reader reads a JSON
-        file, and scores as its CSV form does."""
+        file, and scores as its CSV form does; so does either one that starts
+        with a UTF-8 byte-order mark."""
         columns = ("subject_category", "year", "median", "mean", "n_pubs")
         with open(demo / "publications.csv", newline="") as fh:
             pubs = list(csv.DictReader(fh))
@@ -465,15 +479,18 @@ class TestBadInput:
         (tmp_path / "b.csv").write_text(",".join(columns) + "\n" + "".join(
             ",".join(map(str, r)) + "\n" for r in rows))
         (tmp_path / "b.json").write_text(json.dumps([dict(zip(columns, r)) for r in rows]))
+        for name in ("b.csv", "b.json"):
+            (tmp_path / f"bom_{name}").write_bytes(
+                b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
         bodies = []
-        for name in ("b.csv", "b.json", None):
+        for name in ("b.csv", "b.json", "bom_b.csv", "bom_b.json", None):
             out = tmp_path / f"out_{name}"
             argv = ["indicators", "--input", str(demo), "--out", str(out), "--min-staff", "1"]
             if name:
                 argv += ["--baselines", str(tmp_path / name)]
             assert main(argv) == 0
             bodies.append((out / "unit_scores.csv").read_text().split("\n", 1)[1])
-        assert bodies[0] == bodies[1] != bodies[2]
+        assert bodies[0] == bodies[1] == bodies[2] == bodies[3] != bodies[4]
 
     @pytest.mark.parametrize("flag, value, error", [
         ("--university", "UNI999", "UnknownUniversity"),

@@ -158,6 +158,17 @@ class TestLoad:
         ({"periods.json": '[{"label": "E", "start_year": 2001, "end_year": 2003}, '
                           '{"label": "L\\ud800", "start_year": 2004, "end_year": 2008}]'},
          "periods.json", "'L\\ud800' is not UTF-8 text (row 2)"),
+        ({"researchers.json": '[{"researcher_id": "r1", "sds": "S1", '
+                              '"university_id": {"a": 1}, "active_years": [2001]}]'},
+         "researchers.json", "{'a': 1} is not text (row 1)"),
+        ({"authorships.json": '[{"pub_id": "p1", "researcher_id": "r1", '
+                              '"author_position": 1, "byline_university_id": ["U1"]}]'},
+         "authorships.json", "['U1'] is not text (row 1)"),
+        ({"taxonomy.json": '[{"sds": "S1", "uda": true, "is_life_science": 0}]'},
+         "taxonomy.json", "True is not text (row 1)"),
+        ({"periods.json": '[{"label": "E", "start_year": 2001, "end_year": 2003}, '
+                          '{"label": 2.5, "start_year": 2004, "end_year": 2008}]'},
+         "periods.json", "2.5 is not text (row 2)"),
         *(({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
                                 f"p1,{year},CAT_X,5,2\n"}, "publications.csv",
            f"year={year!r} is not an integer (row 2)")
@@ -185,6 +196,8 @@ class TestLoad:
             "cell_over_field_size_limit", "period_start_after_end", "one_period",
             "three_periods", "overlapping_periods", "json_float",
             "json_bool", "json_lone_surrogate", "json_lone_surrogate_label",
+            "json_object_as_text", "json_array_as_text", "json_bool_as_text",
+            "json_float_as_text",
             "year_with_underscore", "year_in_fullwidth_digits",
             "year_after_a_blank", "year_before_a_blank", "citations_of_400_digits",
             "json_n_authors_of_400_digits", "citations_of_308_nines",
@@ -239,7 +252,8 @@ class TestLoad:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_csv_and_json_filesets_load_equal_records(self, tmp_path, seed):
         """All five files written as CSV and as JSON (JSON numbers and
-        active_years lists) load to equal records, of the same classes."""
+        active_years lists) load to equal records, of the same classes, and
+        so do copies of them that start with a UTF-8 byte-order mark."""
         corpus = make_synth_corpus(GenConfig(seed=seed, coauthorship_rate=0.6))
         write_corpus(corpus, tmp_path / "csv")
         taxonomy = corpus.taxonomy
@@ -255,7 +269,13 @@ class TestLoad:
         for stem, columns in FILESET.items():
             (tmp_path / "json" / f"{stem}.json").write_text(
                 json.dumps([dict(zip(columns, row)) for row in rows[stem]]))
-        loaded = [load_corpus(tmp_path / fmt) for fmt in ("csv", "json")]
+        for fmt in ("csv", "json"):
+            (tmp_path / f"{fmt}_bom").mkdir()
+            for f in (tmp_path / fmt).iterdir():
+                bom = b"\xef\xbb\xbf" + f.read_bytes()
+                (tmp_path / f"{fmt}_bom" / f.name).write_bytes(bom)
+        loaded = [load_corpus(tmp_path / fmt)
+                  for fmt in ("csv", "json", "csv_bom", "json_bom")]
         for name in ("researchers", "publications", "authorships", "periods", "taxonomy"):
             expected = getattr(corpus, name)
             for other in loaded:
@@ -537,11 +557,10 @@ class TestReadRows:
         ("a,c\n\n1,3\n", "missing columns ['b'] (row 2)"),
         ("a,c\n\n", "missing columns ['b'] (row 1)"),
         ("a,b,c,a\n1,2,3\n", "missing columns ['a'] (row 2)"),
-        ("\ufeffa,b,c\n1,2,3\n", "missing columns ['a'] (row 2)"),
         ("", "missing header row"),
     ], ids=["blank_lines_not_counted", "short_row", "column_absent_from_header",
             "column_absent_from_header_empty_body", "repeated_name_takes_the_last_cell",
-            "bom_prefixed_header", "empty_file"])
+            "empty_file"])
     def test_schema_error_names_the_row(self, tmp_path, text, error):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
@@ -552,7 +571,10 @@ class TestReadRows:
     @pytest.mark.parametrize("text, rows", [
         ("a,b,c,a\n1,2,3,4\n", [("4", "2", "3")]),
         ("a,b,c\n1,2,3,4,5\n", [("1", "2", "3")]),
-    ], ids=["repeated_name_takes_the_last_cell", "extra_cells_ignored"])
+        ("\ufeffa,b,c\n1,2,3\n", [("1", "2", "3")]),
+        ("a,b,c\n\ufeff1,2,3\n", [("\ufeff1", "2", "3")]),
+    ], ids=["repeated_name_takes_the_last_cell", "extra_cells_ignored",
+            "bom_prefixed_header", "bom_after_the_start_is_data"])
     def test_rows_in_required_order(self, tmp_path, text, rows):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")

@@ -12,7 +12,7 @@ from bibliorank.baseline import (BaselineEntry, BaselineTable, build_baselines,
 from bibliorank.cli import drilldown_tables, indicator_tables
 from bibliorank.errors import (BiblioRankError, DanglingReference, MissingBaseline,
                                NoPublications, UnknownSDS, UnknownUniversity, ZeroStaff)
-from bibliorank.indicators import (ShareScheme, UnitLedger, fractional_share,
+from bibliorank.indicators import (ShareScheme, UnitLedger, _Tally, fractional_share,
                                    researcher_indicator, unit_indicator)
 from bibliorank.model import Authorship, Corpus, Period, presence, staff, validate
 from bibliorank.oracle import Oracle
@@ -93,6 +93,14 @@ class TestFractionalShare:
         moved = [scaled(w) for w in weights]
         if None not in moved:
             assert fractional_share(a, pub, ShareScheme(*moved), True) == share
+
+    @pytest.mark.parametrize("weights", [(1e-300, 1e-300, 1e300), (5e-324, 5e-324, 1e308)])
+    def test_a_byline_of_two_leaves_the_middle_weight_out(self, weights):
+        """A byline of two has no middle author: a huge middle weight neither
+        scales the two used weights to 0.0 nor enters the total."""
+        pub = P("p1", n_authors=2)
+        assert [fractional_share(A("p1", "r1", pos), pub, ShareScheme(*weights), True)
+                for pos in (1, 2)] == [0.5, 0.5]
 
     @pytest.mark.parametrize("weights", [(1e308, 1e308, 1.0), (2.0**1023, 2.0**1023, 2.0**1022),
                                          (1.7976931348623157e308, 1.0, 1e300)])
@@ -489,11 +497,36 @@ class TestLedger:
                             continue
                         assert (tally.values[ind], tally.n_pubs) == (sc.value, sc.n_pubs)
 
-    def test_each_category_falls_back_once(self, monkeypatch):
-        """The ledger finds a category's fallback divisor once, however many
-        of its publications fall back, and scores them as the walk does."""
-        # CAT_Z/2001 and CAT_V/2001 have median 0; CAT_V has no positive year
+    def test_a_tally_is_finished_on_its_first_read(self, monkeypatch):
+        """Building a ledger takes no sum; every unit and researcher tally
+        takes its sums once, at its first read, however often it is read."""
+        corpus = synth_corpus(GenConfig(seed=3, n_universities=2, n_sds=2))
+        sums = Counter()
+        original = _Tally.finish
+
+        def spy(tally, years):
+            sums[id(tally)] += tally.values is None
+            return original(tally, years)
+
+        monkeypatch.setattr(_Tally, "finish", spy)
+        ledger = UnitLedger(corpus)
+        assert not sums
+        for _ in range(2):
+            for sds in corpus.taxonomy.sds_list:
+                for period in corpus.periods:
+                    ledger.staffed_universities(sds, period)
+                    ledger.staffed_researchers(sds, period)
+        n_tallies = len(corpus.periods) * (len(corpus.units()) + len(corpus.researchers))
+        assert len(sums) == n_tallies and set(sums.values()) == {1}
+
+    def test_each_stratum_falls_back_once(self, monkeypatch):
+        """The ledger asks for a stratum's fallback divisor once, however many
+        of its publications fall back, and scores them as the walk does; a
+        category that falls back in two years is asked once for each."""
+        # CAT_Z/2001, CAT_Z/2003 and CAT_V/2001 have median 0; CAT_Z/2002 has a
+        # positive median and CAT_V no positive year
         pubs = [P(f"z{i}", 2001, "CAT_Z", c) for i, c in enumerate((0, 0, 0, 5, 6))]
+        pubs += [P(f"w{i}", 2003, "CAT_Z", c) for i, c in enumerate((0, 0, 2))]
         pubs += [P(f"v{i}", 2001, "CAT_V", c) for i, c in enumerate((0, 0, 0, 3, 7))]
         pubs += [P("z9", 2002, "CAT_Z", 4)]
         corpus = make_corpus([R("r1")], pubs, [A(p.pub_id, "r1") for p in pubs])
@@ -511,11 +544,12 @@ class TestLedger:
 
         monkeypatch.setattr(BaselineTable, "smallest_positive", spy)
         ledger = UnitLedger(corpus, ShareScheme(), baselines)
-        assert calls == {"CAT_V": 1, "CAT_Z": 1}
+        assert calls == {"CAT_V": 1, "CAT_Z": 2}
         assert ledger.fallback_events == events == [
-            ("v3", "CAT_V", 2001), ("v4", "CAT_V", 2001),
+            ("v3", "CAT_V", 2001), ("v4", "CAT_V", 2001), ("w2", "CAT_Z", 2003),
             ("z3", "CAT_Z", 2001), ("z4", "CAT_Z", 2001)]
         assert standardized_scores(ledger) == expected
+        assert expected["w2"] == expected["z9"] / 2 == 0.5  # divided by 4, CAT_Z's smallest
 
 
 def _outcome(call):
