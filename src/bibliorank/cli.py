@@ -293,8 +293,8 @@ def cmd_synth(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--input", required=True, help="directory with the corpus fileset")
-    p.add_argument("--baselines", default=None,
+    p.add_argument("--input", required=True, type=path, help="the corpus fileset's directory")
+    p.add_argument("--baselines", default=None, type=path,
                    help="external baseline table (CSV or JSON); overrides corpus strata")
     p.add_argument("--basis", choices=BASES, default=BASES[0])
     p.add_argument("--min-staff", dest="min_staff", type=float,
@@ -304,7 +304,15 @@ def _add_common(p):
     p.add_argument("--scheme", default=",".join(f"{w:g}" for w in ShareScheme()),
                    help="life-science share weights: first,last,middle")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", default="out", type=path)
+
+
+def path(text: str) -> str:
+    """A path option's value, as given: an empty one would be read as no file
+    (--baselines) or as the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
 
 
 def period(text: str) -> tuple:
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load and validate a corpus fileset")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, type=path)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("indicators", help="per-unit, per-researcher and UDA scores")
@@ -363,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                          ("turnover-rate", float), ("life-science-fraction", float),
                          ("partial-year-rate", float), ("early", period), ("late", period)):
         p.add_argument(f"--{option}", type=kind)
-    p.add_argument("--out", default="synth_out")
+    p.add_argument("--out", default="synth_out", type=path)
     p.set_defaults(func=cmd_synth)
     return parser
 

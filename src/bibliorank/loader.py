@@ -117,15 +117,16 @@ class _File:
         self.failures = []
 
     def text(self, values) -> tuple:
-        """A text column: CSV cells are UTF-8 text already; a JSON value must
-        be a string or an integer, read as str(), where a lone surrogate fails
-        (no report could write it)."""
+        """A text column, each cell a text cell (_not_text). A JSON value must
+        be a string or an integer, read as str(); a CSV cell is text already,
+        and UTF-8 decoding leaves no lone surrogate in it."""
         if self.json:
             odd = [v.__class__ not in (str, int) for v in values]
-            self.note(any(odd), odd, bool, lambda i: f"{values[i]!r} is not text")
+            self.note(any(odd), odd, bool, lambda i: f"{values[i]!r} {_not_text(values[i])}")
             values = tuple(map(str, values))
-            self.note(_SURROGATE.search("".join(values)), values, _SURROGATE.search,
-                      lambda i: f"{values[i]!r} is not UTF-8 text")
+        joined = "".join(values)
+        self.note(not all(values) or "\0" in joined or self.json and _SURROGATE.search(joined),
+                  values, _not_text, lambda i: f"{values[i]!r} {_not_text(values[i])}")
         return values
 
     def note(self, fails: bool, values, failing, error):
@@ -215,6 +216,16 @@ def _not_int(v) -> str:
     else:
         return "is not an integer"
     return "" if n is not None and -_EXACT <= n <= _EXACT else "is outside [-2**53, 2**53]"
+
+
+def _not_text(v) -> str:
+    """Why v is not a text cell, or '' if it is one: a str, not empty, with no
+    NUL (csv.writer before Python 3.11 cannot write one) and no lone surrogate
+    (UTF-8 cannot encode one), so that every report can write it."""
+    if not isinstance(v, str):
+        return "is not text"
+    return ("is empty" if not v else "holds a NUL" if "\0" in v
+            else "is not UTF-8 text" if _SURROGATE.search(v) else "")
 
 
 def _ints(values):

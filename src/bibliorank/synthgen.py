@@ -73,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
-from .loader import _EXACT, _SURROGATE, write_corpus
+from .loader import _EXACT, _not_int, _not_text, write_corpus
 from .model import (Authorship, Corpus, Period, Publication, Researcher, Taxonomy,
                     two_periods)
 
@@ -163,18 +163,17 @@ class GenConfig:
                 f"negative binomial draw: {exc}") from None
 
     def _period(self, name: str) -> Period:
-        """The `early` or `late` field as a Period: a text label UTF-8 can
-        encode and two integer years the loader reads back, the first no later
-        than the second."""
+        """The `early` or `late` field as a Period the loader reads back: a text
+        cell for a label (loader._not_text) and two int years that are integer
+        cells (loader._not_int, so no bool), the first no later than the second."""
         value = getattr(self, name)
         try:
             label, start, end = value
         except (TypeError, ValueError):
             raise InvalidConfig(
                 f"{name} must be (label, start_year, end_year), got {value!r}") from None
-        if not (isinstance(label, str) and not _SURROGATE.search(label)
-                and isinstance(start, int) and isinstance(end, int)
-                and -_EXACT <= start and end <= _EXACT):
+        if _not_text(label) or not all(isinstance(y, int) and not _not_int(y)
+                                       for y in (start, end)):
             raise InvalidConfig(f"{name} must be a text label and two integer years "
                                 f"in the loader's [-2**53, 2**53], got {value!r}")
         if start > end:

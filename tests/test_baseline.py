@@ -125,12 +125,13 @@ class TestExternal:
          "year='9007199254740993' is outside [-2**53, 2**53] (row 2)"),
         (b"CAT_A,2002,1.0,1.0,1" + b"0" * 400 + b"\n",
          f"n_pubs='{10**400}' is outside [-2**53, 2**53] (row 2)"),
+        (b"CAT_A,2002,1.0,1.0,5\n,2003,1.0,1.0,5\n", "'' is empty (row 3)"),
     ], ids=["short_row", "invalid_utf8", "not_a_number", "nan_median", "inf_mean",
             "blank_line_not_counted", "median_with_underscore", "median_fullwidth_digit",
             "median_after_a_blank", "mean_before_a_blank", "year_after_a_blank",
             "n_pubs_with_underscore", "median_below_a_half", "mean_below_one_per_pub",
             "subnormal_baselines", "zero_median_subnormal_mean", "year_past_2_53",
-            "n_pubs_of_400_digits"])
+            "n_pubs_of_400_digits", "empty_category"])
     def test_malformed_file_is_a_schema_error(self, tmp_path, body, error):
         f = tmp_path / "baselines.csv"
         f.write_bytes(b"subject_category,year,median,mean,n_pubs\n" + body)

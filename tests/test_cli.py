@@ -372,19 +372,32 @@ class TestBadInput:
             {"error": "SchemaError", "message": message}]
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, cell, why", [("json", "U\udfff", "is not UTF-8 text"),
+                                                ("csv", "", "is empty"),
+                                                ("json", "U\0", "holds a NUL")],
+                             ids=["json_surrogate", "csv_empty", "json_nul"])
     @pytest.mark.parametrize("command", ["ingest", "indicators", "rank", "compare",
                                          "drilldown"])
-    def test_text_utf8_cannot_encode(self, demo, tmp_path, capsys, command):
-        """A lone surrogate, which a JSON file may escape and no report could
-        write, fails at its row before any report is written."""
+    def test_a_bad_text_cell(self, demo, tmp_path, capsys, command, fmt, cell, why):
+        """A lone surrogate, which a JSON file may escape, a blank id, which
+        would rank a university named '', and a NUL, which csv.writer before
+        Python 3.11 cannot write, fail at their row before any report is
+        written, on every Python."""
         corpus = tmp_path / "corpus"
         shutil.copytree(demo, corpus)
         with open(corpus / "researchers.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        rows[1]["university_id"] = "U\udfff"
+        rows[1]["university_id"] = cell
+        path = corpus / f"researchers.{fmt}"
         (corpus / "researchers.csv").unlink()
-        (corpus / "researchers.json").write_text(json.dumps(rows))
-        message = f"{corpus / 'researchers.json'}: 'U\\udfff' is not UTF-8 text (row 2)"
+        if fmt == "json":
+            path.write_text(json.dumps(rows))
+        else:
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        message = f"{path}: {cell!r} {why} (row {2 if fmt == 'json' else 3})"
         out = tmp_path / "out"
         argv = [command, "--input", str(corpus)]
         if command != "ingest":
@@ -652,6 +665,25 @@ def error_line(argv, capsys) -> str:
     return json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("command, option", [
+    ("ingest", "--input"), ("synth", "--out"),
+    *((command, option) for command in ("indicators", "rank", "compare", "drilldown")
+      for option in ("--input", "--out", "--baselines"))])
+def test_an_empty_path(demo, tmp_path, capsys, monkeypatch, command, option):
+    """An empty --input or --out would name the working directory, and an
+    empty --baselines no table: each is an InvalidConfig before anything is
+    read or written."""
+    monkeypatch.chdir(tmp_path)
+    options = {"ingest": {"--input": str(demo)}, "synth": {"--out": "synth_out"}}.get(
+        command, {"--input": str(demo), "--out": "out", "--min-staff": "0"})
+    if command == "drilldown":
+        options.update({"--university": "UNI001", "--uda": "UDA01"})
+    options[option] = ""
+    argv = [command, *(arg for pair in options.items() for arg in pair)]
+    assert error_line(argv, capsys) == "InvalidConfig"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestIOErrors:
     """An OSError prints one JSON error line named by its class, and exits 1."""
 
@@ -725,12 +757,14 @@ class TestSynthErrors:
                                                ("--early", "P1,2001,2005"),
                                                ("--late", "P2,2002,2008"),
                                                ("--early", "P1,2009,2010"),
-                                               ("--early", "P\udcff,2001,2003")])
+                                               ("--early", "P\udcff,2001,2003"),
+                                               ("--early", ",2001,2003")])
     def test_bad_period(self, tmp_path, capsys, monkeypatch, option, value):
         """A reversed period, a period labelled as the other, one that is
         not LABEL,START,END, one that overlaps the other, an early period
-        after the late one and a label UTF-8 cannot encode (a byte that is
-        not UTF-8 in the command line) fail before any generator is made."""
+        after the late one, a label UTF-8 cannot encode (a byte that is
+        not UTF-8 in the command line) and an empty label fail before any
+        generator is made."""
         import numpy as np
 
         def no_generator(*args, **kwargs):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -169,6 +170,19 @@ class TestLoad:
         ({"periods.json": '[{"label": "E", "start_year": 2001, "end_year": 2003}, '
                           '{"label": 2.5, "start_year": 2004, "end_year": 2008}]'},
          "periods.json", "2.5 is not text (row 2)"),
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             "r1,S1,,2001\n"}, "researchers.csv", "'' is empty (row 2)"),
+        ({"publications.json": '[{"pub_id": "", "year": 2001, "subject_category": '
+                               '"CAT_X", "citations": 5, "n_authors_total": 2}]'},
+         "publications.json", "'' is empty (row 1)"),
+        # Python 3.10's csv reader refuses the line before the text rule reads it
+        ({"researchers.csv": "researcher_id,sds,university_id,active_years\n"
+                             "r1,S1,U\x00,2001\n"}, "researchers.csv",
+         "'U\\x00' holds a NUL (row 2)" if sys.version_info >= (3, 11)
+         else "not valid CSV (line contains NUL) (row 2)"),
+        ({"authorships.json": '[{"pub_id": "p1", "researcher_id": "r\\u00001", '
+                              '"author_position": 1, "byline_university_id": "U1"}]'},
+         "authorships.json", "'r\\x001' holds a NUL (row 1)"),
         *(({"publications.csv": "pub_id,year,subject_category,citations,n_authors_total\n"
                                 f"p1,{year},CAT_X,5,2\n"}, "publications.csv",
            f"year={year!r} is not an integer (row 2)")
@@ -198,6 +212,7 @@ class TestLoad:
             "json_bool", "json_lone_surrogate", "json_lone_surrogate_label",
             "json_object_as_text", "json_array_as_text", "json_bool_as_text",
             "json_float_as_text",
+            "csv_empty_id", "json_empty_id", "csv_nul_in_id", "json_nul_in_id",
             "year_with_underscore", "year_in_fullwidth_digits",
             "year_after_a_blank", "year_before_a_blank", "citations_of_400_digits",
             "json_n_authors_of_400_digits", "citations_of_308_nines",
@@ -675,7 +690,7 @@ INT_EDGES = [2**53, -2**53, 2**53 + 1, -(2**53 + 1)]
 YEAR_EDGES = [2001, 2003, 2004, 2008, 2000, 2009]
 FUZZ_CELLS = st.one_of(
     st.booleans(), st.floats(), st.integers(-2, 3000), st.none(), st.just(""),
-    st.just("\ud800"),
+    st.just("\ud800"), st.just("\x00"),
     st.sampled_from(INT_EDGES + YEAR_EDGES),
     st.text(alphabet="0123456789;-.eE xS", max_size=5),
     st.lists(st.one_of(st.integers(2000, 2010), st.floats(), st.booleans()),

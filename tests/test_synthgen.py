@@ -97,6 +97,9 @@ class TestGenerate:
         (dict(early=("P1", "2001", 2003)), "early must be a text label and two integer years"),
         (dict(late=("P2", 2004, 2**53 + 1)), "late must be a text label and two integer years"),
         (dict(early=("P\udcff", 2001, 2003)), "early must be a text label and two integer years"),
+        (dict(early=("P1", True, 2003)), "early must be a text label and two integer years"),
+        (dict(early=("", 2001, 2003)), "early must be a text label and two integer years"),
+        (dict(early=("P\x00", 2001, 2003)), "early must be a text label and two integer years"),
         (dict(early=("P1", 2001, 2005)),
          "periods P1 and P2 overlap: P1 ends in 2005, P2 starts in 2004"),
         (dict(early=("P1", 2004, 2008), late=("P2", 2001, 2003)),
